@@ -87,9 +87,9 @@ std::string FormatRow(const RunConfig& config, const char* input,
       n, resident, report.peak_resident_rows, bounded ? "true" : "false",
       report.num_windows, shard_size, config.threads, seconds,
       static_cast<double>(n) / seconds, speedup,
-      verified ? "true" : "false", report.final_merges, report.pruned_checks,
-      mapped_bytes, copied_bytes, report.normalized_sse,
-      report.max_cluster_emd);
+      verified ? "true" : "false", report.stats.final_merges,
+      report.stats.pruned_checks, mapped_bytes, copied_bytes,
+      report.normalized_sse, report.max_cluster_emd);
   return line;
 }
 

@@ -18,8 +18,8 @@ class RecordSource;
 
 // ---------------------------------------------------------------------------
 // JobSpec: the one versioned description of an anonymization job, the
-// public API boundary of this library. It subsumes the engine's sibling
-// entry points — PipelineSpec (in-memory), StreamingSpec (out-of-core)
+// public API boundary of this library. It subsumes the engine's entry
+// points — StreamingSpec (every non-sweep job, in-memory or out-of-core)
 // and RunBatch (parameter sweeps) — which remain thin internals the
 // facade lowers onto (api/runner.h). A JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
@@ -39,9 +39,9 @@ enum class InputKind { kCsvPath, kSynthetic, kDataset, kRecordSource };
 // byte-identical releases to the CSV it was converted from.
 enum class InputFormat { kCsv, kTcmb };
 
-// How the job executes: fully in memory through PipelineRunner, or
-// window by window through StreamingPipelineRunner under a bounded
-// resident-row budget.
+// How the job executes, both on StreamingPipelineRunner: fully in
+// memory (the input loaded once and run as a single window), or window
+// by window under a bounded resident-row budget.
 enum class ExecutionMode { kInMemory, kStreaming };
 
 const char* InputKindName(InputKind kind);

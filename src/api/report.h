@@ -35,7 +35,7 @@ struct SweepOutcome {
 };
 
 // RunReport: the one machine-readable account of a job, a superset of
-// the engine's PipelineReport and StreamingReport. Every execution mode
+// the engine's StreamingReport. Every execution mode
 // fills the shared core (rows, cluster stats, verification, timings);
 // streaming runs add per-window summaries, sweeps add per-cell outcomes.
 // ToJson() serializes everything except the in-memory release dataset;
@@ -95,8 +95,9 @@ struct RunReport {
   bool k_verified = false;
   bool t_verified = false;
 
-  // Per-stage wall clock. load_seconds covers CSV load / role assignment
-  // in-memory and stream reads when streaming.
+  // Per-stage wall clock. load_seconds covers loading the input (plus its
+  // copy into the single window) in-memory and stream reads when
+  // streaming.
   double load_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double verify_seconds = 0.0;

@@ -73,6 +73,13 @@ size_t RowPayloadBytes(const Schema& schema) {
   return width;
 }
 
+// Size of a CSV input, the bytes its load copies (0 when unreadable).
+size_t CsvFileBytes(const std::string& path) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<size_t>(size);
+}
+
 // A .tcmb file may carry roles of its own; when neither it nor the spec
 // provides both role kinds the job cannot anonymize anything — fail as an
 // invalid spec (exit 3 at the CLI) rather than deep inside the engine.
@@ -89,29 +96,22 @@ Status CheckTcmbRoles(const Schema& schema) {
 // Materializes the job's input as an in-memory dataset with the spec's
 // roles applied. To avoid copying a caller-provided dataset whose roles
 // are already set (the common programmatic path), the result is a
-// pointer: either into the spec or into *storage. `bytes` (optional)
-// receives the input's map/copy accounting.
+// pointer: either into the spec or into *storage. `bytes` receives the
+// input's map/copy accounting.
 Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
                                           Dataset* storage,
-                                          InputBytes* bytes = nullptr) {
+                                          InputBytes* bytes) {
   switch (spec.input.kind) {
     case InputKind::kCsvPath: {
       if (spec.input.format == InputFormat::kTcmb) {
         TCM_ASSIGN_OR_RETURN(ColumnTable table, ReadTcmb(spec.input.path));
-        if (bytes != nullptr) {
-          bytes->mapped = table.mapped_bytes();
-          bytes->copied = table.copied_bytes() +
-                          table.num_rows() * RowPayloadBytes(table.schema());
-        }
+        bytes->mapped = table.mapped_bytes();
+        bytes->copied = table.copied_bytes() +
+                        table.num_rows() * RowPayloadBytes(table.schema());
         *storage = table.ToDataset();
       } else {
         TCM_ASSIGN_OR_RETURN(*storage, ReadNumericCsv(spec.input.path));
-        if (bytes != nullptr) {
-          std::error_code ec;
-          const auto size =
-              std::filesystem::file_size(spec.input.path, ec);
-          bytes->copied = ec ? 0 : static_cast<size_t>(size);
-        }
+        bytes->copied = CsvFileBytes(spec.input.path);
       }
       break;
     }
@@ -142,183 +142,178 @@ Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
   return storage;
 }
 
-Status RunInMemoryJob(const JobSpec& spec, RunReport* report) {
-  PipelineSpec pipeline;
-  pipeline.algorithm = spec.algorithm.name;
-  pipeline.k = spec.algorithm.k;
-  pipeline.t = spec.algorithm.t;
-  pipeline.seed = spec.algorithm.seed;
-  pipeline.shard_size = spec.execution.shard_size;
-  pipeline.merge_strategy = spec.execution.merge_strategy;
-  pipeline.verify = spec.verify;
-  pipeline.output_path = spec.output.release_path;
-
-  PipelineRunner runner(spec.execution.threads);
-  Result<PipelineReport> run = Status::Internal("unreachable");
-  if (spec.input.kind == InputKind::kCsvPath &&
-      spec.input.format == InputFormat::kCsv) {
-    pipeline.input_path = spec.input.path;
-    pipeline.quasi_identifiers = spec.roles.quasi_identifiers;
-    pipeline.confidential = spec.roles.confidential;
-    run = runner.Run(pipeline);
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(spec.input.path, ec);
-    report->input_copied_bytes = ec ? 0 : static_cast<size_t>(size);
-  } else {
-    Dataset storage;
-    InputBytes bytes;
-    TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                         MaterializeDataset(spec, &storage, &bytes));
-    report->input_mapped_bytes = bytes.mapped;
-    report->input_copied_bytes = bytes.copied;
-    run = runner.Run(*data, pipeline);
-  }
-  TCM_RETURN_IF_ERROR(run.status());
-  PipelineReport& pipeline_report = run.value();
-
-  const AnonymizationResult& result = pipeline_report.result;
-  report->rows = result.anonymized.NumRecords();
-  report->clusters = result.partition.NumClusters();
-  report->min_cluster_size = result.min_cluster_size;
-  report->max_cluster_size = result.max_cluster_size;
-  report->average_cluster_size = result.average_cluster_size;
-  report->max_cluster_emd = result.max_cluster_emd;
-  report->normalized_sse = result.normalized_sse;
-  report->threads = pipeline_report.threads;
-  report->num_shards = pipeline_report.num_shards;
-  report->final_merges = pipeline_report.final_merges;
-  report->k_verified = pipeline_report.k_verified;
-  report->t_verified = pipeline_report.t_verified;
-  report->load_seconds = pipeline_report.load_seconds;
-  report->anonymize_seconds = pipeline_report.anonymize_seconds;
-  report->verify_seconds = pipeline_report.verify_seconds;
-  report->write_seconds = pipeline_report.write_seconds;
-  report->stage_seconds = {
-      {"shard_seconds", pipeline_report.shard_seconds},
-      {"shard_anonymize_seconds", pipeline_report.shard_anonymize_seconds},
-      {"merge_seconds", pipeline_report.merge_seconds},
-      {"metrics_seconds", pipeline_report.metrics_seconds},
-  };
-  report->merge_subtrees = pipeline_report.merge_subtrees;
-  report->subtree_merges = pipeline_report.subtree_merges;
-  report->tail_merges = pipeline_report.tail_merges;
-  report->candidate_checks = pipeline_report.candidate_checks;
-  report->pruned_checks = pipeline_report.pruned_checks;
-  report->exact_checks = pipeline_report.exact_checks;
-  report->release = std::move(pipeline_report.result.anonymized);
-  return Status::Ok();
-}
-
-Status RunStreamingJob(const JobSpec& spec, RunReport* report) {
-  // Build the record source the spec names.
+// The record stream a non-sweep job runs over, plus whatever owns it.
+struct JobSource {
+  RecordSource* source = nullptr;
   std::unique_ptr<StreamingCsvReader> reader;
   std::unique_ptr<ColumnarSource> columnar;
   std::unique_ptr<SyntheticSource> synthetic;
-  RecordSource* source = nullptr;
+  // In-memory jobs: the materialized input and its adapter.
+  Dataset storage;
+  std::optional<DatasetSource> dataset;
+  size_t dataset_rows = 0;
+};
+
+// In-memory input: the whole dataset, loaded once, as one stream.
+Status OpenInMemorySource(const JobSpec& spec, JobSource* input,
+                          RunReport* report) {
+  TraceSpan span("load");
+  InputBytes bytes;
+  TCM_ASSIGN_OR_RETURN(const Dataset* data,
+                       MaterializeDataset(spec, &input->storage, &bytes));
+  report->input_mapped_bytes = bytes.mapped;
+  report->input_copied_bytes = bytes.copied;
+  input->dataset.emplace(data);
+  input->source = &*input->dataset;
+  input->dataset_rows = data->NumRecords();
+  return Status::Ok();
+}
+
+// Streaming input: a reader over the file, a generator or the caller's
+// source, never materialized.
+Status OpenStreamingSource(const JobSpec& spec, JobSource* input) {
   switch (spec.input.kind) {
     case InputKind::kCsvPath: {
       if (spec.input.format == InputFormat::kTcmb) {
-        TCM_ASSIGN_OR_RETURN(columnar, ColumnarSource::Open(spec.input.path));
+        TCM_ASSIGN_OR_RETURN(input->columnar,
+                             ColumnarSource::Open(spec.input.path));
         if (!spec.roles.quasi_identifiers.empty() ||
             !spec.roles.confidential.empty()) {
           TCM_ASSIGN_OR_RETURN(
               Schema schema,
-              SchemaWithRoles(columnar->schema(),
+              SchemaWithRoles(input->columnar->schema(),
                               spec.roles.quasi_identifiers,
                               spec.roles.confidential));
-          TCM_RETURN_IF_ERROR(columnar->ReplaceSchema(std::move(schema)));
+          TCM_RETURN_IF_ERROR(
+              input->columnar->ReplaceSchema(std::move(schema)));
         }
-        TCM_RETURN_IF_ERROR(CheckTcmbRoles(columnar->schema()));
-        source = columnar.get();
+        TCM_RETURN_IF_ERROR(CheckTcmbRoles(input->columnar->schema()));
+        input->source = input->columnar.get();
         break;
       }
-      TCM_ASSIGN_OR_RETURN(reader,
+      TCM_ASSIGN_OR_RETURN(input->reader,
                            StreamingCsvReader::OpenNumeric(spec.input.path));
       TCM_ASSIGN_OR_RETURN(
           Schema schema,
-          SchemaWithRoles(reader->schema(), spec.roles.quasi_identifiers,
+          SchemaWithRoles(input->reader->schema(),
+                          spec.roles.quasi_identifiers,
                           spec.roles.confidential));
-      TCM_RETURN_IF_ERROR(reader->ReplaceSchema(std::move(schema)));
-      source = reader.get();
+      TCM_RETURN_IF_ERROR(input->reader->ReplaceSchema(std::move(schema)));
+      input->source = input->reader.get();
       break;
     }
     case InputKind::kSynthetic:
       if (spec.input.generator == "uniform") {
-        synthetic = MakeUniformSource(
+        input->synthetic = MakeUniformSource(
             spec.input.rows, spec.input.quasi_identifiers, spec.input.seed);
       } else {
-        synthetic = MakeClusteredSource(spec.input.rows,
-                                        spec.input.quasi_identifiers,
-                                        spec.input.modes, spec.input.seed);
+        input->synthetic = MakeClusteredSource(
+            spec.input.rows, spec.input.quasi_identifiers, spec.input.modes,
+            spec.input.seed);
       }
-      source = synthetic.get();
+      input->source = input->synthetic.get();
       break;
     case InputKind::kRecordSource:
-      source = spec.input.source;
+      input->source = spec.input.source;
       break;
     case InputKind::kDataset:
       return Status::InvalidSpec(
           "streaming execution cannot read an in-memory dataset");
   }
+  return Status::Ok();
+}
 
-  StreamingSpec streaming;
-  streaming.algorithm = spec.algorithm.name;
-  streaming.k = spec.algorithm.k;
-  streaming.t = spec.algorithm.t;
-  streaming.seed = spec.algorithm.seed;
-  streaming.shard_size = spec.execution.shard_size;
-  streaming.max_resident_rows = spec.execution.max_resident_rows;
-  streaming.merge_strategy = spec.execution.merge_strategy;
-  streaming.overlap_io = spec.execution.overlap_io;
-  streaming.verify = spec.verify;
-  streaming.output_path = spec.output.release_path;
+// Copies the runner's account of a job into the report's shared core,
+// the same for both execution modes.
+void FillReport(const StreamingReport& run, RunReport* report) {
+  report->rows = run.total_rows;
+  report->clusters = 0;
+  for (const StreamingWindowSummary& window : run.windows) {
+    report->clusters += window.clusters;
+  }
+  report->min_cluster_size = run.min_cluster_size;
+  report->max_cluster_size = run.max_cluster_size;
+  report->max_cluster_emd = run.max_cluster_emd;
+  report->normalized_sse = run.normalized_sse;
+  report->threads = run.threads;
+  report->num_shards = run.stats.num_shards;
+  report->final_merges = run.stats.final_merges;
+  report->k_verified = run.k_verified;
+  report->t_verified = run.t_verified;
+  report->load_seconds += run.read_seconds;
+  report->anonymize_seconds = run.anonymize_seconds;
+  report->verify_seconds = run.verify_seconds;
+  report->write_seconds = run.write_seconds;
+  report->stage_seconds = {
+      {"shard_seconds", run.stats.shard_seconds},
+      {"shard_anonymize_seconds", run.stats.anonymize_seconds},
+      {"merge_seconds", run.stats.merge_seconds},
+      {"metrics_seconds", run.stats.measure_seconds},
+  };
+  report->merge_subtrees = run.stats.merge_subtrees;
+  report->subtree_merges = run.stats.subtree_merges;
+  report->tail_merges = run.stats.tail_merges;
+  report->candidate_checks = run.stats.candidate_checks;
+  report->pruned_checks = run.stats.pruned_checks;
+  report->exact_checks = run.stats.exact_checks;
+}
+
+// Both execution modes run on StreamingPipelineRunner. An in-memory job
+// is one window: the budget covers every row plus the k-row read-ahead,
+// so window 0 holds the whole input and runs with the spec's own seed,
+// and a sink keeps that window's release for the caller.
+Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
+  const bool in_memory = spec.execution.mode == ExecutionMode::kInMemory;
+  StreamingSpec engine;
+  engine.algorithm = spec.algorithm.name;
+  engine.k = spec.algorithm.k;
+  engine.t = spec.algorithm.t;
+  engine.seed = spec.algorithm.seed;
+  engine.shard_size = spec.execution.shard_size;
+  engine.max_resident_rows = spec.execution.max_resident_rows;
+  engine.merge_strategy = spec.execution.merge_strategy;
+  engine.overlap_io = spec.execution.overlap_io;
+  engine.verify = spec.verify;
+  engine.output_path = spec.output.release_path;
+
+  JobSource input;
+  StreamingPipelineRunner::WindowSink keep_release;
+  if (in_memory) {
+    WallTimer load_timer;
+    TCM_RETURN_IF_ERROR(OpenInMemorySource(spec, &input, report));
+    report->load_seconds = load_timer.ElapsedSeconds();
+    // Never below the runner's floor of k + max(k, 2), so undersized
+    // inputs still reach the engine's own validation. (Validate() has
+    // already refused overlap_io, which would halve the window.)
+    engine.max_resident_rows =
+        std::max<size_t>(input.dataset_rows, std::max<size_t>(engine.k, 2)) +
+        engine.k;
+    keep_release = [report](Dataset release, const StreamingWindowSummary&) {
+      report->release = std::move(release);
+      return Status::Ok();
+    };
+  } else {
+    TCM_RETURN_IF_ERROR(OpenStreamingSource(spec, &input));
+  }
 
   StreamingPipelineRunner runner(spec.execution.threads);
-  TCM_ASSIGN_OR_RETURN(StreamingReport streaming_report,
-                       runner.Run(source, streaming));
-
-  report->rows = streaming_report.total_rows;
-  size_t clusters = 0;
-  for (const StreamingWindowSummary& window : streaming_report.windows) {
-    clusters += window.clusters;
+  TCM_ASSIGN_OR_RETURN(StreamingReport run,
+                       runner.Run(input.source, engine, keep_release));
+  FillReport(run, report);
+  if (in_memory) {
+    report->average_cluster_size = static_cast<double>(report->rows) /
+                                   static_cast<double>(report->clusters);
+    return Status::Ok();
   }
-  report->clusters = clusters;
-  report->min_cluster_size = streaming_report.min_cluster_size;
-  report->max_cluster_size = streaming_report.max_cluster_size;
-  report->max_cluster_emd = streaming_report.max_cluster_emd;
-  report->normalized_sse = streaming_report.normalized_sse;
-  report->threads = streaming_report.threads;
-  report->num_shards = streaming_report.num_shards;
-  report->final_merges = streaming_report.final_merges;
-  report->num_windows = streaming_report.num_windows;
-  report->peak_resident_rows = streaming_report.peak_resident_rows;
-  report->k_verified = streaming_report.k_verified;
-  report->t_verified = streaming_report.t_verified;
-  report->load_seconds = streaming_report.read_seconds;
-  report->anonymize_seconds = streaming_report.anonymize_seconds;
-  report->verify_seconds = streaming_report.verify_seconds;
-  report->write_seconds = streaming_report.write_seconds;
-  report->stage_seconds = {
-      {"shard_seconds", streaming_report.shard_seconds},
-      {"shard_anonymize_seconds", streaming_report.shard_anonymize_seconds},
-      {"merge_seconds", streaming_report.merge_seconds},
-      {"metrics_seconds", streaming_report.metrics_seconds},
-  };
-  report->merge_subtrees = streaming_report.merge_subtrees;
-  report->subtree_merges = streaming_report.subtree_merges;
-  report->tail_merges = streaming_report.tail_merges;
-  report->candidate_checks = streaming_report.candidate_checks;
-  report->pruned_checks = streaming_report.pruned_checks;
-  report->exact_checks = streaming_report.exact_checks;
-  report->overlapped_reads = streaming_report.overlapped_reads;
-  report->windows = std::move(streaming_report.windows);
-  if (columnar != nullptr) {
-    report->input_mapped_bytes = columnar->mapped_bytes();
-    report->input_copied_bytes = columnar->copied_bytes();
-  } else if (reader != nullptr) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(spec.input.path, ec);
-    report->input_copied_bytes = ec ? 0 : static_cast<size_t>(size);
+  report->num_windows = run.num_windows;
+  report->peak_resident_rows = run.peak_resident_rows;
+  report->overlapped_reads = run.overlapped_reads;
+  report->windows = std::move(run.windows);
+  if (input.columnar != nullptr) {
+    report->input_mapped_bytes = input.columnar->mapped_bytes();
+    report->input_copied_bytes = input.columnar->copied_bytes();
+  } else if (input.reader != nullptr) {
+    report->input_copied_bytes = CsvFileBytes(spec.input.path);
   }
   return Status::Ok();
 }
@@ -438,10 +433,8 @@ Result<RunReport> RunJob(const JobSpec& spec) {
     TraceSpan job_span("job");
     if (report.swept) {
       TCM_RETURN_IF_ERROR(RunSweepJob(spec, &report));
-    } else if (spec.execution.mode == ExecutionMode::kStreaming) {
-      TCM_RETURN_IF_ERROR(RunStreamingJob(spec, &report));
     } else {
-      TCM_RETURN_IF_ERROR(RunInMemoryJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunPipelineJob(spec, &report));
     }
   }
   report.total_seconds = total.ElapsedSeconds();

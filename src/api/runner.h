@@ -12,9 +12,10 @@ namespace tcm {
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
-// kUnknownAlgorithm), lowers it onto PipelineRunner,
-// StreamingPipelineRunner or RunBatch, and — when the spec names a
-// report_path — writes the JSON report before returning. Failures carry
+// kUnknownAlgorithm), lowers it onto StreamingPipelineRunner (an
+// in-memory job is one window over the loaded input) or, for sweeps,
+// RunBatch, and — when the spec names a report_path — writes the JSON
+// report before returning. Failures carry
 // the structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.
 //

@@ -52,20 +52,6 @@ std::vector<size_t> CountCategoryCodes(std::span<const int32_t> codes,
   return counts;
 }
 
-double OrdinalCategoricalEmdCodes(std::span<const int32_t> codes_p,
-                                  std::span<const int32_t> codes_q,
-                                  size_t universe) {
-  return OrdinalCategoricalEmd(CountCategoryCodes(codes_p, universe),
-                               CountCategoryCodes(codes_q, universe));
-}
-
-double NominalCategoricalEmdCodes(std::span<const int32_t> codes_p,
-                                  std::span<const int32_t> codes_q,
-                                  size_t universe) {
-  return NominalCategoricalEmd(CountCategoryCodes(codes_p, universe),
-                               CountCategoryCodes(codes_q, universe));
-}
-
 double JensenShannonDivergence(const std::vector<size_t>& counts_p,
                                const std::vector<size_t>& counts_q) {
   TCM_CHECK_EQ(counts_p.size(), counts_q.size());

@@ -30,27 +30,13 @@ double NominalCategoricalEmd(const std::vector<size_t>& counts_p,
 double JensenShannonDivergence(const std::vector<size_t>& counts_p,
                                const std::vector<size_t>& counts_q);
 
-// --- Integer-indexed (dictionary-code) kernels ---
-//
-// The columnar store hands categorical columns around as int32 dictionary
-// codes; these entry points bin codes into dense count vectors and reuse the
-// distances above, so the hot loop never touches a string. Every code must
-// lie in [0, universe) — out-of-range aborts (the .tcmb reader has already
-// range-checked persisted payloads; anything else is a programming error).
-
-// Histogram of `codes` over a dictionary of `universe` categories.
+// Histogram of int32 dictionary `codes` over a dictionary of `universe`
+// categories: the dense count vector the distances above take. Every code
+// must lie in [0, universe) — out-of-range aborts (the .tcmb reader has
+// already range-checked persisted payloads; anything else is a
+// programming error).
 std::vector<size_t> CountCategoryCodes(std::span<const int32_t> codes,
                                        size_t universe);
-
-// OrdinalCategoricalEmd over two code sequences sharing one dictionary.
-double OrdinalCategoricalEmdCodes(std::span<const int32_t> codes_p,
-                                  std::span<const int32_t> codes_q,
-                                  size_t universe);
-
-// NominalCategoricalEmd over two code sequences sharing one dictionary.
-double NominalCategoricalEmdCodes(std::span<const int32_t> codes_p,
-                                  std::span<const int32_t> codes_q,
-                                  size_t universe);
 
 }  // namespace tcm
 

@@ -1,112 +1,22 @@
 #ifndef TCM_ENGINE_PIPELINE_H_
 #define TCM_ENGINE_PIPELINE_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "engine/sharded.h"
-#include "engine/thread_pool.h"
 
 namespace tcm {
 
-// Declarative description of one anonymization run, executed stage by
-// stage by PipelineRunner:
-//   load -> shard -> anonymize -> verify -> metrics -> write
-// Stages degrade gracefully: an empty input_path skips the load stage
-// (the caller passes a Dataset), shard_size 0 skips sharding, verify can
-// be disabled, and an empty output_path skips the write stage.
-struct PipelineSpec {
-  // Load stage: CSV with a header row; every column numeric. The named
-  // columns get their roles assigned (and are validated against the
-  // header with a clear error). When the spec is run against an
-  // in-memory Dataset, empty name lists mean "roles are already set".
-  std::string input_path;
-  std::vector<std::string> quasi_identifiers;
-  std::string confidential;
-
-  // Anonymize stage.
-  std::string algorithm = "tclose_first";  // registry name
-  size_t k = 5;
-  double t = 0.1;
-  uint64_t seed = 1;
-
-  // Shard stage: target rows per shard; 0 disables sharding.
-  size_t shard_size = 4096;
-
-  // Engine for the global t-closeness repair pass (see
-  // ShardedAnonymizeOptions::merge_strategy).
-  MergeStrategy merge_strategy = MergeStrategy::kSequential;
-
-  // Verify stage: re-check k-anonymity and t-closeness of the release
-  // with the independent privacy evaluators; a failure is an error.
-  bool verify = true;
-
-  // Write stage: release CSV path; empty skips the write.
-  std::string output_path;
-};
-
-// Everything a caller needs to audit the run: the release + measurements,
-// the execution shape, and per-stage wall-clock times. Both Run overloads
-// populate every timing field: on the in-memory overload load_seconds
-// covers role assignment (its whole load stage), and total_seconds is the
-// wall-clock of the entire Run call, stage gaps included.
-struct PipelineReport {
-  AnonymizationResult result;
-  size_t num_shards = 1;
-  size_t threads = 1;
-  size_t final_merges = 0;
-  bool k_verified = false;  // stay false when spec.verify is off
-  bool t_verified = false;
-  double load_seconds = 0.0;
-  double anonymize_seconds = 0.0;
-  double verify_seconds = 0.0;
-  double write_seconds = 0.0;
-  double total_seconds = 0.0;
-  // Finer breakdown of the anonymize stage (from ShardedAnonymizeStats);
-  // single-shard runs report everything under shard_anonymize_seconds.
-  double shard_seconds = 0.0;           // plan + shard materialization
-  double shard_anonymize_seconds = 0.0; // per-shard fan-out wall clock
-  double merge_seconds = 0.0;           // global MergeUntilTClose pass
-  double metrics_seconds = 0.0;         // aggregation + utility metrics
-  // Final-merge engine detail (see MergeStats).
-  size_t merge_subtrees = 0;
-  size_t subtree_merges = 0;
-  size_t tail_merges = 0;
-  size_t candidate_checks = 0;
-  size_t pruned_checks = 0;
-  size_t exact_checks = 0;
-};
-
-// Executes PipelineSpecs on an owned thread pool. The release is
-// byte-identical for any thread count (see sharded.h for why); threads
-// only change how fast the shard fan-out runs.
-class PipelineRunner {
- public:
-  // 0 threads means one per hardware thread.
-  explicit PipelineRunner(size_t threads = 1) : pool_(threads) {}
-
-  size_t threads() const { return pool_.num_threads(); }
-  ThreadPool* pool() { return &pool_; }
-
-  // Full pipeline: loads spec.input_path, assigns/validates the roles
-  // named in the spec, then runs the remaining stages.
-  Result<PipelineReport> Run(const PipelineSpec& spec);
-
-  // Same, starting from an in-memory dataset (the load stage is limited
-  // to role assignment; empty role lists keep the dataset's own roles).
-  Result<PipelineReport> Run(const Dataset& data, const PipelineSpec& spec);
-
- private:
-  ThreadPool pool_;
-};
+// Stage helpers shared by the pipeline runner (engine/streaming.h), the
+// Job API and the CLI: the independent release re-check and role
+// assignment by column name.
 
 // Verdicts of the independent release re-check (the auditor-side view:
 // only the released data is consulted, never the algorithm's own
-// bookkeeping). Shared by the in-memory and streaming verify stages and
-// the public VerifyRelease facade, so the three paths cannot drift.
+// bookkeeping). Shared by the runner's verify stage and the public
+// VerifyRelease facade, so the two paths cannot drift.
 struct ReleaseVerification {
   bool k_anonymous = false;
   bool t_close = false;
@@ -128,7 +38,7 @@ Status PrivacyViolationError(const ReleaseVerification& verification,
 // Returns a copy of `schema` with kQuasiIdentifier / kConfidential roles
 // assigned to the named columns, validating every name: unknown names
 // fail with a message listing the available columns. Exposed for the
-// CLI tool's streaming path (roles on a reader's schema, no dataset).
+// streaming path (roles on a reader's schema, no dataset).
 Result<Schema> SchemaWithRoles(
     const Schema& schema, const std::vector<std::string>& quasi_identifiers,
     const std::string& confidential);

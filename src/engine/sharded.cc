@@ -13,6 +13,24 @@
 
 namespace tcm {
 
+ShardedAnonymizeStats& ShardedAnonymizeStats::operator+=(
+    const ShardedAnonymizeStats& other) {
+  num_shards += other.num_shards;
+  final_merges += other.final_merges;
+  max_shard_seconds = std::max(max_shard_seconds, other.max_shard_seconds);
+  shard_seconds += other.shard_seconds;
+  anonymize_seconds += other.anonymize_seconds;
+  merge_seconds += other.merge_seconds;
+  measure_seconds += other.measure_seconds;
+  merge_subtrees += other.merge_subtrees;
+  subtree_merges += other.subtree_merges;
+  tail_merges += other.tail_merges;
+  candidate_checks += other.candidate_checks;
+  pruned_checks += other.pruned_checks;
+  exact_checks += other.exact_checks;
+  return *this;
+}
+
 ShardPlan MakeShardPlan(size_t num_records, size_t shard_size, size_t k) {
   ShardPlan plan;
   size_t num_shards = 1;

@@ -72,6 +72,10 @@ struct ShardedAnonymizeStats {
   size_t candidate_checks = 0;
   size_t pruned_checks = 0;
   size_t exact_checks = 0;
+
+  // Folds another call's stats into this ledger: counters and timers
+  // sum, max_shard_seconds keeps the slowest shard seen.
+  ShardedAnonymizeStats& operator+=(const ShardedAnonymizeStats& other);
 };
 
 // Anonymizes `data` shard-by-shard on `pool` (serially when pool is null

@@ -17,8 +17,8 @@ namespace {
 
 // Seed stride between windows; deliberately different from the per-shard
 // stride inside ShardedAnonymize. Window 0 adds nothing, so a run whose
-// stream fits in one window uses spec.seed exactly — the byte-identity
-// anchor against the in-memory PipelineRunner.
+// stream fits in one window uses spec.seed exactly — which keeps an
+// in-memory job's release equal to one ShardedAnonymize call.
 constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
 
 }  // namespace
@@ -129,9 +129,27 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
     return read;
   };
 
+  // The prefetch task runs read_window, which references this frame's
+  // reader state, so it must finish before Run returns — on the error
+  // returns inside the loop too, not only when its future is collected.
+  std::future<WindowRead> prefetch;
+  class PrefetchWait {
+   public:
+    explicit PrefetchWait(std::future<WindowRead>* future) : future_(future) {}
+    PrefetchWait(const PrefetchWait&) = delete;
+    PrefetchWait& operator=(const PrefetchWait&) = delete;
+    ~PrefetchWait() {
+      if (future_->valid()) future_->wait();
+    }
+
+   private:
+    std::future<WindowRead>* future_;
+  } prefetch_wait(&prefetch);
+
   WallTimer total;
   WallTimer timer;
   WindowRead current = read_window(0);
+  double weighted_sse = 0.0;
   for (;;) {
     TCM_RETURN_IF_ERROR(current.status);
     report.read_seconds += current.seconds;
@@ -144,7 +162,6 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
     // Overlap: kick off the next window's read/parse before this
     // window's anonymize/verify/write. The prefetch task exclusively
     // owns the reader state until its future is collected below.
-    std::future<WindowRead> prefetch;
     const bool overlapped = spec.overlap_io && !current.final_window;
     const bool was_final = current.final_window;
     if (overlapped) {
@@ -155,7 +172,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
       ++report.overlapped_reads;
     }
 
-    // Anonymize: the same shard fan-out the in-memory runner uses.
+    // Anonymize: the window's shards fan out on the pool.
     const size_t w = report.num_windows;
     ShardedAnonymizeOptions window_options = options;
     window_options.params.seed = spec.seed + kWindowSeedStride * w;
@@ -169,16 +186,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
     }
     double anonymize_seconds = timer.ElapsedSeconds();
     report.anonymize_seconds += anonymize_seconds;
-    report.shard_seconds += stats.shard_seconds;
-    report.shard_anonymize_seconds += stats.anonymize_seconds;
-    report.merge_seconds += stats.merge_seconds;
-    report.metrics_seconds += stats.measure_seconds;
-    report.merge_subtrees += stats.merge_subtrees;
-    report.subtree_merges += stats.subtree_merges;
-    report.tail_merges += stats.tail_merges;
-    report.candidate_checks += stats.candidate_checks;
-    report.pruned_checks += stats.pruned_checks;
-    report.exact_checks += stats.exact_checks;
+    report.stats += stats;
 
     StreamingWindowSummary summary;
     summary.rows = window.NumRecords();
@@ -221,13 +229,11 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
       report.write_seconds += timer.ElapsedSeconds();
     }
     if (sink) {
-      TCM_RETURN_IF_ERROR(sink(result->anonymized, summary));
+      TCM_RETURN_IF_ERROR(sink(std::move(result->anonymized), summary));
     }
 
     // Aggregate metrics (normalized SSE as a row-weighted mean).
     report.total_rows += summary.rows;
-    report.num_shards += summary.num_shards;
-    report.final_merges += summary.final_merges;
     report.min_cluster_size =
         report.num_windows == 0
             ? summary.min_cluster_size
@@ -236,8 +242,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
         std::max(report.max_cluster_size, summary.max_cluster_size);
     report.max_cluster_emd =
         std::max(report.max_cluster_emd, summary.max_cluster_emd);
-    report.normalized_sse += summary.normalized_sse *
-                             static_cast<double>(summary.rows);
+    weighted_sse += summary.normalized_sse * static_cast<double>(summary.rows);
     report.windows.push_back(summary);
     ++report.num_windows;
 
@@ -253,7 +258,12 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
   if (report.num_windows == 0) {
     return Status::InvalidArgument("stream produced no records");
   }
-  report.normalized_sse /= static_cast<double>(report.total_rows);
+  // A single window's mean is its own value, taken as is: scaling by the
+  // row count and back can move the last bit.
+  report.normalized_sse =
+      report.num_windows == 1
+          ? report.windows.front().normalized_sse
+          : weighted_sse / static_cast<double>(report.total_rows);
   if (writer != nullptr) {
     timer.Restart();
     TCM_RETURN_IF_ERROR(writer->Close());

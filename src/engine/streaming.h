@@ -9,19 +9,21 @@
 #include "common/result.h"
 #include "data/dataset.h"
 #include "data/record_source.h"
+#include "engine/sharded.h"
 #include "engine/thread_pool.h"
 #include "tclose/merge.h"
 
 namespace tcm {
 
-// Out-of-core execution of the anonymization pipeline: consume a
-// RecordSource window by window under a max_resident_rows budget, run
-// every window through the existing shard/thread-pool machinery
-// (ShardedAnonymize), then the same verify -> metrics -> write tail the
-// in-memory PipelineRunner runs. Datasets that never fit in memory
-// stream through in bounded space; each released window independently
-// satisfies k-anonymity and t-closeness (so their concatenation is
-// k-anonymous, and t-close per window against the window distribution).
+// The anonymization pipeline, the one runner behind every non-sweep job:
+// consume a RecordSource window by window under a max_resident_rows
+// budget, run every window through the shard/thread-pool machinery
+// (ShardedAnonymize), then verify -> metrics -> write. Datasets that never
+// fit in memory stream through in bounded space; each released window
+// independently satisfies k-anonymity and t-closeness (so their
+// concatenation is k-anonymous, and t-close per window against the
+// window distribution). An in-memory job is the special case of one
+// window over a DatasetSource (see api/runner.cc).
 //
 // Memory model. The runner holds at most one window plus a k-row
 // read-ahead at a time:
@@ -37,11 +39,11 @@ namespace tcm {
 // uses spec.seed itself), and ShardedAnonymize is byte-identical for any
 // thread count — so streamed releases are too. When the whole stream
 // fits in one window (max_resident_rows >= rows + k), the release bytes
-// equal the in-memory PipelineRunner's for the same spec, which the
-// tests pin.
+// equal a single ShardedAnonymize call over the whole input with
+// spec.seed, which is what an in-memory job releases; the tests pin it.
 struct StreamingSpec {
-  // Anonymize stage (same meaning as PipelineSpec).
-  std::string algorithm = "tclose_first";
+  // Anonymize stage.
+  std::string algorithm = "tclose_first";  // registry name
   size_t k = 5;
   double t = 0.1;
   uint64_t seed = 1;
@@ -98,33 +100,23 @@ struct StreamingReport {
   // Largest number of input rows resident at once (window + read-ahead).
   size_t peak_resident_rows = 0;
   size_t threads = 1;
-  size_t num_shards = 0;     // total across windows
-  size_t final_merges = 0;   // total across windows
   bool k_verified = false;   // all windows; stays false when verify is off
   bool t_verified = false;
   size_t min_cluster_size = 0;
   size_t max_cluster_size = 0;
   double max_cluster_emd = 0.0;  // max over windows
-  double normalized_sse = 0.0;   // row-weighted mean over windows
+  // Row-weighted mean over windows (a single window's own value).
+  double normalized_sse = 0.0;
   double read_seconds = 0.0;
-  double anonymize_seconds = 0.0;
+  double anonymize_seconds = 0.0;  // every ShardedAnonymize call's wall
   double verify_seconds = 0.0;
   double write_seconds = 0.0;
   // Wall-clock of the whole Run call (stage gaps included).
   double total_seconds = 0.0;
-  // Finer anonymize-stage breakdown, summed across windows (from each
-  // window's ShardedAnonymizeStats).
-  double shard_seconds = 0.0;           // plan + shard materialization
-  double shard_anonymize_seconds = 0.0; // per-shard fan-out wall clock
-  double merge_seconds = 0.0;           // global MergeUntilTClose passes
-  double metrics_seconds = 0.0;         // aggregation + utility metrics
-  // Merge-engine detail summed across windows (see MergeStats).
-  size_t merge_subtrees = 0;
-  size_t subtree_merges = 0;
-  size_t tail_merges = 0;
-  size_t candidate_checks = 0;
-  size_t pruned_checks = 0;
-  size_t exact_checks = 0;
+  // Every window's ShardedAnonymizeStats folded with operator+=: shard
+  // and final-merge totals, the anonymize-stage breakdown and the merge
+  // ledger, summed across windows.
+  ShardedAnonymizeStats stats{.num_shards = 0};
   // Window reads that ran overlapped with the previous window's
   // processing (overlap_io only).
   size_t overlapped_reads = 0;
@@ -135,11 +127,12 @@ struct StreamingReport {
 // hardware thread).
 class StreamingPipelineRunner {
  public:
-  // Called with every released window (after verification) in stream
-  // order: a custom sink for tests or non-CSV destinations.
-  using WindowSink =
-      std::function<Status(const Dataset& release,
-                           const StreamingWindowSummary& summary)>;
+  // Called with every released window (after verification and the CSV
+  // write) in stream order: a custom sink for tests, programmatic
+  // callers or non-CSV destinations. The sink owns the release it is
+  // handed, so it can keep it without a copy.
+  using WindowSink = std::function<Status(
+      Dataset release, const StreamingWindowSummary& summary)>;
 
   explicit StreamingPipelineRunner(size_t threads = 1) : pool_(threads) {}
 

@@ -1,7 +1,6 @@
 // Tests for the columnar store (src/colstore/): ColumnTable round trips,
-// .tcmb serialization/zero-copy reads, the CSV converter, the columnar
-// audit evaluators against their row-store counterparts, the integer-
-// indexed categorical kernels, and — the format's core guarantee — that
+// .tcmb serialization/zero-copy reads, the CSV converter, and — the
+// format's core guarantee — that
 // a JobSpec run over a converted .tcmb releases byte-identical output to
 // the same run over the source CSV, in-memory and streaming, at 1 and 4
 // threads. The mmap-lifetime cases run under the asan preset: every
@@ -23,15 +22,10 @@
 #include <gtest/gtest.h>
 
 #include "colstore/column_table.h"
-#include "colstore/columnar_audit.h"
 #include "colstore/columnar_source.h"
 #include "colstore/convert.h"
 #include "colstore/tcmb.h"
 #include "data/csv.h"
-#include "distance/categorical.h"
-#include "privacy/categorical_tcloseness.h"
-#include "privacy/equivalence.h"
-#include "privacy/kanonymity.h"
 #include "tcm/api.h"
 
 namespace tcm {
@@ -303,87 +297,6 @@ TEST(ColumnarSourceTest, StreamsTheTableInChunks) {
   EXPECT_EQ(total, data.NumRecords());
   ExpectDatasetsEqual(out, data);
   EXPECT_GT((*source)->mapped_bytes(), 0u);
-}
-
-// ------------------------------------------------------- columnar audit
-
-TEST(ColumnarAuditTest, MatchesRowStoreEvaluators) {
-  Dataset data = MixedDataset();
-  ColumnTable table = ColumnTable::FromDataset(data);
-
-  auto row_classes = EquivalenceClasses(data);
-  auto col_classes = ColumnarEquivalenceClasses(table);
-  ASSERT_TRUE(row_classes.ok());
-  ASSERT_TRUE(col_classes.ok());
-  EXPECT_EQ(*row_classes, *col_classes);
-
-  for (size_t k = 1; k <= 4; ++k) {
-    auto row_k = IsKAnonymous(data, k);
-    auto col_k = IsColumnarKAnonymous(table, k);
-    ASSERT_TRUE(row_k.ok());
-    ASSERT_TRUE(col_k.ok());
-    EXPECT_EQ(*row_k, *col_k) << "k=" << k;
-  }
-
-  auto row_t = EvaluateOrdinalTCloseness(data);
-  auto col_t = EvaluateColumnarOrdinalTCloseness(table);
-  ASSERT_TRUE(row_t.ok());
-  ASSERT_TRUE(col_t.ok());
-  EXPECT_EQ(row_t->num_equivalence_classes, col_t->num_equivalence_classes);
-  EXPECT_DOUBLE_EQ(row_t->max_distance, col_t->max_distance);
-  EXPECT_DOUBLE_EQ(row_t->mean_distance, col_t->mean_distance);
-}
-
-TEST(ColumnarAuditTest, NominalEvaluatorMatchesRowStore) {
-  Schema schema({
-      Attribute{"qi", AttributeType::kNumeric,
-                AttributeRole::kQuasiIdentifier, {}},
-      Attribute{"diag", AttributeType::kNominal,
-                AttributeRole::kConfidential, {"a", "b", "c"}},
-  });
-  Dataset data(schema);
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(data.Append({Value::Numeric(i / 5),
-                             Value::Categorical((i * 7) % 3)})
-                    .ok());
-  }
-  ColumnTable table = ColumnTable::FromDataset(data);
-  auto row_t = EvaluateNominalTCloseness(data);
-  auto col_t = EvaluateColumnarNominalTCloseness(table);
-  ASSERT_TRUE(row_t.ok());
-  ASSERT_TRUE(col_t.ok());
-  EXPECT_EQ(row_t->num_equivalence_classes, col_t->num_equivalence_classes);
-  EXPECT_DOUBLE_EQ(row_t->max_distance, col_t->max_distance);
-  EXPECT_DOUBLE_EQ(row_t->mean_distance, col_t->mean_distance);
-}
-
-TEST(ColumnarAuditTest, TypeMismatchAndMissingRolesRejected) {
-  ColumnTable table = ColumnTable::FromDataset(MixedDataset());
-  // Confidential is ordinal, not nominal.
-  EXPECT_FALSE(EvaluateColumnarNominalTCloseness(table).ok());
-
-  std::vector<Attribute> no_qi = table.schema().attributes();
-  for (Attribute& attr : no_qi) attr.role = AttributeRole::kOther;
-  ASSERT_TRUE(table.ReplaceSchema(Schema{std::move(no_qi)}).ok());
-  EXPECT_FALSE(ColumnarEquivalenceClasses(table).ok());
-}
-
-// ------------------------------------------------- code-indexed kernels
-
-TEST(CategoricalCodeKernelTest, CodeVariantsMatchCountVariants) {
-  std::vector<int32_t> p = {0, 0, 1, 2, 2, 2, 3, 1, 0};
-  std::vector<int32_t> q = {3, 3, 3, 1, 0, 2, 2, 1, 1};
-  const size_t universe = 4;
-  std::vector<size_t> counts_p = CountCategoryCodes(p, universe);
-  std::vector<size_t> counts_q = CountCategoryCodes(q, universe);
-  EXPECT_EQ(counts_p, (std::vector<size_t>{3, 2, 3, 1}));
-  EXPECT_DOUBLE_EQ(OrdinalCategoricalEmdCodes(p, q, universe),
-                   OrdinalCategoricalEmd(counts_p, counts_q));
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmdCodes(p, q, universe),
-                   NominalCategoricalEmd(counts_p, counts_q));
-  // Identical distributions are at distance zero.
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmdCodes(p, p, universe), 0.0);
-  EXPECT_DOUBLE_EQ(OrdinalCategoricalEmdCodes(p, p, universe), 0.0);
 }
 
 // -------------------------------------- CSV / .tcmb release equivalence

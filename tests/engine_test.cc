@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
 #include "data/generator.h"
 #include "engine/batch.h"
-#include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
@@ -422,6 +422,7 @@ TEST(ShardedTest, UnknownAlgorithmFailsBeforeAnyWork) {
 }
 
 // ---------------------------------------------------------------- Pipeline
+// In-memory jobs through the Job API, which runs each as one window.
 
 TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
   std::string dir = ::testing::TempDir();
@@ -431,16 +432,16 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
   // Strip the roles: the pipeline must reassign them by column name.
   ASSERT_TRUE(WriteCsv(data, input).ok());
 
-  PipelineSpec spec;
-  spec.input_path = input;
-  spec.output_path = output;
-  spec.quasi_identifiers = {"QI1", "QI2"};
-  spec.confidential = "CONF";
-  spec.k = 4;
-  spec.t = 0.2;
-  spec.shard_size = 150;
-  PipelineRunner runner(2);
-  auto report = runner.Run(spec);
+  JobSpec spec;
+  spec.input.path = input;
+  spec.output.release_path = output;
+  spec.roles.quasi_identifiers = {"QI1", "QI2"};
+  spec.roles.confidential = "CONF";
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.2;
+  spec.execution.threads = 2;
+  spec.execution.shard_size = 150;
+  auto report = RunJob(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
@@ -457,12 +458,12 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
 
 TEST(PipelineTest, UnknownColumnFailsWithAvailableColumns) {
   Dataset data = MakeUniformDataset(100, 2, 87);
-  PipelineSpec spec;
-  spec.quasi_identifiers = {"QI1", "nope"};
-  spec.confidential = "CONF";
-  PipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
+  JobSpec spec;
+  spec.roles.quasi_identifiers = {"QI1", "nope"};
+  spec.roles.confidential = "CONF";
+  auto report = RunJob(data, spec);
   ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find("'nope'"), std::string::npos);
   EXPECT_NE(report.status().message().find("available columns"),
             std::string::npos);
@@ -470,16 +471,38 @@ TEST(PipelineTest, UnknownColumnFailsWithAvailableColumns) {
 
 TEST(PipelineTest, InMemoryRunKeepsExistingRoles) {
   Dataset data = MakeMcdDataset();  // roles already assigned
-  PipelineSpec spec;
-  spec.k = 4;
-  spec.t = 0.15;
-  spec.shard_size = 0;
-  PipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
+  JobSpec spec;
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.15;
+  spec.execution.shard_size = 0;
+  auto report = RunJob(data, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
   EXPECT_EQ(report->num_shards, 1u);
+  // The single window is an implementation detail: no window fields.
+  EXPECT_EQ(report->num_windows, 0u);
+  EXPECT_EQ(report->peak_resident_rows, 0u);
+  EXPECT_TRUE(report->windows.empty());
+  ASSERT_TRUE(report->release.has_value());
+  EXPECT_EQ(report->release->NumRecords(), data.NumRecords());
+  EXPECT_DOUBLE_EQ(report->average_cluster_size,
+                   static_cast<double>(report->rows) /
+                       static_cast<double>(report->clusters));
+}
+
+TEST(PipelineTest, UndersizedInputKeepsItsErrorCode) {
+  // Fewer rows than k (and than the runner's window floor) must still
+  // fail the engine's own input validation, not the window budget.
+  Dataset data = MakeUniformDataset(3, 2, 89);
+  JobSpec spec;
+  spec.algorithm.k = 5;
+  auto report = RunJob(data, spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("k must be in [1, n]"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 // ------------------------------------------------------------------- Batch

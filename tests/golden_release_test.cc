@@ -2,7 +2,7 @@
 // anonymization pipeline are pinned for a fixed seed/dataset/flag
 // matrix, so a future refactor cannot silently change what gets
 // released. The matrix mirrors tcm_anonymize invocations (the tool is a
-// thin flag parser over PipelineSpec / StreamingSpec, and the CSV bytes
+// thin flag parser over JobSpec, and the CSV bytes
 // it writes are exactly WriteCsvString of the release — additionally
 // pinned binary-level by tools/anonymize_golden.cmake).
 //
@@ -19,11 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
 #include "data/record_source.h"
-#include "engine/pipeline.h"
 #include "engine/streaming.h"
 
 #ifndef TCM_GOLDEN_DIR
@@ -85,22 +85,22 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
       {"mondrian", 4, 0.3},     {"sabre", 4, 0.3},
   };
   Dataset data = GoldenInput();
-  PipelineRunner runner(2);
   for (const Case& c : cases) {
-    PipelineSpec spec;
-    spec.algorithm = c.algorithm;
-    spec.k = c.k;
-    spec.t = c.t;
-    spec.seed = 9;
-    spec.shard_size = 64;
+    JobSpec spec;
+    spec.algorithm.name = c.algorithm;
+    spec.algorithm.k = c.k;
+    spec.algorithm.t = c.t;
+    spec.algorithm.seed = 9;
+    spec.execution.threads = 2;
+    spec.execution.shard_size = 64;
     spec.verify = true;
-    auto report = runner.Run(data, spec);
+    auto report = RunJob(data, spec);
     ASSERT_TRUE(report.ok()) << c.algorithm << ": "
                              << report.status().ToString();
     char name[128];
     std::snprintf(name, sizeof(name), "release_%s_k%zu_t%02d.csv",
                   c.algorithm, c.k, static_cast<int>(c.t * 100));
-    CompareWithGolden(name, WriteCsvString(report->result.anonymized));
+    CompareWithGolden(name, WriteCsvString(*report->release));
   }
 }
 
@@ -109,17 +109,16 @@ TEST(GoldenReleaseTest, ReleaseBytesArePinnedAcrossFlagMatrix) {
 // committed golden bytes.
 TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
   Dataset data = GoldenInput();
-  PipelineSpec mem_spec;
-  mem_spec.algorithm = "tclose_first";
-  mem_spec.k = 5;
-  mem_spec.t = 0.3;
-  mem_spec.seed = 9;
-  mem_spec.shard_size = 64;
-  PipelineRunner mem_runner(2);
-  auto mem_report = mem_runner.Run(data, mem_spec);
-  ASSERT_TRUE(mem_report.ok());
-  const std::string mem_bytes =
-      WriteCsvString(mem_report->result.anonymized);
+  JobSpec mem_spec;
+  mem_spec.algorithm.name = "tclose_first";
+  mem_spec.algorithm.k = 5;
+  mem_spec.algorithm.t = 0.3;
+  mem_spec.algorithm.seed = 9;
+  mem_spec.execution.threads = 2;
+  mem_spec.execution.shard_size = 64;
+  auto mem_report = RunJob(data, mem_spec);
+  ASSERT_TRUE(mem_report.ok()) << mem_report.status().ToString();
+  const std::string mem_bytes = WriteCsvString(*mem_report->release);
 
   DatasetSource source(&data);
   StreamingSpec spec;
@@ -177,17 +176,16 @@ TEST(GoldenReleaseTest, StreamedMultiWindowReleaseIsPinned) {
 // the pinned bytes.
 TEST(GoldenReleaseTest, CategoricalReleaseBytesArePinned) {
   Dataset data = MakeAdultLike({.num_records = 90, .seed = 3});
-  PipelineSpec spec;
-  spec.algorithm = "merge";
-  spec.k = 3;
-  spec.t = 0.3;
-  spec.seed = 9;
-  spec.shard_size = 0;
-  PipelineRunner runner(1);
-  auto report = runner.Run(data, spec);
+  JobSpec spec;
+  spec.algorithm.name = "merge";
+  spec.algorithm.k = 3;
+  spec.algorithm.t = 0.3;
+  spec.algorithm.seed = 9;
+  spec.execution.shard_size = 0;
+  auto report = RunJob(data, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   CompareWithGolden("release_adult_merge_k3_t30.csv",
-                    WriteCsvString(report->result.anonymized));
+                    WriteCsvString(*report->release));
 }
 
 }  // namespace

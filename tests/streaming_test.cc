@@ -1,20 +1,25 @@
 // Tests for the out-of-core streaming execution layer: RecordSource and
 // its implementations, the streaming CSV reader/writer, and
 // StreamingPipelineRunner. The load-bearing properties: (1) streamed
-// and in-memory paths agree — a single-window streamed release is
-// byte-identical to the in-memory PipelineRunner release at any thread
-// count; (2) resident input rows never exceed the max_resident_rows
-// budget; (3) every released window independently re-verifies
-// k-anonymous and t-close.
+// and in-memory jobs agree — a single-window streamed release is
+// byte-identical to the in-memory job's release at any thread count;
+// (2) resident input rows never exceed the max_resident_rows budget;
+// (3) every released window independently re-verifies k-anonymous and
+// t-close; (4) no pool task outlives Run.
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
@@ -215,49 +220,59 @@ StreamingSpec BaseSpec() {
   return spec;
 }
 
-// The acceptance anchor: when the budget covers the whole stream, the
-// streamed release bytes equal the in-memory PipelineRunner's — checked
-// at two thread counts.
+// The acceptance anchor: when the budget covers the whole stream, a
+// streamed job releases the in-memory job's bytes and reports the same
+// measurements — checked at two thread counts.
 TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
-  Dataset data = MakeUniformDataset(1500, 3, 2016);
+  constexpr size_t kRows = 1500;
+  Dataset data = MakeUniformDataset(kRows, 3, 2016);
   const std::string input_path = TempPath("stream_identity_in.csv");
   ASSERT_TRUE(WriteCsv(data, input_path).ok());
 
   for (size_t threads : {1u, 4u}) {
-    const std::string suffix = std::to_string(threads) + ".csv";
-    const std::string mem_path = TempPath("stream_identity_mem" + suffix);
-    PipelineSpec mem_spec;
-    mem_spec.input_path = input_path;
-    mem_spec.output_path = mem_path;
-    mem_spec.quasi_identifiers = {"QI0", "QI1", "QI2"};
-    mem_spec.confidential = "CONF";
-    mem_spec.algorithm = "tclose_first";
-    mem_spec.k = 4;
-    mem_spec.t = 0.25;
-    mem_spec.seed = 7;
-    mem_spec.shard_size = 256;
-    PipelineRunner mem_runner(threads);
-    ASSERT_TRUE(mem_runner.Run(mem_spec).ok());
+    auto run = [&](ExecutionMode mode) {
+      JobSpec spec;
+      spec.input.path = input_path;
+      spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+      spec.roles.confidential = "CONF";
+      spec.algorithm.k = 4;
+      spec.algorithm.t = 0.25;
+      spec.algorithm.seed = 7;
+      spec.execution.mode = mode;
+      spec.execution.threads = threads;
+      spec.execution.shard_size = 256;
+      spec.execution.max_resident_rows = kRows + spec.algorithm.k;
+      spec.output.release_path =
+          TempPath(std::string("stream_identity_") + ExecutionModeName(mode) +
+                   std::to_string(threads) + ".csv");
+      return RunJob(spec);
+    };
+    auto mem = run(ExecutionMode::kInMemory);
+    ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+    auto str = run(ExecutionMode::kStreaming);
+    ASSERT_TRUE(str.ok()) << str.status().ToString();
+    EXPECT_EQ(str->num_windows, 1u);
+    EXPECT_TRUE(str->k_verified);
+    EXPECT_TRUE(str->t_verified);
 
-    const std::string str_path = TempPath("stream_identity_str" + suffix);
-    auto reader = StreamingCsvReader::OpenNumeric(input_path);
-    ASSERT_TRUE(reader.ok());
-    auto roled =
-        SchemaWithRoles((*reader)->schema(), {"QI0", "QI1", "QI2"}, "CONF");
-    ASSERT_TRUE(roled.ok());
-    ASSERT_TRUE((*reader)->ReplaceSchema(std::move(roled).value()).ok());
-    StreamingSpec spec = BaseSpec();
-    spec.output_path = str_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(reader->get(), spec);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->num_windows, 1u);
-    EXPECT_TRUE(report->k_verified);
-    EXPECT_TRUE(report->t_verified);
-
-    EXPECT_EQ(ReadFileBytes(str_path), ReadFileBytes(mem_path))
+    EXPECT_EQ(ReadFileBytes(str->release_path),
+              ReadFileBytes(mem->release_path))
         << "streamed release differs from in-memory release at threads="
         << threads;
+    EXPECT_EQ(str->rows, mem->rows);
+    EXPECT_EQ(str->clusters, mem->clusters);
+    EXPECT_EQ(str->min_cluster_size, mem->min_cluster_size);
+    EXPECT_EQ(str->max_cluster_size, mem->max_cluster_size);
+    EXPECT_EQ(str->max_cluster_emd, mem->max_cluster_emd);
+    EXPECT_EQ(str->normalized_sse, mem->normalized_sse);
+    EXPECT_EQ(str->num_shards, mem->num_shards);
+    EXPECT_EQ(str->final_merges, mem->final_merges);
+    EXPECT_EQ(str->merge_subtrees, mem->merge_subtrees);
+    EXPECT_EQ(str->subtree_merges, mem->subtree_merges);
+    EXPECT_EQ(str->tail_merges, mem->tail_merges);
+    EXPECT_EQ(str->candidate_checks, mem->candidate_checks);
+    EXPECT_EQ(str->pruned_checks, mem->pruned_checks);
+    EXPECT_EQ(str->exact_checks, mem->exact_checks);
   }
 }
 
@@ -378,10 +393,14 @@ TEST(StreamingPipelineRunnerTest, HierarchicalMergeComposesWithWindows) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
-  EXPECT_EQ(report->candidate_checks,
-            report->pruned_checks + report->exact_checks);
-  EXPECT_EQ(report->subtree_merges + report->tail_merges,
-            report->final_merges);
+  const ShardedAnonymizeStats& stats = report->stats;
+  EXPECT_EQ(stats.candidate_checks, stats.pruned_checks + stats.exact_checks);
+  EXPECT_EQ(stats.subtree_merges + stats.tail_merges, stats.final_merges);
+  size_t shards = 0;
+  for (const StreamingWindowSummary& window : report->windows) {
+    shards += window.num_shards;
+  }
+  EXPECT_EQ(stats.num_shards, shards);
 }
 
 TEST(StreamingPipelineRunnerTest, TailSmallerThanKJoinsFinalWindow) {
@@ -467,6 +486,64 @@ TEST(StreamingPipelineRunnerTest, EmptyStreamIsAnError) {
   StreamingPipelineRunner runner(1);
   auto report = runner.Run(&source, spec);
   EXPECT_FALSE(report.ok());
+}
+
+// A uniform stream whose reads after the first window's two (fill and
+// read-ahead) wait for `sink_ran` and then take a while, so an
+// overlapped prefetch is still inside ReadInto when the sink fails.
+// Counts the ReadInto calls started and those in progress.
+class SlowSource : public RecordSource {
+ public:
+  SlowSource(size_t rows, const std::atomic<bool>* sink_ran)
+      : inner_(MakeUniformSource(rows, 2, 5)), sink_ran_(sink_ran) {}
+
+  const Schema& schema() const override { return inner_->schema(); }
+
+  Result<size_t> ReadInto(Dataset* out, size_t max_rows) override {
+    ++active_;
+    if (calls_++ >= 2) {
+      for (int i = 0; i < 5000 && !sink_ran_->load(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    auto got = inner_->ReadInto(out, max_rows);
+    --active_;
+    return got;
+  }
+
+  int calls() const { return calls_.load(); }
+  int active() const { return active_.load(); }
+
+ private:
+  std::unique_ptr<SyntheticSource> inner_;
+  const std::atomic<bool>* sink_ran_;
+  std::atomic<int> calls_{0};
+  std::atomic<int> active_{0};
+};
+
+// The overlap_io prefetch reads through state in Run's frame, so Run must
+// wait for it on its error returns too, not only when it collects it.
+TEST(StreamingPipelineRunnerTest, FailingSinkWaitsForOutstandingPrefetch) {
+  std::atomic<bool> sink_ran{false};
+  SlowSource source(400, &sink_ran);
+  StreamingSpec spec = BaseSpec();
+  spec.shard_size = 0;  // window 0 runs inline; the pool only prefetches
+  spec.max_resident_rows = 204;  // 100-row windows under overlap_io
+  spec.overlap_io = true;
+  StreamingPipelineRunner runner(2);
+  auto report = runner.Run(
+      &source, spec, [&](Dataset, const StreamingWindowSummary&) {
+        // Fail only once the prefetch is inside its first ReadInto.
+        for (int i = 0; i < 5000 && source.calls() < 3; ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        sink_ran = true;
+        return Status::Internal("sink failed");
+      });
+  EXPECT_EQ(source.active(), 0) << "a prefetch ReadInto outlived Run";
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace
