@@ -5,32 +5,41 @@
 // trajectory: one JSON object per run, printed as a line on stdout and
 // collected into a JSON array file.
 //
-// The first row is the BASELINE: the pre-pipelined configuration
-// (merge_chunked, sequential repair, serial reads) at one thread — the
-// engine as it stood before the hierarchical merge landed. Every later
-// row is the current configuration (merge_projection, hierarchical
-// repair with EMD-bound pruning, overlapped reads) at 1/2/4/8 threads;
-// its "speedup" field is baseline_seconds / row_seconds, i.e. the
-// end-to-end gain of the new pipeline over the old serialized one.
+// Rows come in three roles. The BASELINE row runs the measured algorithm
+// (merge_projection) the serialized way: sequential repair, serial reads,
+// one thread. The MEASURED rows run the same algorithm pipelined —
+// hierarchical repair with EMD-bound pruning, overlapped reads — at
+// 1/2/4/8 threads, so their "speedup" (baseline_seconds / row_seconds)
+// prices the pipeline alone, not an algorithm swap. The REFERENCE row is
+// merge_chunked run like the baseline: a slower, finer-grained algorithm
+// kept for context, with its SSE ratio to the baseline next to it.
+// Every row carries "sse_ratio" = row SSE / baseline SSE.
 //
 // After the synthetic rows, the identical stream is materialized once
 // (untimed), written as CSV, converted to .tcmb, and both files are
 // streamed back through the measured configuration: the "csv" and
 // "tcmb" input rows isolate input-format cost (text parsing and row
 // copies versus zero-copy mapped columns). File rows do not move the
-// TCM_REQUIRE_SPEEDUP gate, which pins the synthetic trajectory.
+// TCM_REQUIRE_SPEEDUP gate, which pins the synthetic trajectory, but
+// they are measured rows for the SSE gate.
+//
+// Exit status is nonzero when any run fails, breaches the resident
+// budget or fails verification, when a measured row's SSE exceeds the
+// baseline's (a speedup bought with a worse release is not one), or
+// when TCM_REQUIRE_SPEEDUP is set and missed.
 //
 // Environment knobs (see bench_util.h):
 //   TCM_N         — streamed record count      (default 1000000)
 //   TCM_RESIDENT  — resident-row budget        (default 100000)
 //   TCM_SHARD     — rows per shard             (default 4096)
-//   TCM_ALGO      — measured algorithm         (default merge_projection)
-//   TCM_BASE_ALGO — baseline algorithm         (default merge_chunked)
+//   TCM_ALGO      — baseline + measured algorithm (default merge_projection)
+//   TCM_REF_ALGO  — reference algorithm        (default merge_chunked)
 //   TCM_BENCH_OUT — output JSON path           (default BENCH_streaming.json)
 //   TCM_TRACE_OUT — Chrome trace-event JSON of the runs' spans (default off)
 //   TCM_FAST      — nonzero: 60k rows / 20k budget for smoke runs
 //   TCM_REQUIRE_SPEEDUP — fail (exit 1) unless the highest-thread
-//                   measured row reaches this speedup over the baseline
+//                   measured synthetic row reaches this speedup over the
+//                   same-algorithm baseline
 
 #include <cstdio>
 #include <cstdlib>
@@ -53,20 +62,35 @@
 
 namespace {
 
+enum class Role { kBaseline, kReference, kMeasured };
+
+const char* RoleName(Role role) {
+  switch (role) {
+    case Role::kBaseline:
+      return "baseline";
+    case Role::kReference:
+      return "reference";
+    case Role::kMeasured:
+      return "measured";
+  }
+  return "?";
+}
+
 struct RunConfig {
   std::string algorithm;
   tcm::MergeStrategy merge_strategy = tcm::MergeStrategy::kSequential;
   bool overlap_io = false;
   size_t threads = 1;
+  Role role = Role::kMeasured;
 };
 
 // One BENCH_streaming.json row. `input` names the record source
 // (synthetic | csv | tcmb); mapped/copied bytes are zero for synthetic
 // rows and carry the RunReport-style input accounting for file rows.
-std::string FormatRow(const RunConfig& config, const char* input,
-                      bool is_baseline, size_t n, size_t resident,
-                      size_t shard_size, const tcm::StreamingReport& report,
-                      double seconds, double speedup, size_t mapped_bytes,
+std::string FormatRow(const RunConfig& config, const char* input, size_t n,
+                      size_t resident, size_t shard_size,
+                      const tcm::StreamingReport& report, double seconds,
+                      double speedup, double sse_ratio, size_t mapped_bytes,
                       size_t copied_bytes) {
   const bool bounded = report.peak_resident_rows <= resident;
   const bool verified = report.k_verified && report.t_verified;
@@ -74,22 +98,22 @@ std::string FormatRow(const RunConfig& config, const char* input,
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"streaming_scale\",\"input\":\"%s\",\"algorithm\":\"%s\","
-      "\"merge_strategy\":\"%s\",\"overlap_io\":%s,\"baseline\":%s,"
+      "\"merge_strategy\":\"%s\",\"overlap_io\":%s,\"role\":\"%s\","
       "\"n\":%zu,\"max_resident_rows\":%zu,\"peak_resident_rows\":%zu,"
       "\"bounded\":%s,\"windows\":%zu,\"shard_size\":%zu,\"threads\":%zu,"
       "\"seconds\":%.3f,\"rows_per_sec\":%.0f,\"speedup\":%.2f,"
       "\"verified\":%s,\"final_merges\":%zu,\"pruned_checks\":%zu,"
       "\"input_mapped_bytes\":%zu,\"input_copied_bytes\":%zu,"
-      "\"sse\":%.6f,\"max_emd\":%.4f}",
+      "\"sse\":%.6f,\"sse_ratio\":%.3f,\"max_emd\":%.4f}",
       input, config.algorithm.c_str(),
       tcm::MergeStrategyName(config.merge_strategy),
-      config.overlap_io ? "true" : "false", is_baseline ? "true" : "false",
-      n, resident, report.peak_resident_rows, bounded ? "true" : "false",
+      config.overlap_io ? "true" : "false", RoleName(config.role), n,
+      resident, report.peak_resident_rows, bounded ? "true" : "false",
       report.num_windows, shard_size, config.threads, seconds,
       static_cast<double>(n) / seconds, speedup,
       verified ? "true" : "false", report.stats.final_merges,
       report.stats.pruned_checks, mapped_bytes, copied_bytes,
-      report.normalized_sse, report.max_cluster_emd);
+      report.normalized_sse, sse_ratio, report.max_cluster_emd);
   return line;
 }
 
@@ -105,9 +129,9 @@ int main() {
   const std::string algorithm = (algo_env != nullptr && *algo_env != '\0')
                                     ? algo_env
                                     : "merge_projection";
-  const char* base_env = std::getenv("TCM_BASE_ALGO");
-  const std::string baseline_algorithm =
-      (base_env != nullptr && *base_env != '\0') ? base_env : "merge_chunked";
+  const char* ref_env = std::getenv("TCM_REF_ALGO");
+  const std::string reference_algorithm =
+      (ref_env != nullptr && *ref_env != '\0') ? ref_env : "merge_chunked";
   const char* out_env = std::getenv("TCM_BENCH_OUT");
   const std::string out_path =
       (out_env != nullptr && *out_env != '\0') ? out_env
@@ -120,8 +144,8 @@ int main() {
 
   tcm_bench::PrintHeader(
       "streaming_scale: out-of-core " + algorithm +
-      " (hierarchical+overlap) vs baseline " + baseline_algorithm +
-      " (sequential), n=" + std::to_string(n) +
+      " (hierarchical+overlap) vs itself sequential; reference " +
+      reference_algorithm + ", n=" + std::to_string(n) +
       ", resident budget=" + std::to_string(resident));
 
   // With TCM_TRACE_OUT, every run's stage and window spans land in one
@@ -132,18 +156,31 @@ int main() {
     trace_sink.emplace(trace_env);
   }
 
+  // The baseline runs first: every later row is priced against it.
   std::vector<RunConfig> configs;
-  configs.push_back({baseline_algorithm, tcm::MergeStrategy::kSequential,
-                     /*overlap_io=*/false, /*threads=*/1});
+  configs.push_back({algorithm, tcm::MergeStrategy::kSequential,
+                     /*overlap_io=*/false, /*threads=*/1, Role::kBaseline});
+  configs.push_back({reference_algorithm, tcm::MergeStrategy::kSequential,
+                     /*overlap_io=*/false, /*threads=*/1, Role::kReference});
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     configs.push_back({algorithm, tcm::MergeStrategy::kHierarchical,
-                       /*overlap_io=*/true, threads});
+                       /*overlap_io=*/true, threads, Role::kMeasured});
   }
 
   std::vector<std::string> json_lines;
   double baseline_seconds = 0.0;
+  double baseline_sse = 0.0;
   double last_speedup = 0.0;
   size_t last_threads = 0;
+  // Measured rows whose release is worse than the baseline's.
+  std::vector<std::string> sse_regressions;
+  auto check_sse = [&](const RunConfig& config, const char* input,
+                       double sse) {
+    if (config.role == Role::kMeasured && sse > baseline_sse) {
+      sse_regressions.push_back(std::string(input) + " at " +
+                                std::to_string(config.threads) + " threads");
+    }
+  };
   for (const RunConfig& config : configs) {
     tcm::StreamingSpec spec;
     spec.algorithm = config.algorithm;
@@ -168,20 +205,23 @@ int main() {
                    report.status().ToString().c_str());
       return 1;
     }
-    const bool is_baseline = baseline_seconds == 0.0;
-    if (is_baseline) baseline_seconds = seconds;
+    if (config.role == Role::kBaseline) {
+      baseline_seconds = seconds;
+      baseline_sse = report->normalized_sse;
+    }
     bool bounded = report->peak_resident_rows <= resident;
     bool verified = report->k_verified && report->t_verified;
     double speedup = baseline_seconds / seconds;
-    if (!is_baseline) {
+    if (config.role == Role::kMeasured) {
       last_speedup = speedup;
       last_threads = config.threads;
     }
+    check_sse(config, "synthetic", report->normalized_sse);
 
-    const std::string line =
-        FormatRow(config, "synthetic", is_baseline, n, resident, shard_size,
-                  *report, seconds, speedup, /*mapped_bytes=*/0,
-                  /*copied_bytes=*/0);
+    const std::string line = FormatRow(
+        config, "synthetic", n, resident, shard_size, *report, seconds,
+        speedup, report->normalized_sse / baseline_sse, /*mapped_bytes=*/0,
+        /*copied_bytes=*/0);
     std::printf("%s\n", line.c_str());
     json_lines.push_back(line);
     if (!bounded || !verified) return 1;
@@ -194,7 +234,7 @@ int main() {
   // text parsing for CSV, mmap + column materialization for .tcmb. These
   // rows report speedup over the same baseline but are excluded from the
   // TCM_REQUIRE_SPEEDUP gate (they measure input format, not the merge
-  // pipeline).
+  // pipeline); the SSE gate covers them.
   {
     auto generator = tcm::MakeUniformSource(n, 3, 2016);
     tcm::Dataset materialized(generator->schema());
@@ -218,7 +258,7 @@ int main() {
 
     for (const std::string input : {"csv", "tcmb"}) {
       RunConfig config{algorithm, tcm::MergeStrategy::kHierarchical,
-                       /*overlap_io=*/true, /*threads=*/4};
+                       /*overlap_io=*/true, /*threads=*/4, Role::kMeasured};
       tcm::StreamingSpec spec;
       spec.algorithm = config.algorithm;
       spec.k = 5;
@@ -281,9 +321,10 @@ int main() {
         copied_bytes = ec ? 0 : static_cast<size_t>(size);
       }
 
+      check_sse(config, input.c_str(), report->normalized_sse);
       const std::string line = FormatRow(
-          config, input.c_str(), /*is_baseline=*/false, n, resident,
-          shard_size, *report, seconds, baseline_seconds / seconds,
+          config, input.c_str(), n, resident, shard_size, *report, seconds,
+          baseline_seconds / seconds, report->normalized_sse / baseline_sse,
           mapped_bytes, copied_bytes);
       std::printf("%s\n", line.c_str());
       json_lines.push_back(line);
@@ -320,12 +361,19 @@ int main() {
     std::printf("# wrote %s\n", trace_env);
   }
 
+  int status = 0;
+  for (const std::string& row : sse_regressions) {
+    std::fprintf(stderr,
+                 "%s: SSE exceeds the same-algorithm baseline's %.6f\n",
+                 row.c_str(), baseline_sse);
+    status = 1;
+  }
   if (required_speedup > 0.0 && last_speedup < required_speedup) {
     std::fprintf(stderr,
                  "speedup %.2fx at %zu threads is below the required "
-                 "%.2fx over the sequential baseline\n",
+                 "%.2fx over the same-algorithm sequential baseline\n",
                  last_speedup, last_threads, required_speedup);
-    return 1;
+    status = 1;
   }
-  return 0;
+  return status;
 }

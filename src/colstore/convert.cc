@@ -1,5 +1,6 @@
 #include "colstore/convert.h"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -18,20 +19,21 @@ namespace {
 
 constexpr size_t kChunkBytes = 1 << 16;
 
+using CsvFields = std::vector<std::string_view>;
+
 // Streams `path` through the shared tokenizer, invoking `fn` for every
 // non-blank record (header included). `fn` sees the raw fields plus the
 // 1-based line the record began on.
 Status ForEachCsvRecord(
     const std::string& path,
-    const std::function<Status(const std::vector<std::string>&, size_t)>&
-        fn) {
+    const std::function<Status(const CsvFields&, size_t)>& fn) {
   std::ifstream input(path, std::ios::binary);
   if (!input) {
     return Status::IoError("cannot open \"" + path + "\"");
   }
   CsvTokenizer tokenizer;
   std::vector<char> chunk(kChunkBytes);
-  std::vector<std::string> fields;
+  CsvFields fields;
   bool input_done = false;
   while (true) {
     TCM_ASSIGN_OR_RETURN(bool have, tokenizer.Next(&fields));
@@ -72,9 +74,9 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
   size_t rows = 0;
   Status pass1 = ForEachCsvRecord(
       csv_path,
-      [&](const std::vector<std::string>& fields, size_t line) -> Status {
+      [&](const CsvFields& fields, size_t line) -> Status {
         if (names.empty()) {
-          for (const std::string& field : fields) {
+          for (std::string_view field : fields) {
             names.emplace_back(StripWhitespace(field));
           }
           numeric.assign(names.size(), true);
@@ -112,7 +114,7 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
   bool seen_header = false;
   Status pass2 = ForEachCsvRecord(
       csv_path,
-      [&](const std::vector<std::string>& fields, size_t line) -> Status {
+      [&](const CsvFields& fields, size_t line) -> Status {
         if (!seen_header) {
           seen_header = true;
           return Status::Ok();
@@ -129,6 +131,12 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
                   "\"" + csv_path + "\" line " + std::to_string(line) +
                   ": cannot parse \"" + std::string(stripped) +
                   "\" as a number in column \"" + names[c] + "\"");
+            }
+            if (!std::isfinite(parsed)) {
+              return Status::IoError(
+                  "\"" + csv_path + "\" line " + std::to_string(line) +
+                  ": non-finite value \"" + std::string(stripped) +
+                  "\" in column \"" + names[c] + "\"");
             }
             numeric_cols[c].push_back(parsed);
           } else {

@@ -1,5 +1,6 @@
 #include "colstore/tcmb.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -401,6 +402,15 @@ Result<ColumnTable> ParseTcmb(const char* data, size_t size,
         }
         col.numeric = col.owned_numeric.data();
         copied_bytes += entry.size;
+      }
+      // A nan or inf cell would flow into centroids and EMD ranks; no
+      // release can be built from it, so it is rejected like damage.
+      for (uint64_t r = 0; r < row_count; ++r) {
+        if (!std::isfinite(col.numeric[r])) {
+          return Status::IoError(context + ": non-finite value in row " +
+                                 std::to_string(r) + " of column \"" +
+                                 attr.name + "\"");
+        }
       }
     }
   }

@@ -30,7 +30,7 @@ void WriteLines(const Dataset& data, std::ostream& out) {
   std::string header;
   AppendCsvHeader(data.schema(), &header);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  WriteCsvRows(data, out);
+  CsvRowWriter().Write(data, out);
 }
 
 }  // namespace

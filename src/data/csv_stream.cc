@@ -1,26 +1,53 @@
 #include "data/csv_stream.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstddef>
 #include <istream>
-#include <sstream>
 #include <utility>
 
 #include "common/strings.h"
+#include "engine/thread_pool.h"
 
 namespace tcm {
 
 // --- CsvTokenizer ---
 
+namespace {
+
+// Bytes the per-byte state machine must see; every other byte inside an
+// unquoted field is plain data.
+bool IsCsvSpecial(char c) {
+  return c == ',' || c == '\n' || c == '\r' || c == '"';
+}
+
+}  // namespace
+
 void CsvTokenizer::Feed(std::string_view chunk) {
   if (finished_) return;
-  for (char c : chunk) {
-    if (!error_.ok()) return;
-    Consume(c);
+  DropPulledRecords();
+  size_t i = 0;
+  while (i < chunk.size() && error_.ok()) {
+    if (state_ == State::kUnquoted && !pending_cr_) {
+      // Bulk-append the run of plain bytes up to the next special one;
+      // the state machine below only ever appends them one by one.
+      size_t run_end = i;
+      while (run_end < chunk.size() && !IsCsvSpecial(chunk[run_end])) {
+        ++run_end;
+      }
+      chars_.append(chunk.data() + i, run_end - i);
+      i = run_end;
+      if (i == chunk.size()) break;
+    }
+    Consume(chunk[i++]);
   }
 }
 
 void CsvTokenizer::Finish() {
   if (finished_) return;
   finished_ = true;
+  DropPulledRecords();
   if (!error_.ok()) return;
   if (pending_cr_) {
     pending_cr_ = false;
@@ -29,7 +56,7 @@ void CsvTokenizer::Finish() {
       EndRecord();
       return;
     }
-    field_.push_back('\r');
+    chars_.push_back('\r');
     if (state_ != State::kQuoted) state_ = State::kUnquoted;
   }
   switch (state_) {
@@ -46,16 +73,35 @@ void CsvTokenizer::Finish() {
   }
 }
 
-Result<bool> CsvTokenizer::Next(std::vector<std::string>* fields) {
-  if (!ready_.empty()) {
-    PendingRecord& front = ready_.front();
-    *fields = std::move(front.fields);
-    last_record_line_ = front.line;
-    ready_.pop_front();
+Result<bool> CsvTokenizer::Next(std::vector<std::string_view>* fields) {
+  if (next_ready_ < ready_.size()) {
+    const ReadyRecord& record = ready_[next_ready_];
+    size_t field = next_ready_ == 0 ? 0 : ready_[next_ready_ - 1].fields_end;
+    fields->clear();
+    for (; field < record.fields_end; ++field) {
+      const size_t begin = field == 0 ? 0 : field_ends_[field - 1];
+      fields->emplace_back(chars_.data() + begin, field_ends_[field] - begin);
+    }
+    last_record_line_ = record.line;
+    ++next_ready_;
     return true;
   }
   if (!error_.ok()) return error_;
   return false;
+}
+
+void CsvTokenizer::DropPulledRecords() {
+  if (next_ready_ == 0) return;
+  const size_t fields = ready_[next_ready_ - 1].fields_end;
+  const size_t bytes = field_ends_[fields - 1];
+  chars_.erase(0, bytes);
+  field_ends_.erase(field_ends_.begin(),
+                    field_ends_.begin() + static_cast<std::ptrdiff_t>(fields));
+  for (size_t& end : field_ends_) end -= bytes;
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(next_ready_));
+  for (ReadyRecord& record : ready_) record.fields_end -= fields;
+  next_ready_ = 0;
 }
 
 void CsvTokenizer::Consume(char c) {
@@ -71,7 +117,7 @@ void CsvTokenizer::Consume(char c) {
       return;
     }
     // A CR not followed by LF is field data, like any other byte.
-    field_.push_back('\r');
+    chars_.push_back('\r');
     if (state_ != State::kQuoted) state_ = State::kUnquoted;
   }
   switch (state_) {
@@ -88,7 +134,7 @@ void CsvTokenizer::Consume(char c) {
       } else if (c == '\r') {
         pending_cr_ = true;
       } else {
-        field_.push_back(c);
+        chars_.push_back(c);
         state_ = State::kUnquoted;
       }
       break;
@@ -104,7 +150,7 @@ void CsvTokenizer::Consume(char c) {
       } else if (c == '"') {
         Fail("quote character inside unquoted field");
       } else {
-        field_.push_back(c);
+        chars_.push_back(c);
       }
       break;
     case State::kQuoted:
@@ -112,12 +158,12 @@ void CsvTokenizer::Consume(char c) {
         state_ = State::kQuoteSeen;
       } else {
         if (c == '\n') ++line_;
-        field_.push_back(c);
+        chars_.push_back(c);
       }
       break;
     case State::kQuoteSeen:
       if (c == '"') {
-        field_.push_back('"');  // "" escape
+        chars_.push_back('"');  // "" escape
         state_ = State::kQuoted;
       } else if (c == ',') {
         EndField();
@@ -134,15 +180,11 @@ void CsvTokenizer::Consume(char c) {
   }
 }
 
-void CsvTokenizer::EndField() {
-  record_.push_back(std::move(field_));
-  field_.clear();
-}
+void CsvTokenizer::EndField() { field_ends_.push_back(chars_.size()); }
 
 void CsvTokenizer::EndRecord() {
   EndField();
-  ready_.push_back(PendingRecord{std::move(record_), record_start_line_});
-  record_.clear();
+  ready_.push_back(ReadyRecord{field_ends_.size(), record_start_line_});
   state_ = State::kRecordStart;
   record_start_line_ = line_;
 }
@@ -154,11 +196,11 @@ void CsvTokenizer::Fail(const std::string& message) {
 
 // --- Shared record-level helpers ---
 
-bool IsBlankCsvRecord(const std::vector<std::string>& fields) {
+bool IsBlankCsvRecord(std::span<const std::string_view> fields) {
   return fields.size() == 1 && StripWhitespace(fields[0]).empty();
 }
 
-Status ValidateCsvHeader(const std::vector<std::string>& fields,
+Status ValidateCsvHeader(std::span<const std::string_view> fields,
                          const Schema& schema) {
   if (fields.size() != schema.size()) {
     return Status::IoError("header has " + std::to_string(fields.size()) +
@@ -166,19 +208,19 @@ Status ValidateCsvHeader(const std::vector<std::string>& fields,
                            std::to_string(schema.size()));
   }
   for (size_t i = 0; i < fields.size(); ++i) {
-    if (std::string(StripWhitespace(fields[i])) != schema.at(i).name) {
+    if (StripWhitespace(fields[i]) != schema.at(i).name) {
       return Status::IoError("header column " + std::to_string(i) + " is '" +
-                             fields[i] + "', expected '" + schema.at(i).name +
-                             "'");
+                             std::string(fields[i]) + "', expected '" +
+                             schema.at(i).name + "'");
     }
   }
   return Status::Ok();
 }
 
-Schema NumericSchemaFromHeader(const std::vector<std::string>& fields) {
+Schema NumericSchemaFromHeader(std::span<const std::string_view> fields) {
   std::vector<Attribute> attrs;
   attrs.reserve(fields.size());
-  for (const std::string& name : fields) {
+  for (std::string_view name : fields) {
     attrs.push_back(Attribute{std::string(StripWhitespace(name)),
                               AttributeType::kNumeric, AttributeRole::kOther,
                               {}});
@@ -186,16 +228,15 @@ Schema NumericSchemaFromHeader(const std::vector<std::string>& fields) {
   return Schema(std::move(attrs));
 }
 
-Result<Record> CsvFieldsToRecord(const std::vector<std::string>& fields,
-                                 const Schema& schema, size_t line) {
+Status CsvFieldsToRecord(std::span<const std::string_view> fields,
+                         const Schema& schema, size_t line, Record* record) {
   if (fields.size() != schema.size()) {
     return Status::IoError("line " + std::to_string(line) + " has " +
                            std::to_string(fields.size()) + " fields");
   }
-  Record record;
-  record.reserve(fields.size());
+  record->clear();
   for (size_t i = 0; i < fields.size(); ++i) {
-    std::string field(StripWhitespace(fields[i]));
+    const std::string_view field = StripWhitespace(fields[i]);
     const Attribute& attr = schema.at(i);
     if (attr.is_categorical()) {
       int32_t code = -1;
@@ -207,22 +248,27 @@ Result<Record> CsvFieldsToRecord(const std::vector<std::string>& fields,
       }
       if (code < 0) {
         return Status::IoError("line " + std::to_string(line) +
-                               ": unknown category '" + field +
+                               ": unknown category '" + std::string(field) +
                                "' for attribute '" + attr.name + "'");
       }
-      record.push_back(Value::Categorical(code));
+      record->push_back(Value::Categorical(code));
     } else {
       double value = 0.0;
       if (!ParseDouble(field, &value)) {
         return Status::IoError("line " + std::to_string(line) +
-                               ": cannot parse '" + field +
+                               ": cannot parse '" + std::string(field) +
                                "' as a number for attribute '" + attr.name +
                                "'");
       }
-      record.push_back(Value::Numeric(value));
+      if (!std::isfinite(value)) {
+        return Status::IoError("line " + std::to_string(line) +
+                               ": non-finite value '" + std::string(field) +
+                               "' for attribute '" + attr.name + "'");
+      }
+      record->push_back(Value::Numeric(value));
     }
   }
-  return record;
+  return Status::Ok();
 }
 
 // --- Shared formatting ---
@@ -254,6 +300,7 @@ void AppendCsvHeader(const Schema& schema, std::string* out) {
 
 void AppendCsvRow(const Dataset& data, size_t row, std::string* out) {
   const Schema& schema = data.schema();
+  char digits[64];
   for (size_t col = 0; col < schema.size(); ++col) {
     if (col > 0) out->push_back(',');
     const Value& v = data.cell(row, col);
@@ -262,27 +309,46 @@ void AppendCsvRow(const Dataset& data, size_t row, std::string* out) {
       size_t code = static_cast<size_t>(v.category());
       if (code < categories.size()) {
         AppendCsvField(categories[code], out);
-      } else {
-        out->append(std::to_string(v.category()));
+        continue;
       }
+      out->append(digits,
+                  std::to_chars(digits, digits + sizeof(digits), v.category())
+                      .ptr);
     } else {
       // 17 significant digits: doubles round-trip exactly.
-      out->append(FormatDouble(v.numeric(), 17));
+      out->append(digits, std::to_chars(digits, digits + sizeof(digits),
+                                        v.numeric(),
+                                        std::chars_format::general, 17)
+                              .ptr);
     }
   }
   out->push_back('\n');
 }
 
-void WriteCsvRows(const Dataset& data, std::ostream& out) {
-  std::string buffer;
-  for (size_t row = 0; row < data.NumRecords(); ++row) {
-    AppendCsvRow(data, row, &buffer);
-    if (buffer.size() >= (1u << 16)) {
-      out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+void CsvRowWriter::Write(const Dataset& data, std::ostream& out,
+                         ThreadPool* pool) {
+  const size_t rows = data.NumRecords();
+  const size_t num_chunks = (rows + kRowsPerChunk - 1) / kRowsPerChunk;
+  const size_t per_round = pool == nullptr ? 1 : pool->num_threads();
+  if (chunks_.size() < std::min(per_round, num_chunks)) {
+    chunks_.resize(std::min(per_round, num_chunks));
+  }
+  for (size_t first = 0; first < num_chunks; first += per_round) {
+    const size_t count = std::min(per_round, num_chunks - first);
+    ParallelFor(pool, count, [&](size_t i) {
+      std::string& buffer = chunks_[i];
       buffer.clear();
+      const size_t begin = (first + i) * kRowsPerChunk;
+      const size_t end = std::min(rows, begin + kRowsPerChunk);
+      for (size_t row = begin; row < end; ++row) {
+        AppendCsvRow(data, row, &buffer);
+      }
+    });
+    for (size_t i = 0; i < count; ++i) {
+      out.write(chunks_[i].data(),
+                static_cast<std::streamsize>(chunks_[i].size()));
     }
   }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
 }
 
 // --- StreamingCsvReader ---
@@ -295,7 +361,7 @@ Result<std::unique_ptr<StreamingCsvReader>> StreamingCsvReader::Make(
   }
   std::unique_ptr<StreamingCsvReader> reader(new StreamingCsvReader(
       std::move(input), schema != nullptr ? *schema : Schema(), options));
-  std::vector<std::string> header;
+  std::vector<std::string_view> header;
   TCM_ASSIGN_OR_RETURN(bool got_header, reader->NextRecord(&header));
   if (!got_header) {
     return Status::IoError("empty input: missing header row");
@@ -358,7 +424,8 @@ Status StreamingCsvReader::ReplaceSchema(Schema schema) {
   return Status::Ok();
 }
 
-Result<bool> StreamingCsvReader::NextRecord(std::vector<std::string>* fields) {
+Result<bool> StreamingCsvReader::NextRecord(
+    std::vector<std::string_view>* fields) {
   while (true) {
     TCM_ASSIGN_OR_RETURN(bool got, tokenizer_.Next(fields));
     if (got) return true;
@@ -382,15 +449,13 @@ Result<bool> StreamingCsvReader::NextRecord(std::vector<std::string>* fields) {
 
 Result<size_t> StreamingCsvReader::ReadInto(Dataset* out, size_t max_rows) {
   size_t appended = 0;
-  std::vector<std::string> fields;
   while (appended < max_rows) {
-    TCM_ASSIGN_OR_RETURN(bool got, NextRecord(&fields));
+    TCM_ASSIGN_OR_RETURN(bool got, NextRecord(&fields_));
     if (!got) break;
-    if (IsBlankCsvRecord(fields)) continue;
-    TCM_ASSIGN_OR_RETURN(
-        Record record,
-        CsvFieldsToRecord(fields, schema_, tokenizer_.record_line()));
-    TCM_RETURN_IF_ERROR(out->Append(std::move(record)));
+    if (IsBlankCsvRecord(fields_)) continue;
+    TCM_RETURN_IF_ERROR(CsvFieldsToRecord(fields_, schema_,
+                                          tokenizer_.record_line(), &record_));
+    TCM_RETURN_IF_ERROR(out->Append(record_));
     ++rows_read_;
     ++appended;
   }
@@ -415,8 +480,8 @@ Result<std::unique_ptr<StreamingCsvWriter>> StreamingCsvWriter::Open(
       new StreamingCsvWriter(std::move(file), path));
 }
 
-Status StreamingCsvWriter::WriteRows(const Dataset& batch) {
-  WriteCsvRows(batch, file_);
+Status StreamingCsvWriter::WriteRows(const Dataset& batch, ThreadPool* pool) {
+  rows_.Write(batch, file_, pool);
   if (!file_.good()) {
     return Status::IoError("write to '" + path_ + "' failed");
   }

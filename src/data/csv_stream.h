@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "data/record_source.h"
 
 namespace tcm {
+
+class ThreadPool;
 
 // Incremental CSV plumbing shared by the in-memory reader (csv.h) and
 // the streaming reader below. Both paths tokenize, validate and convert
@@ -36,7 +39,9 @@ namespace tcm {
 
 // Push tokenizer: Feed() raw bytes in any chunking, call Finish() at end
 // of input, pull complete records with Next(). The chunking never
-// changes the token stream or the verdict (fuzzed in tests).
+// changes the token stream or the verdict (fuzzed in tests). Field bytes
+// live in one buffer owned by the tokenizer, so a record costs no heap
+// allocation once the buffers have grown to a chunk's worth of records.
 class CsvTokenizer {
  public:
   // Feeds the next chunk. Complete records become available via Next();
@@ -51,8 +56,9 @@ class CsvTokenizer {
   // Pulls the next complete record into *fields. Returns true when one
   // was produced, false when more input is needed (or, after Finish(),
   // when the input is exhausted). Records queued before a malformed
-  // construct are returned first; then the error.
-  Result<bool> Next(std::vector<std::string>* fields);
+  // construct are returned first; then the error. The views point into
+  // the tokenizer and stay valid until the next Feed() or Finish().
+  Result<bool> Next(std::vector<std::string_view>* fields);
 
   // 1-based physical line on which the record returned by the last
   // successful Next() began (quoted fields may span lines).
@@ -71,18 +77,26 @@ class CsvTokenizer {
   void EndField();
   void EndRecord();
   void Fail(const std::string& message);
+  // Drops the records Next() has already returned from the buffers.
+  void DropPulledRecords();
 
-  struct PendingRecord {
-    std::vector<std::string> fields;
+  struct ReadyRecord {
+    size_t fields_end = 0;  // one past its last field in field_ends_
     size_t line = 0;
   };
 
   State state_ = State::kRecordStart;
   bool pending_cr_ = false;   // saw CR, waiting to see if LF follows
   bool finished_ = false;
-  std::string field_;
-  std::vector<std::string> record_;
-  std::deque<PendingRecord> ready_;
+  // Bytes of every buffered field, back to back: field i spans
+  // [field_ends_[i - 1], field_ends_[i]) (from 0 for the first); the
+  // in-progress field is the tail after the last end.
+  std::string chars_;
+  std::vector<size_t> field_ends_;
+  // Complete records in input order; record r owns the fields from
+  // ready_[r - 1].fields_end (0 for the first) to ready_[r].fields_end.
+  std::vector<ReadyRecord> ready_;
+  size_t next_ready_ = 0;  // first record Next() has not returned
   Status error_ = Status::Ok();
   size_t line_ = 1;               // current physical line
   size_t record_start_line_ = 1;  // line the in-progress record began on
@@ -92,23 +106,25 @@ class CsvTokenizer {
 // --- Shared record-level helpers (used by both readers) ---
 
 // True for a blank-line record: a single field that strips to empty.
-bool IsBlankCsvRecord(const std::vector<std::string>& fields);
+bool IsBlankCsvRecord(std::span<const std::string_view> fields);
 
 // Validates a header record against `schema`: same column count, names
 // match in order after whitespace stripping.
-Status ValidateCsvHeader(const std::vector<std::string>& fields,
+Status ValidateCsvHeader(std::span<const std::string_view> fields,
                          const Schema& schema);
 
 // Builds the all-numeric, role-kOther schema ReadNumericCsv infers from
 // a header record.
-Schema NumericSchemaFromHeader(const std::vector<std::string>& fields);
+Schema NumericSchemaFromHeader(std::span<const std::string_view> fields);
 
-// Converts one CSV record into a schema-validated Record. `line` is the
-// physical line the record began on, used in error messages. Fields are
+// Converts one CSV record into a schema-validated row, overwriting
+// *record (its capacity is reused). `line` is the physical line the
+// record began on, used in error messages. Fields are
 // whitespace-stripped before interpretation; categorical fields must be
-// known labels, numeric fields must parse as doubles.
-Result<Record> CsvFieldsToRecord(const std::vector<std::string>& fields,
-                                 const Schema& schema, size_t line);
+// known labels, numeric fields must parse as finite doubles (nan and
+// inf are rejected: no release can be built from them).
+Status CsvFieldsToRecord(std::span<const std::string_view> fields,
+                         const Schema& schema, size_t line, Record* record);
 
 // --- Shared formatting (used by WriteCsv and StreamingCsvWriter) ---
 
@@ -121,10 +137,23 @@ void AppendCsvHeader(const Schema& schema, std::string* out);
 // label, quoted when it contains separators or quotes.
 void AppendCsvRow(const Dataset& data, size_t row, std::string* out);
 
-// Writes every row of `data` (no header) to `out` through a bounded
-// buffer — the one row-emission loop behind WriteCsv and
-// StreamingCsvWriter, so their bytes cannot drift apart.
-void WriteCsvRows(const Dataset& data, std::ostream& out);
+// The one row-emission loop behind WriteCsv and StreamingCsvWriter, so
+// their bytes cannot drift apart. Rows are formatted in chunks of
+// kRowsPerChunk; with a pool, each round formats up to one chunk per
+// thread concurrently and then writes the round's chunks in row order.
+// Rounds bound the formatted bytes held at once, and the chunk buffers
+// are kept for the next call. The bytes never depend on the pool.
+class CsvRowWriter {
+ public:
+  static constexpr size_t kRowsPerChunk = 4096;
+
+  // Writes every row of `data` (no header) to `out`.
+  void Write(const Dataset& data, std::ostream& out,
+             ThreadPool* pool = nullptr);
+
+ private:
+  std::vector<std::string> chunks_;
+};
 
 // --- Streaming reader / writer ---
 
@@ -184,14 +213,17 @@ class StreamingCsvReader : public RecordSource {
       const StreamingCsvOptions& options);
 
   // Pulls the next record from the tokenizer, feeding chunks as needed.
-  // Returns false at end of input.
-  Result<bool> NextRecord(std::vector<std::string>* fields);
+  // Returns false at end of input. The views live until the next call.
+  Result<bool> NextRecord(std::vector<std::string_view>* fields);
 
   std::unique_ptr<std::istream> input_;
   Schema schema_;
   StreamingCsvOptions options_;
   CsvTokenizer tokenizer_;
   std::vector<char> chunk_;
+  // Per-record scratch, reused so a batch allocates nothing per row.
+  std::vector<std::string_view> fields_;
+  Record record_;
   bool input_done_ = false;
   size_t rows_read_ = 0;
 };
@@ -205,8 +237,8 @@ class StreamingCsvWriter {
       const std::string& path, const Schema& schema);
 
   // Appends every row of `batch` (whose schema must have the same names
-  // and types as the writer's).
-  Status WriteRows(const Dataset& batch);
+  // and types as the writer's), formatting on `pool` when given.
+  Status WriteRows(const Dataset& batch, ThreadPool* pool = nullptr);
 
   // Flushes and checks the stream; further writes are invalid.
   Status Close();
@@ -219,6 +251,7 @@ class StreamingCsvWriter {
 
   std::ofstream file_;
   std::string path_;
+  CsvRowWriter rows_;
   size_t rows_written_ = 0;
 };
 

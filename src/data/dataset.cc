@@ -1,5 +1,8 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <utility>
 
 namespace tcm {
@@ -12,24 +15,38 @@ bool KindMatchesType(const Value& value, const Attribute& attribute) {
 
 }  // namespace
 
-Status Dataset::Append(Record record) {
-  if (record.size() != schema_.size()) {
+Status Dataset::Append(std::span<const Value> record) {
+  const size_t width = schema_.size();
+  if (record.size() != width) {
     return Status::InvalidArgument(
         "record arity " + std::to_string(record.size()) +
-        " does not match schema arity " + std::to_string(schema_.size()));
+        " does not match schema arity " + std::to_string(width));
   }
-  for (size_t i = 0; i < record.size(); ++i) {
+  for (size_t i = 0; i < width; ++i) {
     if (!KindMatchesType(record[i], schema_.at(i))) {
       return Status::InvalidArgument("cell kind mismatch for attribute '" +
                                      schema_.at(i).name + "'");
     }
   }
-  records_.push_back(std::move(record));
+  // The row may view this dataset's own buffer, which the resize can
+  // move: re-derive it from its offset.
+  const Value* source = record.data();
+  const bool aliased =
+      !values_.empty() &&
+      !std::less<const Value*>()(source, values_.data()) &&
+      std::less<const Value*>()(source, values_.data() + values_.size());
+  const size_t offset = aliased ? static_cast<size_t>(source - values_.data())
+                                : 0;
+  const size_t old_size = values_.size();
+  values_.resize(old_size + width);
+  if (aliased) source = values_.data() + offset;
+  std::copy_n(source, width, values_.begin() + old_size);
+  ++num_records_;
   return Status::Ok();
 }
 
 Status Dataset::SetCell(size_t row, size_t col, Value value) {
-  if (row >= records_.size()) {
+  if (row >= num_records_) {
     return Status::OutOfRange("row " + std::to_string(row) + " out of range");
   }
   if (col >= schema_.size()) {
@@ -40,15 +57,17 @@ Status Dataset::SetCell(size_t row, size_t col, Value value) {
     return Status::InvalidArgument("cell kind mismatch for attribute '" +
                                    schema_.at(col).name + "'");
   }
-  records_[row][col] = value;
+  values_[row * schema_.size() + col] = value;
   return Status::Ok();
 }
 
 std::vector<double> Dataset::ColumnAsDouble(size_t col) const {
   TCM_CHECK_LT(col, schema_.size());
   std::vector<double> out;
-  out.reserve(records_.size());
-  for (const Record& r : records_) out.push_back(r[col].AsDouble());
+  out.reserve(num_records_);
+  for (size_t row = 0; row < num_records_; ++row) {
+    out.push_back(cell(row, col).AsDouble());
+  }
   return out;
 }
 
@@ -63,24 +82,31 @@ Result<Dataset> Dataset::Project(const std::vector<size_t>& columns) const {
     attrs.push_back(schema_.at(col));
   }
   Dataset out{Schema(std::move(attrs))};
-  for (const Record& r : records_) {
-    Record projected;
-    projected.reserve(columns.size());
-    for (size_t col : columns) projected.push_back(r[col]);
-    TCM_RETURN_IF_ERROR(out.Append(std::move(projected)));
+  out.values_.reserve(num_records_ * columns.size());
+  for (size_t row = 0; row < num_records_; ++row) {
+    for (size_t col : columns) out.values_.push_back(cell(row, col));
   }
+  out.num_records_ = num_records_;
   return out;
 }
 
 Result<Dataset> Dataset::Select(const std::vector<size_t>& rows) const {
-  Dataset out{schema_};
   for (size_t row : rows) {
-    if (row >= records_.size()) {
+    if (row >= num_records_) {
       return Status::OutOfRange("row " + std::to_string(row) +
                                 " out of range");
     }
-    TCM_RETURN_IF_ERROR(out.Append(records_[row]));
   }
+  const size_t width = schema_.size();
+  Dataset out{schema_};
+  out.values_.resize(rows.size() * width);
+  auto next = out.values_.begin();
+  for (size_t row : rows) {
+    next = std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(
+                                             row * width),
+                       width, next);
+  }
+  out.num_records_ = rows.size();
   return out;
 }
 
@@ -108,7 +134,7 @@ bool operator==(const Dataset& a, const Dataset& b) {
       return false;
     }
   }
-  return a.records_ == b.records_;
+  return a.num_records_ == b.num_records_ && a.values_ == b.values_;
 }
 
 Result<Dataset> DatasetFromColumns(
@@ -133,11 +159,12 @@ Result<Dataset> DatasetFromColumns(
         Attribute{names[i], AttributeType::kNumeric, roles[i], {}});
   }
   Dataset out{Schema(std::move(attrs))};
+  Record r(columns.size());
   for (size_t row = 0; row < n; ++row) {
-    Record r;
-    r.reserve(columns.size());
-    for (const auto& col : columns) r.push_back(Value::Numeric(col[row]));
-    TCM_RETURN_IF_ERROR(out.Append(std::move(r)));
+    for (size_t c = 0; c < columns.size(); ++c) {
+      r[c] = Value::Numeric(columns[c][row]);
+    }
+    TCM_RETURN_IF_ERROR(out.Append(r));
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef TCM_DATA_DATASET_H_
 #define TCM_DATA_DATASET_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,39 +12,47 @@
 
 namespace tcm {
 
-// One row of a microdata table.
+// One row of a microdata table, as an owning value (row builders and the
+// Append shim); a Dataset hands rows out as spans over its own storage.
 using Record = std::vector<Value>;
 
 // Row-store microdata table: a Schema plus n records, each with one Value
-// per attribute. This is the substrate every algorithm in the library
-// operates on. Mutations validate against the schema; cell access is
-// unchecked in release builds for speed.
+// per attribute, held in ONE contiguous row-major buffer — appending,
+// copying and selecting rows cost no per-row heap allocation. This is the
+// substrate every algorithm in the library operates on. Mutations
+// validate against the schema; cell access is unchecked in release
+// builds for speed.
 class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema) : schema_(std::move(schema)) {}
 
   const Schema& schema() const { return schema_; }
-  size_t NumRecords() const { return records_.size(); }
+  size_t NumRecords() const { return num_records_; }
   size_t NumAttributes() const { return schema_.size(); }
-  bool empty() const { return records_.empty(); }
+  bool empty() const { return num_records_ == 0; }
 
   // Appends a record; InvalidArgument if the arity or any cell kind does
-  // not match the schema.
-  Status Append(Record record);
+  // not match the schema. `record` may view a row of this dataset.
+  Status Append(std::span<const Value> record);
+  Status Append(const Record& record) {
+    return Append(std::span<const Value>(record));
+  }
 
-  const Record& record(size_t row) const {
-    TCM_DCHECK(row < records_.size());
-    return records_[row];
+  // Row `row`, valid until the next mutation of the row count.
+  std::span<const Value> record(size_t row) const {
+    TCM_DCHECK(row < num_records_);
+    return {values_.data() + row * schema_.size(), schema_.size()};
   }
 
   const Value& cell(size_t row, size_t col) const {
-    TCM_DCHECK(row < records_.size());
+    TCM_DCHECK(row < num_records_);
     TCM_DCHECK(col < schema_.size());
-    return records_[row][col];
+    return values_[row * schema_.size() + col];
   }
 
-  // Overwrites one cell; kind must match the attribute type.
+  // Overwrites one cell; kind must match the attribute type. Writes to
+  // distinct cells may run concurrently.
   Status SetCell(size_t row, size_t col, Value value);
 
   // Column `col` as doubles (category codes cast). Useful for statistics
@@ -66,7 +75,8 @@ class Dataset {
 
  private:
   Schema schema_;
-  std::vector<Record> records_;
+  std::vector<Value> values_;  // row-major, schema_.size() per row
+  size_t num_records_ = 0;
 };
 
 // Builds a dataset from named numeric columns of equal length.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 
@@ -91,10 +92,17 @@ double SpearmanCorrelation(const std::vector<double>& xs,
 }
 
 std::vector<size_t> SortOrder(const std::vector<double>& xs) {
+  // Sorting (value, index) pairs keeps each key next to its value, which
+  // is faster than an indirect sort through `xs`; the order is the same.
+  std::vector<std::pair<double, size_t>> keyed(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) keyed[i] = {xs[i], i};
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const std::pair<double, size_t>& a,
+                      const std::pair<double, size_t>& b) {
+                     return a.first < b.first;
+                   });
   std::vector<size_t> order(xs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&xs](size_t a, size_t b) { return xs[a] < xs[b]; });
+  for (size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
   return order;
 }
 

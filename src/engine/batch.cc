@@ -1,6 +1,5 @@
 #include "engine/batch.h"
 
-#include <future>
 #include <utility>
 
 namespace tcm {
@@ -34,20 +33,8 @@ BatchOutcome RunOneJob(const BatchJob& job) {
 std::vector<BatchOutcome> RunBatch(const std::vector<BatchJob>& jobs,
                                    ThreadPool* pool) {
   std::vector<BatchOutcome> outcomes(jobs.size());
-  if (pool == nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      outcomes[i] = RunOneJob(jobs[i]);
-    }
-    return outcomes;
-  }
-  std::vector<std::future<BatchOutcome>> futures;
-  futures.reserve(jobs.size());
-  for (const BatchJob& job : jobs) {
-    futures.push_back(pool->Submit([&job]() { return RunOneJob(job); }));
-  }
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    outcomes[i] = futures[i].get();
-  }
+  ParallelFor(pool, jobs.size(),
+              [&](size_t i) { outcomes[i] = RunOneJob(jobs[i]); });
   return outcomes;
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
+#include "engine/thread_pool.h"
 
 namespace tcm {
 
@@ -25,9 +26,11 @@ struct ReleaseVerification {
 };
 
 // Re-checks k-anonymity and t-closeness of `release` with the
-// independent privacy evaluators.
+// independent privacy evaluators. With a `pool`, class grouping and the
+// per-class EMDs run on it; the verdict is the same.
 Result<ReleaseVerification> CheckRelease(const Dataset& release, size_t k,
-                                         double t);
+                                         double t,
+                                         ThreadPool* pool = nullptr);
 
 // Converts failed verdicts into the structured kPrivacyViolation error,
 // naming the violated guarantee(s). `context` prefixes the message

@@ -196,12 +196,11 @@ Status ValidateAlgorithmInputs(const Dataset& data,
   return Status::Ok();
 }
 
-Result<AnonymizationResult> MeasurePartition(const Dataset& data,
-                                             Partition partition,
-                                             double elapsed_seconds,
-                                             const EmdCalculator* emd) {
+Result<AnonymizationResult> MeasurePartition(
+    const Dataset& data, Partition partition, double elapsed_seconds,
+    const EmdCalculator* emd, ThreadPool* pool) {
   TCM_ASSIGN_OR_RETURN(Dataset anonymized,
-                       AggregatePartition(data, partition));
+                       AggregatePartition(data, partition, pool));
   std::optional<EmdCalculator> local;
   if (emd == nullptr) emd = &local.emplace(data, 0);
   AnonymizationResult result{std::move(anonymized), Partition{}};
@@ -209,9 +208,15 @@ Result<AnonymizationResult> MeasurePartition(const Dataset& data,
   result.min_cluster_size = partition.MinClusterSize();
   result.max_cluster_size = partition.MaxClusterSize();
   result.average_cluster_size = partition.AverageClusterSize();
-  for (const Cluster& cluster : partition.clusters) {
-    result.max_cluster_emd =
-        std::max(result.max_cluster_emd, emd->ClusterEmd(cluster));
+  const std::vector<Cluster>& clusters = partition.clusters;
+  std::vector<double> cluster_emd(clusters.size());
+  ParallelForRanges(pool, clusters.size(), [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      cluster_emd[c] = emd->ClusterEmd(clusters[c]);
+    }
+  });
+  for (double value : cluster_emd) {
+    result.max_cluster_emd = std::max(result.max_cluster_emd, value);
   }
   TCM_ASSIGN_OR_RETURN(result.normalized_sse,
                        NormalizedSse(data, result.anonymized));

@@ -13,6 +13,7 @@
 #include "data/dataset.h"
 #include "distance/emd.h"
 #include "distance/qi_space.h"
+#include "engine/thread_pool.h"
 #include "microagg/partition.h"
 #include "tclose/anonymizer.h"
 
@@ -97,12 +98,11 @@ Status ValidateAlgorithmInputs(const Dataset& data,
 // (cluster sizes, max cluster EMD against the data set's confidential
 // distribution, normalized SSE). `elapsed_seconds` is recorded verbatim.
 // `emd` lets callers that already built the rank structure reuse it; when
-// null it is built here.
-Result<AnonymizationResult> MeasurePartition(const Dataset& data,
-                                             Partition partition,
-                                             double elapsed_seconds,
-                                             const EmdCalculator* emd =
-                                                 nullptr);
+// null it is built here. With a `pool`, aggregation and the per-cluster
+// EMDs fan out over disjoint clusters; every measurement is the same.
+Result<AnonymizationResult> MeasurePartition(
+    const Dataset& data, Partition partition, double elapsed_seconds,
+    const EmdCalculator* emd = nullptr, ThreadPool* pool = nullptr);
 
 // Looks `name` up in BuiltIns() (or `registry` when given), validates the
 // dataset like Anonymize() does, runs the algorithm and measures the

@@ -1,7 +1,6 @@
 #include "engine/sharded.h"
 
 #include <algorithm>
-#include <future>
 #include <optional>
 #include <utility>
 
@@ -59,15 +58,17 @@ ShardPlan MakeShardPlan(size_t num_records, size_t shard_size, size_t k) {
 
 namespace {
 
-// Per-shard unit of work: everything it reads is owned by the shard, so
-// tasks share nothing mutable and scheduling cannot affect results.
+// Per-shard unit of work: it copies its own rows out of the window and
+// everything it then reads is owned by the shard, so tasks share nothing
+// mutable and scheduling cannot affect results.
 struct ShardOutcome {
   Status status;
   Partition partition;  // row ids local to the shard dataset
   double seconds = 0.0;
 };
 
-ShardOutcome RunShard(const Dataset& shard_data, const std::string& algorithm,
+ShardOutcome RunShard(const Dataset& data, const std::vector<size_t>& rows,
+                      const std::string& algorithm,
                       const AlgorithmParams& params) {
   ShardOutcome outcome;
   TraceSpan span("shard_anonymize");
@@ -77,7 +78,12 @@ ShardOutcome RunShard(const Dataset& shard_data, const std::string& algorithm,
     outcome.status = fn.status();
     return outcome;
   }
-  auto partition = (*fn)(shard_data, params);
+  auto shard_data = data.Select(rows);
+  if (!shard_data.ok()) {
+    outcome.status = shard_data.status();
+    return outcome;
+  }
+  auto partition = (*fn)(*shard_data, params);
   outcome.seconds = timer.ElapsedSeconds();
   if (!partition.ok()) {
     outcome.status = partition.status();
@@ -115,42 +121,21 @@ Result<AnonymizationResult> ShardedAnonymize(
     return result;
   }
 
-  // Materialize the shard datasets up front (serial, cheap row copies);
-  // worker tasks then touch only their own shard.
-  std::vector<Dataset> shard_data;
-  {
-    TraceSpan span("shard");
-    shard_data.reserve(plan.NumShards());
-    for (const std::vector<size_t>& rows : plan.shards) {
-      TCM_ASSIGN_OR_RETURN(Dataset shard, data.Select(rows));
-      shard_data.push_back(std::move(shard));
-    }
-  }
   if (stats != nullptr) stats->shard_seconds = stage_timer.ElapsedSeconds();
 
-  // Fan the shards across the pool; collect in shard order so the merged
-  // partition never depends on completion order.
+  // Fan the shards across the pool, each copying its own rows; collect
+  // in shard order so the merged partition never depends on completion
+  // order.
   stage_timer.Restart();
   std::vector<ShardOutcome> outcomes(plan.NumShards());
   {
     TraceSpan span("anonymize");
-    std::vector<std::future<ShardOutcome>> futures;
-    for (size_t s = 0; s < plan.NumShards(); ++s) {
+    ParallelFor(pool, plan.NumShards(), [&](size_t s) {
       AlgorithmParams shard_params = params;
       shard_params.seed = params.seed + 0x9E3779B97F4A7C15ULL * (s + 1);
-      const Dataset& shard = shard_data[s];
-      auto task = [&shard, algorithm = options.algorithm, shard_params]() {
-        return RunShard(shard, algorithm, shard_params);
-      };
-      if (pool != nullptr) {
-        futures.push_back(pool->Submit(std::move(task)));
-      } else {
-        outcomes[s] = task();
-      }
-    }
-    for (size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
+      outcomes[s] =
+          RunShard(data, plan.shards[s], options.algorithm, shard_params);
+    });
   }
   if (stats != nullptr) {
     stats->anonymize_seconds = stage_timer.ElapsedSeconds();
@@ -219,7 +204,7 @@ Result<AnonymizationResult> ShardedAnonymize(
   TCM_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       MeasurePartition(data, std::move(merged), timer.ElapsedSeconds(),
-                       global_emd ? &*global_emd : nullptr));
+                       global_emd ? &*global_emd : nullptr, pool));
   if (stats != nullptr) stats->measure_seconds = stage_timer.ElapsedSeconds();
   result.elapsed_seconds = timer.ElapsedSeconds();
   result.merges = final_merges;

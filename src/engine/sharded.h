@@ -60,8 +60,8 @@ struct ShardedAnonymizeStats {
   double max_shard_seconds = 0.0; // slowest shard (parallel critical path)
   // Per-stage wall clock inside this call (single-shard runs report the
   // whole algorithm under anonymize_seconds and zero elsewhere).
-  double shard_seconds = 0.0;     // shard plan + per-shard materialization
-  double anonymize_seconds = 0.0; // per-shard fan-out, submission to join
+  double shard_seconds = 0.0;     // shard plan (rows are copied in tasks)
+  double anonymize_seconds = 0.0; // per-shard copy + algorithm fan-out
   double merge_seconds = 0.0;     // global MergeUntilTClose repair pass
   double measure_seconds = 0.0;   // aggregation + utility measurement
   // Final-merge engine detail (see MergeStats): subtree fan-out and the
@@ -79,16 +79,19 @@ struct ShardedAnonymizeStats {
 };
 
 // Anonymizes `data` shard-by-shard on `pool` (serially when pool is null
-// or has one thread — the result is identical either way):
+// — the result is identical either way):
 //   1. shard rows via MakeShardPlan,
-//   2. run the registry algorithm on every shard concurrently, with a
-//      per-shard seed derived from params.seed and the shard index,
+//   2. copy out and run the registry algorithm on every shard
+//      concurrently, with a per-shard seed derived from params.seed and
+//      the shard index,
 //   3. concatenate the per-shard clusters in shard order (deterministic),
-//   4. optionally merge until the global t-closeness bound holds,
-//   5. aggregate and measure the release.
-// Futures are collected in submission order, every per-shard computation
-// depends only on its shard's rows, and the merge pass is sequential — so
-// the release is byte-identical for any thread count.
+//   4. optionally merge until the global t-closeness bound holds (the
+//      hierarchical engine repairs its subtrees on the pool),
+//   5. aggregate and measure the release, clusters fanned out on the pool.
+// Results are collected in shard order, every per-shard computation
+// depends only on its shard's rows, and every parallel stage writes
+// disjoint outputs — so the release is byte-identical for any thread
+// count.
 Result<AnonymizationResult> ShardedAnonymize(
     const Dataset& data, const ShardedAnonymizeOptions& options,
     ThreadPool* pool, ShardedAnonymizeStats* stats = nullptr);

@@ -207,7 +207,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
       timer.Restart();
       TCM_ASSIGN_OR_RETURN(
           ReleaseVerification verification,
-          CheckRelease(result->anonymized, spec.k, spec.t));
+          CheckRelease(result->anonymized, spec.k, spec.t, &pool_));
       report.verify_seconds += timer.ElapsedSeconds();
       report.k_verified = report.k_verified && verification.k_anonymous;
       report.t_verified = report.t_verified && verification.t_close;
@@ -225,7 +225,7 @@ Result<StreamingReport> StreamingPipelineRunner::Run(
         TCM_ASSIGN_OR_RETURN(
             writer, StreamingCsvWriter::Open(spec.output_path, schema));
       }
-      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized));
+      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized, &pool_));
       report.write_seconds += timer.ElapsedSeconds();
     }
     if (sink) {

@@ -1,6 +1,7 @@
 #include "engine/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace tcm {
 
@@ -87,6 +88,44 @@ void ThreadPool::WorkerLoop() {
       if (in_flight_ == 0) all_done_.NotifyAll();
     }
   }
+}
+
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& task) {
+  if (pool == nullptr || n < 2) {
+    for (size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    futures.push_back(pool->Submit([&task, i]() { task(i); }));
+  }
+  for (std::future<void>& future : futures) {
+    while (future.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready) {
+      if (!pool->TryRunOneTask()) future.wait();
+    }
+  }
+  for (std::future<void>& future : futures) future.get();
+}
+
+std::pair<size_t, size_t> SplitRange(size_t n, size_t parts, size_t part) {
+  const size_t base = n / parts;
+  const size_t extra = n % parts;
+  const size_t begin = part * base + std::min(part, extra);
+  return {begin, begin + base + (part < extra ? 1 : 0)};
+}
+
+void ParallelForRanges(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t, size_t)>& task) {
+  constexpr size_t kRangesPerThread = 4;
+  const size_t parts =
+      pool == nullptr ? 1 : std::min(n, kRangesPerThread * pool->num_threads());
+  ParallelFor(pool, parts, [&](size_t part) {
+    auto [begin, end] = SplitRange(n, parts, part);
+    task(begin, end);
+  });
 }
 
 }  // namespace tcm

@@ -102,6 +102,27 @@ class ThreadPool {
   bool stopping_ TCM_GUARDED_BY(mutex_) = false;
 };
 
+// Runs task(0), ..., task(n - 1) and returns once all have finished:
+// inline in index order when `pool` is null (or n < 2), otherwise as one
+// pool task per index while the calling thread lends itself to the pool
+// (TryRunOneTask), so a busy or single-threaded pool cannot stall the
+// join. A task must write only what its index owns; results then never
+// depend on scheduling. The first exception a task throws (in index
+// order) propagates after every task has finished.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& task);
+
+// Splits [0, n) into `parts` contiguous, balanced ranges; returns range
+// `part` as [begin, end). Earlier ranges take the remainder, one each.
+std::pair<size_t, size_t> SplitRange(size_t n, size_t parts, size_t part);
+
+// ParallelFor over contiguous ranges of [0, n): one range when `pool` is
+// null, else a few per pool thread (for balance). The ranges depend on
+// the thread count, so task(begin, end) must produce results that do
+// not: disjoint writes, or reductions such as max that ignore grouping.
+void ParallelForRanges(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t, size_t)>& task);
+
 }  // namespace tcm
 
 #endif  // TCM_ENGINE_THREAD_POOL_H_

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/check.h"
+#include "engine/thread_pool.h"
 
 namespace tcm {
 
@@ -51,7 +52,8 @@ Value ClusterAggregate(const Dataset& data, const Cluster& rows,
 }
 
 Result<Dataset> AggregatePartition(const Dataset& data,
-                                   const Partition& partition) {
+                                   const Partition& partition,
+                                   ThreadPool* pool) {
   TCM_RETURN_IF_ERROR(ValidatePartition(partition, data.NumRecords(), 1));
   std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
   if (qi.empty()) {
@@ -59,14 +61,19 @@ Result<Dataset> AggregatePartition(const Dataset& data,
         "dataset has no quasi-identifier attributes to aggregate");
   }
   Dataset out = data;
-  for (const Cluster& cluster : partition.clusters) {
-    for (size_t col : qi) {
-      Value aggregate = ClusterAggregate(data, cluster, col);
-      for (size_t row : cluster) {
-        TCM_RETURN_IF_ERROR(out.SetCell(row, col, aggregate));
+  const std::vector<Cluster>& clusters = partition.clusters;
+  ParallelForRanges(pool, clusters.size(), [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      for (size_t col : qi) {
+        // The aggregate has the column's kind and the partition was
+        // validated, so the write cannot fail.
+        Value aggregate = ClusterAggregate(data, clusters[c], col);
+        for (size_t row : clusters[c]) {
+          TCM_CHECK(out.SetCell(row, col, aggregate).ok());
+        }
       }
     }
-  }
+  });
   return out;
 }
 

@@ -7,6 +7,8 @@
 
 namespace tcm {
 
+class ThreadPool;
+
 // The aggregation step of microaggregation (paper Sec. 2.3): within each
 // cluster, every quasi-identifier cell is replaced by the cluster's
 // aggregate for that attribute — the mean for numeric attributes, the
@@ -20,9 +22,13 @@ Value ClusterAggregate(const Dataset& data, const Cluster& rows,
                        size_t attribute_index);
 
 // Returns the anonymized dataset; FailedPrecondition if the partition does
-// not exactly cover the dataset.
+// not exactly cover the dataset. The release starts as one buffer copy of
+// `data`; with a `pool`, disjoint clusters are aggregated concurrently
+// (each task writes only its own clusters' cells, so the bytes are the
+// same at any thread count).
 Result<Dataset> AggregatePartition(const Dataset& data,
-                                   const Partition& partition);
+                                   const Partition& partition,
+                                   ThreadPool* pool = nullptr);
 
 }  // namespace tcm
 

@@ -8,14 +8,20 @@
 
 namespace tcm {
 
+class ThreadPool;
+
 // Groups records by exact equality of their quasi-identifier values.
 // Each returned group is a list of record indices; together they cover
 // every record exactly once. The equivalence classes of a released
 // dataset are the unit all syntactic privacy checks operate on.
 //
+// Classes come in first-occurrence order with ascending members. With a
+// `pool`, rows are hash-partitioned into buckets grouped concurrently (a
+// class never spans buckets); the output is the same.
+//
 // InvalidArgument if the dataset has no quasi-identifiers.
 Result<std::vector<std::vector<size_t>>> EquivalenceClasses(
-    const Dataset& data);
+    const Dataset& data, ThreadPool* pool = nullptr);
 
 }  // namespace tcm
 

@@ -8,6 +8,8 @@
 
 namespace tcm {
 
+class ThreadPool;
+
 struct TClosenessReport {
   size_t num_equivalence_classes = 0;
   double max_emd = 0.0;   // the t actually achieved (Definition 2)
@@ -25,9 +27,11 @@ Result<TClosenessReport> EvaluateTCloseness(const Dataset& data,
 // that already grouped the release (e.g. the verify stage, which shares
 // one EquivalenceClasses pass between the k and t checks). The guards
 // (confidential attribute present, at least 2 records) still apply.
+// With a `pool` the per-class EMDs are computed concurrently; the report
+// is the same.
 Result<TClosenessReport> EvaluateTCloseness(
     const Dataset& data, const std::vector<std::vector<size_t>>& classes,
-    size_t confidential_offset = 0);
+    size_t confidential_offset = 0, ThreadPool* pool = nullptr);
 
 // True iff every equivalence class is within EMD `t` of the global
 // confidential distribution (with a small epsilon for float round-off).
@@ -35,7 +39,8 @@ Result<bool> IsTClose(const Dataset& data, double t,
                       size_t confidential_offset = 0);
 Result<bool> IsTClose(const Dataset& data, double t,
                       const std::vector<std::vector<size_t>>& classes,
-                      size_t confidential_offset = 0);
+                      size_t confidential_offset = 0,
+                      ThreadPool* pool = nullptr);
 
 }  // namespace tcm
 

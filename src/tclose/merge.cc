@@ -1,11 +1,10 @@
 #include "tclose/merge.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
-#include <future>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -75,13 +74,16 @@ double ExactWorstEmd(const ClusterState& state,
 // `prune_init` (hierarchical engine only), a cluster small enough that
 // even the best-placed cluster of its size violates t — MinClusterEmd,
 // Prop. 1 — is marked a proven violator without an exact evaluation.
+// Takes the clusters out of `clusters` (a slice of the initial partition,
+// so subtree tasks can each initialize their own).
 std::vector<ClusterState> InitStates(
     const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, bool prune_init, Partition initial, EngineCounters* counters) {
+    double t, bool prune_init, std::span<Cluster> clusters,
+    EngineCounters* counters) {
   const size_t n = space.num_records();
   std::vector<ClusterState> states;
-  states.reserve(initial.clusters.size());
-  for (Cluster& cluster : initial.clusters) {
+  states.reserve(clusters.size());
+  for (Cluster& cluster : clusters) {
     ClusterState state;
     state.centroid = space.Centroid(cluster);
     state.ranks.resize(emds.size());
@@ -296,59 +298,27 @@ Result<Partition> MergeUntilTCloseWith(
                                       initial.clusters.size(), t, options)
                    : 1;
 
-  EngineCounters init_counters;
-  std::vector<ClusterState> states =
-      InitStates(space, emds, t, /*prune_init=*/hierarchical && options.prune,
-                 std::move(initial), &init_counters);
-
+  const bool prune_init = hierarchical && options.prune;
+  std::vector<ClusterState> states;
   EngineCounters tail_counters;
   if (subtrees > 1) {
-    // Carve the working set into contiguous, balanced slices. Each task
-    // owns its slice outright, so subtree repairs share nothing mutable
-    // and completion order cannot affect the result.
+    // Carve the initial partition into contiguous, balanced slices. Each
+    // task initializes and repairs its slice and owns it outright, so
+    // subtree work shares nothing mutable and completion order cannot
+    // affect the result; stitched back in order, the states are exactly
+    // what one serial initialization of the whole partition builds.
     local.num_subtrees = subtrees;
     std::vector<std::vector<ClusterState>> slices(subtrees);
-    const size_t base = states.size() / subtrees;
-    const size_t extra = states.size() % subtrees;
-    size_t next = 0;
-    for (size_t s = 0; s < subtrees; ++s) {
-      size_t take = base + (s < extra ? 1 : 0);
-      auto first = states.begin() + static_cast<std::ptrdiff_t>(next);
-      auto last = first + static_cast<std::ptrdiff_t>(take);
-      slices[s].assign(std::make_move_iterator(first),
-                       std::make_move_iterator(last));
-      next += take;
-    }
-    states.clear();
-
     std::vector<EngineCounters> slice_counters(subtrees);
-    auto run_slice = [&emds, t, &options, &slices,
-                      &slice_counters](size_t s) {
+    std::span<Cluster> clusters(initial.clusters);
+    ParallelFor(options.pool, subtrees, [&](size_t s) {
       TraceSpan span("merge_subtree");
+      auto [begin, end] = SplitRange(clusters.size(), subtrees, s);
+      slices[s] = InitStates(space, emds, t, prune_init,
+                             clusters.subspan(begin, end - begin),
+                             &slice_counters[s]);
       RunEngine(emds, t, options.prune, &slices[s], &slice_counters[s]);
-    };
-    if (options.pool != nullptr) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(subtrees);
-      for (size_t s = 0; s < subtrees; ++s) {
-        futures.push_back(
-            options.pool->Submit([&run_slice, s]() { run_slice(s); }));
-      }
-      // Collect in submission order, lending this thread to the pool
-      // while any subtree is still pending so a small pool (or one
-      // already busy with other work) cannot stall the join.
-      for (std::future<void>& future : futures) {
-        while (future.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-          if (!options.pool->TryRunOneTask()) {
-            future.wait();
-          }
-        }
-        future.get();
-      }
-    } else {
-      for (size_t s = 0; s < subtrees; ++s) run_slice(s);
-    }
+    });
 
     // Stitch the surviving clusters back together in subtree order and
     // run the global tail: stored EMDs and sorted ranks carry over, so
@@ -364,10 +334,11 @@ Result<Partition> MergeUntilTCloseWith(
     TraceSpan tail_span("merge_tail");
     RunEngine(emds, t, options.prune, &states, &tail_counters);
   } else {
+    states = InitStates(space, emds, t, prune_init, initial.clusters,
+                        &tail_counters);
     RunEngine(emds, t, options.prune, &states, &tail_counters);
   }
 
-  AddCounters(init_counters, &local);
   AddCounters(tail_counters, &local);
   local.tail_merges = tail_counters.merges;
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +176,69 @@ TEST(CsvAdversarialTest, LoneCarriageReturnInsideFieldIsData) {
   EXPECT_FALSE(result.ok());
 }
 
+// ----------------------------------------------- tokenizer chunk edges
+
+// Tokenizes `text` fed as two chunks split at `split`, pulling records
+// before every Feed as the readers do. Returns the records, each with
+// its start line, and the error message ("" when none).
+std::vector<std::string> TokenizeSplit(const std::string& text, size_t split,
+                                       std::string* error) {
+  CsvTokenizer tokenizer;
+  std::vector<std::string> out;
+  std::vector<std::string_view> fields;
+  auto drain = [&]() {
+    while (true) {
+      Result<bool> got = tokenizer.Next(&fields);
+      if (!got.ok()) {
+        *error = got.status().message();
+        return;
+      }
+      if (!*got) return;
+      std::string record = std::to_string(tokenizer.record_line()) + ":";
+      for (std::string_view field : fields) {
+        record += "[" + std::string(field) + "]";
+      }
+      out.push_back(record);
+    }
+  };
+  error->clear();
+  tokenizer.Feed(std::string_view(text).substr(0, split));
+  drain();
+  tokenizer.Feed(std::string_view(text).substr(split));
+  drain();
+  tokenizer.Finish();
+  drain();
+  return out;
+}
+
+// The bulk-copied unquoted runs must tokenize exactly like the per-byte
+// state machine wherever a chunk boundary falls: inside a run, and right
+// before a quote or CR that ends one.
+TEST(CsvAdversarialTest, ChunkBoundaryInsideAndAfterUnquotedRuns) {
+  const std::vector<std::string> inputs = {
+      "a,b\n123456789.25,987654321\n42,7",   // runs cut anywhere
+      "a,b\n1234\"5,6\n",                   // quote right after a run
+      "a,b\n1234\r\n5678,9\r\n",          // CRLF right after a run
+      "a,b\n12\r34,5\n",                    // lone CR inside a run
+      "a,b\n12345\r",                        // CR at end of input
+      "a,b\n\"q\"x,1\n",                   // garbage after a quote
+      "a,b\n\"multi\nline\",22\n333,4444\n",
+  };
+  for (const std::string& text : inputs) {
+    std::string expected_error;
+    const std::vector<std::string> expected =
+        TokenizeSplit(text, text.size(), &expected_error);
+    for (size_t split = 0; split <= text.size(); ++split) {
+      std::string error;
+      EXPECT_EQ(TokenizeSplit(text, split, &error), expected)
+          << "split " << split << " of:\n" << text;
+      EXPECT_EQ(error, expected_error) << "split " << split;
+    }
+    // And the readers agree at every chunk size, as for any input.
+    ParseBothWays(text, TwoNumericColumns());
+  }
+}
+
 // ------------------------------------------------------- malformed CSV
 
 TEST(CsvAdversarialTest, RaggedRowsAreRejected) {
@@ -207,6 +271,20 @@ TEST(CsvAdversarialTest, UnknownCategoryIsRejected) {
 TEST(CsvAdversarialTest, NonNumericFieldIsRejected) {
   auto result = ParseBothWays("a,b\n1,zebra\n", TwoNumericColumns());
   EXPECT_FALSE(result.ok());
+}
+
+// from_chars accepts nan and inf spellings, but no release can be built
+// from them: they are an input error naming the line and attribute.
+TEST(CsvAdversarialTest, NonFiniteNumbersAreRejected) {
+  for (const char* cell : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    auto result = ParseBothWays(std::string("a,b\n1,2\n3, ") + cell + "\n",
+                                TwoNumericColumns());
+    ASSERT_FALSE(result.ok()) << cell;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError) << cell;
+    EXPECT_EQ(result.status().message(),
+              std::string("line 3: non-finite value '") + cell +
+                  "' for attribute 'b'");
+  }
 }
 
 TEST(CsvAdversarialTest, HeaderMismatchesAreRejected) {

@@ -1,15 +1,54 @@
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "data/attribute.h"
 #include "data/csv.h"
+#include "data/csv_stream.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/stats.h"
 #include "data/value.h"
+#include "microagg/aggregate.h"
+
+// Counts every heap allocation of this binary, so tests can pin how many
+// a data-layer operation makes (DatasetAllocationTest below). Both the
+// throwing and the nothrow forms are replaced (std::stable_sort uses the
+// latter), so every block the deletes below free came from malloc.
+namespace {
+std::atomic<size_t> g_heap_allocations{0};
+
+void* CountedMalloc(std::size_t size) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+// GCC cannot see that the matching operator new above is malloc-based.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace tcm {
 namespace {
@@ -206,6 +245,81 @@ TEST(DatasetFromColumnsTest, RejectsMismatchedShapes) {
                                    AttributeRole::kOther})
                    .ok());
   EXPECT_FALSE(DatasetFromColumns({}, {}, {}).ok());
+}
+
+TEST(DatasetTest, AppendOwnRowSurvivesGrowth) {
+  // A row view into the dataset's own buffer stays valid as the append
+  // grows that buffer.
+  Schema schema({Attribute{"a", AttributeType::kNumeric,
+                           AttributeRole::kOther, {}},
+                 Attribute{"b", AttributeType::kNumeric,
+                           AttributeRole::kOther, {}}});
+  Dataset data(schema);
+  ASSERT_TRUE(data.Append({Value::Numeric(1), Value::Numeric(2)}).ok());
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(data.Append(data.record(0)).ok());
+  ASSERT_EQ(data.NumRecords(), 101u);
+  EXPECT_DOUBLE_EQ(data.cell(100, 0).numeric(), 1.0);
+  EXPECT_DOUBLE_EQ(data.cell(100, 1).numeric(), 2.0);
+}
+
+// ------------------------------------------------------ heap allocations
+
+// Heap allocations `fn` makes.
+template <typename Fn>
+size_t CountAllocations(Fn fn) {
+  const size_t before = g_heap_allocations.load();
+  fn();
+  return g_heap_allocations.load() - before;
+}
+
+constexpr size_t kAllocationRows = 10000;
+// O(1) in the row count: a handful of buffers, each grown geometrically.
+constexpr size_t kMaxAllocations = 64;
+
+std::string WideNumericCsv(size_t rows) {
+  std::string text = "QI0,QI1,QI2,CONF\n";
+  for (size_t row = 0; row < rows; ++row) {
+    for (int col = 0; col < 4; ++col) {
+      if (col > 0) text += ',';
+      // 17 significant digits: past the small-string buffer.
+      text += FormatDouble(0.12345678901234567 * static_cast<double>(row + 1),
+                           17);
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(DatasetAllocationTest, CsvBatchReadIsNotPerRow) {
+  auto reader = StreamingCsvReader::FromStreamNumeric(
+      std::make_unique<std::istringstream>(WideNumericCsv(kAllocationRows)));
+  ASSERT_TRUE(reader.ok());
+  Dataset batch((*reader)->schema());
+  size_t got = 0;
+  const size_t allocations = CountAllocations([&]() {
+    got = (*reader)->ReadInto(&batch, kAllocationRows).value();
+  });
+  EXPECT_EQ(got, kAllocationRows);
+  EXPECT_LE(allocations, kMaxAllocations);
+}
+
+TEST(DatasetAllocationTest, CopySelectAndAggregateAreNotPerRow) {
+  Dataset data = MakeUniformDataset(kAllocationRows, 3, 7);
+  std::vector<size_t> rows;
+  for (size_t row = 0; row < kAllocationRows; row += 2) rows.push_back(row);
+  Partition partition;
+  for (size_t row = 0; row < kAllocationRows; row += 5) {
+    partition.clusters.push_back({row, row + 1, row + 2, row + 3, row + 4});
+  }
+
+  EXPECT_LE(CountAllocations([&]() { Dataset copy = data; }),
+            kMaxAllocations);
+  EXPECT_LE(CountAllocations([&]() { ASSERT_TRUE(data.Select(rows).ok()); }),
+            kMaxAllocations);
+  EXPECT_LE(CountAllocations([&]() {
+              ASSERT_TRUE(AggregatePartition(data, partition).ok());
+            }),
+            kMaxAllocations);
 }
 
 // ----------------------------------------------------------------- Stats

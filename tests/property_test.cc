@@ -7,6 +7,7 @@
 // confidential column is released unchanged, and reruns are
 // deterministic.
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,8 +16,12 @@
 
 #include "data/csv.h"
 #include "data/generator.h"
+#include "distance/emd.h"
+#include "engine/pipeline.h"
 #include "engine/registry.h"
+#include "engine/thread_pool.h"
 #include "microagg/partition.h"
+#include "privacy/equivalence.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
 
@@ -150,6 +155,105 @@ TEST(PropertyTest, RerunsAreDeterministic) {
     EXPECT_EQ(WriteCsvString(first->anonymized),
               WriteCsvString(second->anonymized))
         << algorithm << ": rerun changed the release";
+  }
+}
+
+// Pooled and serial verify on the same release: same classes, same
+// t-closeness report, same verdict.
+void ExpectPooledVerifyMatchesSerial(const Dataset& release, size_t k,
+                                     double t, ThreadPool* pool,
+                                     const std::string& label,
+                                     ReleaseVerification* verdict) {
+  auto serial_classes = EquivalenceClasses(release);
+  auto pooled_classes = EquivalenceClasses(release, pool);
+  ASSERT_TRUE(serial_classes.ok() && pooled_classes.ok()) << label;
+  EXPECT_EQ(*serial_classes, *pooled_classes) << label;
+  auto serial_t = EvaluateTCloseness(release, *serial_classes);
+  auto pooled_t = EvaluateTCloseness(release, *serial_classes, 0, pool);
+  ASSERT_TRUE(serial_t.ok() && pooled_t.ok()) << label;
+  EXPECT_EQ(serial_t->max_emd, pooled_t->max_emd) << label;
+  EXPECT_EQ(serial_t->mean_emd, pooled_t->mean_emd) << label;
+  auto serial = CheckRelease(release, k, t);
+  auto pooled = CheckRelease(release, k, t, pool);
+  ASSERT_TRUE(serial.ok() && pooled.ok()) << label;
+  EXPECT_EQ(serial->k_anonymous, pooled->k_anonymous) << label;
+  EXPECT_EQ(serial->t_close, pooled->t_close) << label;
+  *verdict = *pooled;
+}
+
+// The verify stage's pooled CheckRelease is the serial one fanned out:
+// on every algorithm's release it agrees with the serial check, and it
+// still rejects a release with one corrupted QI cell (k) or one
+// corrupted confidential cell (t, checked at the release's own max EMD).
+TEST(PropertyTest, PooledCheckReleaseMatchesSerial) {
+  ThreadPool pool(3);
+  for (const std::string& algorithm : CanonicalAlgorithms()) {
+    for (PropertyCase& pc : MakeDatasets(163, 4)) {
+      const std::string label = algorithm + "/" + pc.dataset;
+      AlgorithmParams params;
+      params.k = 4;
+      params.t = 0.3;
+      params.seed = 4;
+      auto result = RunAlgorithm(pc.data, algorithm, params);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      const Dataset& release = result->anonymized;
+      ReleaseVerification verdict;
+      ExpectPooledVerifyMatchesSerial(release, params.k, params.t, &pool,
+                                      label, &verdict);
+      EXPECT_TRUE(verdict.ok()) << label;
+
+      // k: a unique value in one numeric QI cell isolates its row.
+      for (size_t col : release.schema().QuasiIdentifierIndices()) {
+        if (release.schema().at(col).is_categorical()) continue;
+        Dataset bad = release;
+        ASSERT_TRUE(bad.SetCell(0, col, Value::Numeric(1e9)).ok());
+        ExpectPooledVerifyMatchesSerial(bad, params.k, params.t, &pool,
+                                        label + "/qi", &verdict);
+        EXPECT_FALSE(verdict.k_anonymous) << label;
+        break;
+      }
+
+      // t: move one member of the worst class to an extreme of the
+      // confidential order; one of the two directions must push that
+      // class past the release's own max EMD.
+      auto classes = EquivalenceClasses(release);
+      ASSERT_TRUE(classes.ok());
+      auto report = EvaluateTCloseness(release, *classes);
+      ASSERT_TRUE(report.ok());
+      EmdCalculator emd(release, 0);
+      size_t worst = 0;
+      for (size_t c = 0; c < classes->size(); ++c) {
+        if (emd.ClusterEmd((*classes)[c]) >
+            emd.ClusterEmd((*classes)[worst])) {
+          worst = c;
+        }
+      }
+      const size_t row = (*classes)[worst].front();
+      const size_t conf = release.schema().ConfidentialIndices().front();
+      const Attribute& attr = release.schema().at(conf);
+      std::vector<Value> extremes;
+      if (attr.is_categorical()) {
+        extremes = {Value::Categorical(0),
+                    Value::Categorical(
+                        static_cast<int32_t>(attr.categories.size()) - 1)};
+      } else {
+        std::vector<double> values = release.ColumnAsDouble(conf);
+        extremes = {
+            Value::Numeric(*std::min_element(values.begin(), values.end()) -
+                           1),
+            Value::Numeric(*std::max_element(values.begin(), values.end()) +
+                           1)};
+      }
+      bool rejected = false;
+      for (const Value& extreme : extremes) {
+        Dataset bad = release;
+        ASSERT_TRUE(bad.SetCell(row, conf, extreme).ok());
+        ExpectPooledVerifyMatchesSerial(bad, params.k, report->max_emd, &pool,
+                                        label + "/conf", &verdict);
+        rejected = rejected || !verdict.t_close;
+      }
+      EXPECT_TRUE(rejected) << label;
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "api/runner.h"
+#include "common/json.h"
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
@@ -329,6 +330,79 @@ TEST(StreamingPipelineRunnerTest, MultiWindowReleaseIsThreadInvariant) {
       reference = bytes;
     } else {
       EXPECT_EQ(bytes, reference);
+    }
+  }
+}
+
+// Zeroes every "*_seconds" and the thread counts, and replaces
+// release_path: what is left of a report must not depend on the pool.
+JsonValue ThreadFreeReport(const JsonValue& value) {
+  if (value.is_object()) {
+    JsonValue out = JsonValue::MakeObject();
+    for (const JsonValue::Member& member : value.members()) {
+      const std::string& key = member.first;
+      if ((key.size() > 8 &&
+           key.compare(key.size() - 8, 8, "_seconds") == 0) ||
+          key == "threads") {
+        out.Set(key, 0);
+      } else if (key == "release_path") {
+        out.Set(key, "<release>");
+      } else {
+        out.Set(key, ThreadFreeReport(member.second));
+      }
+    }
+    return out;
+  }
+  if (value.is_array()) {
+    JsonValue out = JsonValue::MakeArray();
+    for (size_t i = 0; i < value.size(); ++i) {
+      out.Append(ThreadFreeReport(value.at(i)));
+    }
+    return out;
+  }
+  return value;
+}
+
+// Every stage of a window that fans out on the pool — shard copies,
+// merge init, aggregation and metrics, verify, CSV formatting — writes
+// disjoint outputs, so release bytes and report are the same at any
+// thread count. The overlapped windows hold 9,997 rows: several format
+// chunks plus a partial one.
+TEST(StreamingPipelineRunnerTest, ReleaseAndReportAreThreadCountInvariant) {
+  constexpr size_t kRows = 24000;
+  const std::string input_path = TempPath("stream_threads_in.csv");
+  ASSERT_TRUE(WriteCsv(MakeUniformDataset(kRows, 3, 2016), input_path).ok());
+  std::string reference_bytes;
+  std::string reference_report;
+  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    JobSpec spec;
+    spec.input.path = input_path;
+    spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+    spec.roles.confidential = "CONF";
+    spec.algorithm.name = "merge_projection";
+    spec.algorithm.k = 5;
+    spec.algorithm.t = 0.2;
+    spec.execution.mode = ExecutionMode::kStreaming;
+    spec.execution.threads = threads;
+    spec.execution.max_resident_rows = 20000;
+    spec.execution.merge_strategy = MergeStrategy::kHierarchical;
+    spec.execution.overlap_io = true;
+    spec.output.release_path =
+        TempPath("stream_threads_" + std::to_string(threads) + ".csv");
+    auto report = RunJob(spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->num_windows, 3u);
+    EXPECT_EQ(report->windows[0].rows, 9997u);
+    EXPECT_NE(report->windows[0].rows % CsvRowWriter::kRowsPerChunk, 0u);
+    EXPECT_GT(report->merge_subtrees, 0u);
+    const std::string bytes = ReadFileBytes(report->release_path);
+    const std::string json = ThreadFreeReport(report->ToJson()).Write(2);
+    if (threads == 1) {
+      reference_bytes = bytes;
+      reference_report = json;
+    } else {
+      EXPECT_EQ(bytes, reference_bytes) << threads << " threads";
+      EXPECT_EQ(json, reference_report) << threads << " threads";
     }
   }
 }

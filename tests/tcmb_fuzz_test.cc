@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -259,6 +260,32 @@ TEST(TcmbFuzzTest, OutOfRangeDictionaryCodeIsIoError) {
       ParseTcmb(neg_image->data(), neg_image->size(), nullptr, "negcodes");
   ASSERT_FALSE(neg_parsed.ok());
   EXPECT_EQ(neg_parsed.status().code(), StatusCode::kIoError);
+}
+
+TEST(TcmbFuzzTest, NonFiniteNumericCellIsIoError) {
+  // Like out-of-range codes: the writer trusts its table, the reader
+  // refuses a nan or inf cell, naming the column.
+  Schema schema({
+      Attribute{"x", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier,
+                {}},
+  });
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Dataset data(schema);
+    ASSERT_TRUE(data.Append({Value::Numeric(1.0)}).ok());
+    ASSERT_TRUE(data.Append({Value::Numeric(bad)}).ok());
+    auto image = SerializeTcmb(ColumnTable::FromDataset(data));
+    ASSERT_TRUE(image.ok());
+    auto parsed =
+        ParseTcmb(image->data(), image->size(), nullptr, "nonfinite");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
+    EXPECT_NE(parsed.status().message().find("non-finite value in row 1 of "
+                                             "column \"x\""),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(TcmbFuzzTest, GarbageAndEmptyInputsFailCleanly) {

@@ -99,6 +99,18 @@ expect_exit(4 "UnknownAlgorithm (flag override)"
 expect_exit(5 "IoError (missing input csv)"
   --job "${WORK_DIR}/io_error_job.json" --output "${WORK_DIR}/never.csv")
 
+# A non-finite number in a QI cell is an input error naming the line and
+# attribute, not a release with inf centroids (nor a late
+# PrivacyViolation for nan).
+file(WRITE "${WORK_DIR}/nonfinite.csv" "age,zip,salary\n")
+foreach(i RANGE 1 10)
+  file(APPEND "${WORK_DIR}/nonfinite.csv" "3${i},1000,${i}\n")
+endforeach()
+file(APPEND "${WORK_DIR}/nonfinite.csv" "inf,1000,5\n")
+expect_exit(5 "IoError (non-finite number in the input csv)"
+  --input "${WORK_DIR}/nonfinite.csv" --output "${WORK_DIR}/never.csv"
+  --qi age,zip --confidential salary --k 2 --t 0.5)
+
 expect_exit(5 "IoError (missing job file)"
   --job "${WORK_DIR}/no_such_job.json" --output "${WORK_DIR}/never.csv")
 
