@@ -13,9 +13,9 @@
 #include "data/generator.h"
 #include "distance/emd.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "privacy/interval_disclosure.h"
-#include "tclose/anonymizer.h"
 #include "utility/sse.h"
 
 namespace {
@@ -51,16 +51,16 @@ int main() {
   for (double t : ts) {
     std::vector<Row> rows;
 
-    for (tcm::TCloseAlgorithm algorithm :
-         {tcm::TCloseAlgorithm::kMicroaggregationMerge,
-          tcm::TCloseAlgorithm::kKAnonymityFirst,
-          tcm::TCloseAlgorithm::kTClosenessFirst}) {
-      tcm::AnonymizerOptions options;
-      options.k = kK;
-      options.t = t;
-      options.algorithm = algorithm;
-      auto result = tcm::Anonymize(mcd, options);
-      Row row{tcm::TCloseAlgorithmName(algorithm)};
+    const struct {
+      const char* algorithm;
+      const char* label;
+    } paper_algorithms[] = {{"merge", "microaggregation+merge"},
+                            {"kanon_first", "k-anonymity-first"},
+                            {"tclose_first", "t-closeness-first"}};
+    for (const auto& [algorithm, label] : paper_algorithms) {
+      auto result = tcm::RunAlgorithm(mcd, algorithm,
+                                      tcm::AlgorithmParams{.k = kK, .t = t});
+      Row row{label};
       if (result.ok()) Measure(mcd, result->anonymized, &row);
       rows.push_back(row);
     }

@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "data/generator.h"
-#include "tclose/anonymizer.h"
+#include "engine/registry.h"
 
 int main() {
   tcm_bench::PrintHeader(
@@ -23,14 +23,10 @@ int main() {
   for (double t : ts) {
     double sse[2], avg[2], secs[2];
     for (int variant = 0; variant < 2; ++variant) {
-      tcm::AnonymizerOptions options;
-      options.k = 2;
-      options.t = t;
-      options.algorithm = tcm::TCloseAlgorithm::kMicroaggregationMerge;
-      options.microagg.method = variant == 0 ? tcm::MicroaggMethod::kMdav
-                                             : tcm::MicroaggMethod::kVMdav;
-      options.microagg.vmdav.gamma = 0.2;
-      auto result = tcm::Anonymize(mcd, options);
+      // merge_vmdav runs V-MDAV at its default gamma, 0.2.
+      auto result =
+          tcm::RunAlgorithm(mcd, variant == 0 ? "merge" : "merge_vmdav",
+                            tcm::AlgorithmParams{.k = 2, .t = t});
       sse[variant] = result.ok() ? result->normalized_sse : -1;
       avg[variant] = result.ok() ? result->average_cluster_size : -1;
       secs[variant] = result.ok() ? result->elapsed_seconds : -1;

@@ -6,14 +6,16 @@
 // of the greedy overshoot factor.
 
 #include <cstdio>
+#include <utility>
 
 #include "baseline/sabre_like.h"
 #include "bench/bench_util.h"
 #include "data/generator.h"
 #include "distance/emd.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
-#include "tclose/anonymizer.h"
+#include "tclose/tclose_first.h"
 #include "utility/sse.h"
 
 int main() {
@@ -29,13 +31,20 @@ int main() {
   std::vector<double> ts = tcm_bench::FigureTGrid();
   if (tcm_bench::FastMode()) ts = {0.05, 0.25};
   for (double t : ts) {
-    tcm::AnonymizerOptions options;
-    options.k = 2;
-    options.t = t;
-    options.algorithm = tcm::TCloseAlgorithm::kTClosenessFirst;
-    auto alg3 = tcm::Anonymize(mcd, options);
-    double alg3_sse = alg3.ok() ? alg3->normalized_sse : -1;
-    size_t alg3_k = alg3.ok() ? alg3->effective_k : 0;
+    // Called directly: k* is a TCloseFirstStats diagnostic, not part of
+    // the registry's result.
+    double alg3_sse = -1;
+    size_t alg3_k = 0;
+    tcm::TCloseFirstStats alg3_stats;
+    auto alg3 = tcm::TCloseFirstTCloseness(space, emd, 2, t, &alg3_stats);
+    if (alg3.ok()) {
+      auto measured = tcm::MeasurePartition(mcd, std::move(alg3).value(),
+                                            /*elapsed_seconds=*/0.0, &emd);
+      if (measured.ok()) {
+        alg3_sse = measured->normalized_sse;
+        alg3_k = alg3_stats.effective_k;
+      }
+    }
 
     struct Cell {
       size_t buckets = 0;

@@ -9,13 +9,16 @@
 // impractical for a default run, so the bench defaults to TCM_N = 4000
 // synthetic records (same dimensionality and correlation); set TCM_N to
 // reproduce at other scales. EXPERIMENTS.md records the sizes used.
+//
+// Seconds are RunAlgorithm's elapsed_seconds: QI space, confidential rank
+// structure and partition; aggregating the release is not included.
 
 #include <cmath>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "data/generator.h"
-#include "tclose/anonymizer.h"
+#include "engine/registry.h"
 
 int main() {
   const size_t n = tcm_bench::EnvSize("TCM_N", tcm_bench::FastMode() ? 800
@@ -33,16 +36,11 @@ int main() {
   if (tcm_bench::FastMode()) ts = {0.05, 0.25};
   for (double t : ts) {
     double seconds[3] = {0, 0, 0};
-    const tcm::TCloseAlgorithm algorithms[3] = {
-        tcm::TCloseAlgorithm::kMicroaggregationMerge,
-        tcm::TCloseAlgorithm::kKAnonymityFirst,
-        tcm::TCloseAlgorithm::kTClosenessFirst};
+    const char* const algorithms[3] = {"merge", "kanon_first",
+                                       "tclose_first"};
     for (int i = 0; i < 3; ++i) {
-      tcm::AnonymizerOptions options;
-      options.k = 2;
-      options.t = t;
-      options.algorithm = algorithms[i];
-      auto result = tcm::Anonymize(data, options);
+      auto result = tcm::RunAlgorithm(data, algorithms[i],
+                                      tcm::AlgorithmParams{.k = 2, .t = t});
       seconds[i] = result.ok() ? result->elapsed_seconds : -1.0;
     }
     std::printf("%-6.2f %14.4f %14.4f %14.4f\n", t, seconds[0], seconds[1],

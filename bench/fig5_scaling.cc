@@ -11,8 +11,8 @@
 #include "common/timer.h"
 #include "data/generator.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/chunked.h"
-#include "tclose/anonymizer.h"
 
 int main() {
   tcm_bench::PrintHeader(
@@ -28,16 +28,11 @@ int main() {
     tcm::Dataset data = tcm::MakePatientDischargeLike(gen);
 
     double seconds[4] = {0, 0, 0, 0};
-    const tcm::TCloseAlgorithm algorithms[3] = {
-        tcm::TCloseAlgorithm::kMicroaggregationMerge,
-        tcm::TCloseAlgorithm::kKAnonymityFirst,
-        tcm::TCloseAlgorithm::kTClosenessFirst};
+    const char* const algorithms[3] = {"merge", "kanon_first",
+                                       "tclose_first"};
     for (int i = 0; i < 3; ++i) {
-      tcm::AnonymizerOptions options;
-      options.k = 2;
-      options.t = 0.05;
-      options.algorithm = algorithms[i];
-      auto result = tcm::Anonymize(data, options);
+      auto result = tcm::RunAlgorithm(
+          data, algorithms[i], tcm::AlgorithmParams{.k = 2, .t = 0.05});
       seconds[i] = result.ok() ? result->elapsed_seconds : -1;
     }
     {

@@ -11,7 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "data/generator.h"
-#include "tclose/anonymizer.h"
+#include "engine/registry.h"
 
 namespace {
 
@@ -23,16 +23,11 @@ void RunPanel(const std::string& name, const tcm::Dataset& data) {
   if (tcm_bench::FastMode()) ts = {0.05, 0.25};
   for (double t : ts) {
     double sse[3] = {0, 0, 0};
-    const tcm::TCloseAlgorithm algorithms[3] = {
-        tcm::TCloseAlgorithm::kMicroaggregationMerge,
-        tcm::TCloseAlgorithm::kKAnonymityFirst,
-        tcm::TCloseAlgorithm::kTClosenessFirst};
+    const char* const algorithms[3] = {"merge", "kanon_first",
+                                       "tclose_first"};
     for (int i = 0; i < 3; ++i) {
-      tcm::AnonymizerOptions options;
-      options.k = 2;
-      options.t = t;
-      options.algorithm = algorithms[i];
-      auto result = tcm::Anonymize(data, options);
+      auto result = tcm::RunAlgorithm(data, algorithms[i],
+                                      tcm::AlgorithmParams{.k = 2, .t = t});
       sse[i] = result.ok() ? result->normalized_sse : -1.0;
     }
     std::printf("%-6.2f %14.6f %14.6f %14.6f\n", t, sse[0], sse[1], sse[2]);

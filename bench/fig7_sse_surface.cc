@@ -10,11 +10,11 @@
 
 #include "bench/bench_util.h"
 #include "data/generator.h"
-#include "tclose/anonymizer.h"
+#include "engine/registry.h"
 
 namespace {
 
-void RunSurface(const char* name, tcm::TCloseAlgorithm algorithm,
+void RunSurface(const char* name, const char* algorithm,
                 const tcm::Dataset& data) {
   std::printf("## %s\n", name);
   std::vector<size_t> ks = {2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24,
@@ -30,11 +30,8 @@ void RunSurface(const char* name, tcm::TCloseAlgorithm algorithm,
   for (size_t k : ks) {
     std::printf("%-6zu", k);
     for (double t : ts) {
-      tcm::AnonymizerOptions options;
-      options.k = k;
-      options.t = t;
-      options.algorithm = algorithm;
-      auto result = tcm::Anonymize(data, options);
+      auto result = tcm::RunAlgorithm(data, algorithm,
+                                      tcm::AlgorithmParams{.k = k, .t = t});
       std::printf(" %9.6f", result.ok() ? result->normalized_sse : -1.0);
     }
     std::printf("\n");
@@ -49,10 +46,10 @@ int main() {
       "Figure 7: normalized SSE vs (k, t), MCD data set, three algorithms");
   tcm::Dataset mcd = tcm::MakeMcdDataset();
   RunSurface("Algorithm 1 (microaggregation + merging)",
-             tcm::TCloseAlgorithm::kMicroaggregationMerge, mcd);
+             "merge", mcd);
   RunSurface("Algorithm 2 (k-anonymity-first)",
-             tcm::TCloseAlgorithm::kKAnonymityFirst, mcd);
+             "kanon_first", mcd);
   RunSurface("Algorithm 3 (t-closeness-first)",
-             tcm::TCloseAlgorithm::kTClosenessFirst, mcd);
+             "tclose_first", mcd);
   return 0;
 }

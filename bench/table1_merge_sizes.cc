@@ -10,6 +10,6 @@ int main() {
   tcm_bench::RunSizesTable(
       "Table 1: Algorithm 1 (microaggregation + merging) cluster sizes "
       "min/avg, MCD & HCD (n=1080)",
-      tcm::TCloseAlgorithm::kMicroaggregationMerge);
+      "merge");
   return 0;
 }

@@ -11,6 +11,6 @@ int main() {
   tcm_bench::RunSizesTable(
       "Table 2: Algorithm 2 (k-anonymity-first) cluster sizes min/avg, "
       "MCD & HCD (n=1080)",
-      tcm::TCloseAlgorithm::kKAnonymityFirst);
+      "kanon_first");
   return 0;
 }

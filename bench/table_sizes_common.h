@@ -2,7 +2,7 @@
 #define TCM_BENCH_TABLE_SIZES_COMMON_H_
 
 // Shared driver for Tables 1-3: for every (k, t) cell of the paper's grid
-// and both census-like data sets, runs one t-closeness algorithm and
+// and both census-like data sets, runs one registry algorithm and
 // prints the achieved microaggregation level as "min/avg" cluster sizes,
 // matching the tables' cell format.
 
@@ -11,12 +11,12 @@
 
 #include "bench/bench_util.h"
 #include "data/generator.h"
-#include "tclose/anonymizer.h"
+#include "engine/registry.h"
 
 namespace tcm_bench {
 
 inline void RunSizesTable(const std::string& title,
-                          tcm::TCloseAlgorithm algorithm) {
+                          const std::string& algorithm) {
   PrintHeader(title);
   tcm::Dataset mcd = tcm::MakeMcdDataset();
   tcm::Dataset hcd = tcm::MakeHcdDataset();
@@ -37,11 +37,8 @@ inline void RunSizesTable(const std::string& title,
       std::string cells[2];
       const tcm::Dataset* sets[2] = {&mcd, &hcd};
       for (int which = 0; which < 2; ++which) {
-        tcm::AnonymizerOptions options;
-        options.k = k;
-        options.t = t;
-        options.algorithm = algorithm;
-        auto result = tcm::Anonymize(*sets[which], options);
+        auto result = tcm::RunAlgorithm(*sets[which], algorithm,
+                                        tcm::AlgorithmParams{.k = k, .t = t});
         if (!result.ok()) {
           cells[which] = "error";
           continue;

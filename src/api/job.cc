@@ -588,8 +588,8 @@ Status JobSpec::Validate() const {
   if (algorithm.k < 1) {
     return SpecError("algorithm.k must be at least 1");
   }
-  if (!(algorithm.t >= 0.0)) {  // rejects NaN too
-    return SpecError("algorithm.t must be a number >= 0");
+  if (!std::isfinite(algorithm.t) || algorithm.t < 0.0) {
+    return SpecError("algorithm.t must be a finite number >= 0");
   }
   // Seeds serialize as JSON numbers (doubles), which are exact only up
   // to 2^53 — larger values would not survive ToJson -> FromJson, so the
@@ -658,8 +658,8 @@ Status JobSpec::Validate() const {
       if (k < 1) return SpecError("sweep.ks entries must be at least 1");
     }
     for (double t : sweep->ts) {
-      if (!(t >= 0.0)) {
-        return SpecError("sweep.ts entries must be numbers >= 0");
+      if (!std::isfinite(t) || t < 0.0) {
+        return SpecError("sweep.ts entries must be finite numbers >= 0");
       }
     }
   }

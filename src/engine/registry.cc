@@ -1,6 +1,7 @@
 #include "engine/registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -190,8 +191,8 @@ Status ValidateAlgorithmInputs(const Dataset& data,
   if (params.k == 0 || params.k > data.NumRecords()) {
     return Status::InvalidArgument("k must be in [1, n]");
   }
-  if (params.t < 0.0) {
-    return Status::InvalidArgument("t must be non-negative");
+  if (!std::isfinite(params.t) || params.t < 0.0) {
+    return Status::InvalidArgument("t must be a finite number >= 0");
   }
   return Status::Ok();
 }

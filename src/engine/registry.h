@@ -15,7 +15,6 @@
 #include "distance/qi_space.h"
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
-#include "tclose/anonymizer.h"
 
 namespace tcm {
 
@@ -30,6 +29,20 @@ struct AlgorithmParams {
   QiNormalization normalization = QiNormalization::kRange;
 };
 
+// Everything a caller needs to audit a run: the release itself, the
+// partition behind it, and privacy/utility measurements.
+struct AnonymizationResult {
+  Dataset anonymized;
+  Partition partition;
+
+  size_t min_cluster_size = 0;      // k-anonymity level achieved
+  size_t max_cluster_size = 0;
+  double average_cluster_size = 0.0;
+  double max_cluster_emd = 0.0;     // t-closeness level achieved
+  double normalized_sse = 0.0;      // paper Eq. 5
+  double elapsed_seconds = 0.0;
+};
+
 // A registered algorithm: partitions `data` (whose schema declares the
 // quasi-identifier and confidential roles) into clusters of >= k records.
 // Every algorithm in this library reduces to a Partition; aggregation and
@@ -38,8 +51,7 @@ using PartitionFn =
     std::function<Result<Partition>(const Dataset& data,
                                     const AlgorithmParams& params)>;
 
-// Name -> factory map over the anonymization algorithms, replacing the
-// hard-coded enum dispatch the tools used to carry. Thread-safe: the
+// Name -> factory map over the anonymization algorithms. Thread-safe: the
 // engine consults it from pool workers.
 class AlgorithmRegistry {
  public:
@@ -90,7 +102,7 @@ class AlgorithmRegistry {
 void RegisterBuiltinAlgorithms(AlgorithmRegistry* registry);
 
 // Shared input validation of the registry-driven drivers: records >= 2,
-// QI and confidential roles present, k in [1, n], t >= 0.
+// QI and confidential roles present, k in [1, n], t finite and >= 0.
 Status ValidateAlgorithmInputs(const Dataset& data,
                                const AlgorithmParams& params);
 
@@ -104,9 +116,11 @@ Result<AnonymizationResult> MeasurePartition(
     const Dataset& data, Partition partition, double elapsed_seconds,
     const EmdCalculator* emd = nullptr, ThreadPool* pool = nullptr);
 
-// Looks `name` up in BuiltIns() (or `registry` when given), validates the
-// dataset like Anonymize() does, runs the algorithm and measures the
-// release. The registry-driven counterpart of the enum-based Anonymize().
+// The one dispatcher over the algorithms: looks `name` up in BuiltIns()
+// (or `registry` when given), validates the inputs with
+// ValidateAlgorithmInputs, runs the algorithm and measures the release.
+// `elapsed_seconds` covers the algorithm call (QI space, rank structure
+// and partition), not aggregation or measurement.
 Result<AnonymizationResult> RunAlgorithm(
     const Dataset& data, const std::string& name,
     const AlgorithmParams& params,

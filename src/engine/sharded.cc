@@ -166,7 +166,6 @@ Result<AnonymizationResult> ShardedAnonymize(
   // Per-shard runs steer by their shard's confidential distribution; the
   // round-robin plan keeps those close to the global one, and this pass
   // deterministically repairs whatever residual violations remain.
-  size_t final_merges = 0;
   std::optional<EmdCalculator> global_emd;
   if (options.final_merge) {
     TraceSpan span("merge");
@@ -183,12 +182,10 @@ Result<AnonymizationResult> ShardedAnonymize(
     MergeStats merge_stats;
     TCM_ASSIGN_OR_RETURN(
         merged,
-        MergeUntilTCloseWith(space, {&*global_emd}, params.t,
-                             std::move(merged), merge_options,
-                             &merge_stats));
-    final_merges = merge_stats.merges;
+        MergeUntilTCloseWith(space, *global_emd, params.t, std::move(merged),
+                             merge_options, &merge_stats));
     if (stats != nullptr) {
-      stats->final_merges = final_merges;
+      stats->final_merges = merge_stats.merges;
       stats->merge_seconds = stage_timer.ElapsedSeconds();
       stats->merge_subtrees = merge_stats.num_subtrees;
       stats->subtree_merges = merge_stats.subtree_merges;
@@ -207,7 +204,6 @@ Result<AnonymizationResult> ShardedAnonymize(
                        global_emd ? &*global_emd : nullptr, pool));
   if (stats != nullptr) stats->measure_seconds = stage_timer.ElapsedSeconds();
   result.elapsed_seconds = timer.ElapsedSeconds();
-  result.merges = final_merges;
   return result;
 }
 

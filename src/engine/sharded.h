@@ -9,7 +9,6 @@
 #include "data/dataset.h"
 #include "engine/registry.h"
 #include "engine/thread_pool.h"
-#include "tclose/anonymizer.h"
 #include "tclose/merge.h"
 
 namespace tcm {

@@ -15,13 +15,13 @@ namespace tcm {
 namespace {
 
 // One cluster of the repair loop. Alongside rows/centroid it carries the
-// machinery that makes a merge step O(Δ): per-calculator member ranks
-// kept sorted (the cluster's confidential distribution in the closed-form
-// EMD's terms), so merging two clusters is one std::merge and an exact
+// machinery that makes a merge step O(Δ): the member ranks kept sorted
+// (the cluster's confidential distribution in the closed-form EMD's
+// terms), so merging two clusters is one std::merge and an exact
 // re-evaluation is the O(c) EmdFromSortedRanks instead of the
 // gather-and-sort ClusterEmd pays from scratch.
 struct ClusterState {
-  // How `emd` relates to the cluster's true worst EMD. kUpper is only
+  // How `emd` relates to the cluster's true EMD. kUpper is only
   // stored when the bound already meets t (the cluster is proven safe);
   // kLower only when the bound exceeds t (proven violating).
   enum class Kind : uint8_t { kExact, kUpper, kLower };
@@ -30,7 +30,7 @@ struct ClusterState {
   std::vector<double> centroid;  // QI centroid (mean of member points)
   double emd = 0.0;
   Kind kind = Kind::kExact;
-  std::vector<std::vector<uint32_t>> ranks;  // per calculator, ascending
+  std::vector<uint32_t> ranks;  // ascending
 };
 
 // Per-engine-run tallies, merged into MergeStats by the callers.
@@ -61,38 +61,26 @@ double CentroidSquaredDistance(const std::vector<double>& a,
   return sum;
 }
 
-double ExactWorstEmd(const ClusterState& state,
-                     const std::vector<const EmdCalculator*>& emds) {
-  double worst = 0.0;
-  for (size_t j = 0; j < emds.size(); ++j) {
-    worst = std::max(worst, emds[j]->EmdFromSortedRanks(state.ranks[j]));
-  }
-  return worst;
-}
-
 // Builds the engine's working set from an initial partition. With
 // `prune_init` (hierarchical engine only), a cluster small enough that
 // even the best-placed cluster of its size violates t — MinClusterEmd,
 // Prop. 1 — is marked a proven violator without an exact evaluation.
 // Takes the clusters out of `clusters` (a slice of the initial partition,
 // so subtree tasks can each initialize their own).
-std::vector<ClusterState> InitStates(
-    const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, bool prune_init, std::span<Cluster> clusters,
-    EngineCounters* counters) {
+std::vector<ClusterState> InitStates(const QiSpace& space,
+                                     const EmdCalculator& emd, double t,
+                                     bool prune_init,
+                                     std::span<Cluster> clusters,
+                                     EngineCounters* counters) {
   const size_t n = space.num_records();
   std::vector<ClusterState> states;
   states.reserve(clusters.size());
   for (Cluster& cluster : clusters) {
     ClusterState state;
     state.centroid = space.Centroid(cluster);
-    state.ranks.resize(emds.size());
-    for (size_t j = 0; j < emds.size(); ++j) {
-      std::vector<uint32_t>& ranks = state.ranks[j];
-      ranks.reserve(cluster.size());
-      for (size_t row : cluster) ranks.push_back(emds[j]->RankOf(row));
-      std::sort(ranks.begin(), ranks.end());
-    }
+    state.ranks.reserve(cluster.size());
+    for (size_t row : cluster) state.ranks.push_back(emd.RankOf(row));
+    std::sort(state.ranks.begin(), state.ranks.end());
     ++counters->candidate_checks;
     double lower = n > 1 ? MinClusterEmd(n, cluster.size()) : 0.0;
     if (prune_init && lower > t) {
@@ -100,7 +88,7 @@ std::vector<ClusterState> InitStates(
       state.kind = ClusterState::Kind::kLower;
       ++counters->pruned_checks;
     } else {
-      state.emd = ExactWorstEmd(state, emds);
+      state.emd = emd.EmdFromSortedRanks(state.ranks);
       state.kind = ClusterState::Kind::kExact;
       ++counters->exact_checks;
     }
@@ -125,9 +113,8 @@ std::vector<ClusterState> InitStates(
 // evaluation. Only values above t compete in the worst-cluster scan and
 // every such value is exact or a lower bound of a proven violator, so
 // pruning never changes which cluster is selected.
-void RunEngine(const std::vector<const EmdCalculator*>& emds, double t,
-               bool prune, std::vector<ClusterState>* states,
-               EngineCounters* counters) {
+void RunEngine(const EmdCalculator& emd, double t, bool prune,
+               std::vector<ClusterState>* states, EngineCounters* counters) {
   std::vector<ClusterState>& live = *states;
   while (live.size() > 1) {
     // Cluster farthest from satisfying t-closeness.
@@ -168,14 +155,11 @@ void RunEngine(const std::vector<const EmdCalculator*>& emds, double t,
     dst.centroid =
         WeightedCentroid(dst.centroid, dst_size, src.centroid, src_size);
     dst.rows.insert(dst.rows.end(), src.rows.begin(), src.rows.end());
-    for (size_t j = 0; j < emds.size(); ++j) {
-      std::vector<uint32_t> merged;
-      merged.reserve(dst.ranks[j].size() + src.ranks[j].size());
-      std::merge(dst.ranks[j].begin(), dst.ranks[j].end(),
-                 src.ranks[j].begin(), src.ranks[j].end(),
-                 std::back_inserter(merged));
-      dst.ranks[j] = std::move(merged);
-    }
+    std::vector<uint32_t> merged;
+    merged.reserve(dst.ranks.size() + src.ranks.size());
+    std::merge(dst.ranks.begin(), dst.ranks.end(), src.ranks.begin(),
+               src.ranks.end(), std::back_inserter(merged));
+    dst.ranks = std::move(merged);
     ++counters->candidate_checks;
     bool pruned = false;
     if (prune && dst.kind != ClusterState::Kind::kLower &&
@@ -192,7 +176,7 @@ void RunEngine(const std::vector<const EmdCalculator*>& emds, double t,
       }
     }
     if (!pruned) {
-      dst.emd = ExactWorstEmd(dst, emds);
+      dst.emd = emd.EmdFromSortedRanks(dst.ranks);
       dst.kind = ClusterState::Kind::kExact;
       ++counters->exact_checks;
     }
@@ -269,26 +253,18 @@ Result<MergeStrategy> ParseMergeStrategy(const std::string& name) {
 Result<Partition> MergeUntilTClose(const QiSpace& space,
                                    const EmdCalculator& emd, double t,
                                    Partition initial, MergeStats* stats) {
-  return MergeUntilTCloseMulti(space, {&emd}, t, std::move(initial), stats);
-}
-
-Result<Partition> MergeUntilTCloseMulti(
-    const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, Partition initial, MergeStats* stats) {
-  return MergeUntilTCloseWith(space, emds, t, std::move(initial),
+  return MergeUntilTCloseWith(space, emd, t, std::move(initial),
                               MergeOptions{}, stats);
 }
 
-Result<Partition> MergeUntilTCloseWith(
-    const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, Partition initial, const MergeOptions& options,
-    MergeStats* stats) {
+Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
+                                       const EmdCalculator& emd, double t,
+                                       Partition initial,
+                                       const MergeOptions& options,
+                                       MergeStats* stats) {
   TCM_RETURN_IF_ERROR(
       ValidatePartition(initial, space.num_records(), /*min_cluster_size=*/1));
   if (t < 0.0) return Status::InvalidArgument("t must be non-negative");
-  if (emds.empty()) {
-    return Status::InvalidArgument("need at least one EMD calculator");
-  }
 
   MergeStats local;
   const bool hierarchical =
@@ -314,10 +290,10 @@ Result<Partition> MergeUntilTCloseWith(
     ParallelFor(options.pool, subtrees, [&](size_t s) {
       TraceSpan span("merge_subtree");
       auto [begin, end] = SplitRange(clusters.size(), subtrees, s);
-      slices[s] = InitStates(space, emds, t, prune_init,
+      slices[s] = InitStates(space, emd, t, prune_init,
                              clusters.subspan(begin, end - begin),
                              &slice_counters[s]);
-      RunEngine(emds, t, options.prune, &slices[s], &slice_counters[s]);
+      RunEngine(emd, t, options.prune, &slices[s], &slice_counters[s]);
     });
 
     // Stitch the surviving clusters back together in subtree order and
@@ -332,11 +308,11 @@ Result<Partition> MergeUntilTCloseWith(
       slices[s].clear();
     }
     TraceSpan tail_span("merge_tail");
-    RunEngine(emds, t, options.prune, &states, &tail_counters);
+    RunEngine(emd, t, options.prune, &states, &tail_counters);
   } else {
-    states = InitStates(space, emds, t, prune_init, initial.clusters,
+    states = InitStates(space, emd, t, prune_init, initial.clusters,
                         &tail_counters);
-    RunEngine(emds, t, options.prune, &states, &tail_counters);
+    RunEngine(emd, t, options.prune, &states, &tail_counters);
   }
 
   AddCounters(tail_counters, &local);

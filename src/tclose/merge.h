@@ -2,7 +2,6 @@
 #define TCM_TCLOSE_MERGE_H_
 
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "distance/emd.h"
@@ -95,22 +94,14 @@ Result<Partition> MergeUntilTClose(const QiSpace& space,
                                    Partition initial,
                                    MergeStats* stats = nullptr);
 
-// Multi-attribute variant: a cluster's violation is its worst EMD across
-// several confidential attributes (one calculator each); merging stops
-// when every cluster is within t for every attribute. Used to extend the
-// single-attribute algorithms to data sets with several confidential
-// attributes.
-Result<Partition> MergeUntilTCloseMulti(
-    const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, Partition initial, MergeStats* stats = nullptr);
-
 // Full-control variant: everything above plus strategy selection, bound
-// pruning and the subtree fan-out. MergeUntilTClose/-Multi delegate here
-// with default options (sequential, no pruning).
-Result<Partition> MergeUntilTCloseWith(
-    const QiSpace& space, const std::vector<const EmdCalculator*>& emds,
-    double t, Partition initial, const MergeOptions& options,
-    MergeStats* stats = nullptr);
+// pruning and the subtree fan-out. MergeUntilTClose delegates here with
+// default options (sequential, no pruning).
+Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
+                                       const EmdCalculator& emd, double t,
+                                       Partition initial,
+                                       const MergeOptions& options,
+                                       MergeStats* stats = nullptr);
 
 // Full Algorithm 1: standard microaggregation (per `options`) on the
 // quasi-identifiers followed by the merging phase.

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -239,6 +240,33 @@ TEST(JobSpecJsonTest, StreamingRecordSourceRejectsRoles) {
   EXPECT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
   spec.roles.confidential = "c";
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidSpec);
+}
+
+TEST(JobSpecJsonTest, NonFiniteTIsRejected) {
+  // JSON cannot spell inf or NaN, so these reach Validate() only through
+  // the programmatic surface and the CLI's --t flag. Every t >= 1 already
+  // disables the constraint (EMD <= 1); a non-finite t is never needed.
+  for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    JobSpec spec;
+    spec.input.kind = InputKind::kSynthetic;
+    spec.algorithm.t = t;
+    Status status = spec.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidSpec) << "t=" << t;
+    EXPECT_NE(status.message().find("algorithm.t must be a finite number"),
+              std::string::npos)
+        << status.ToString();
+
+    spec.algorithm.t = 0.25;
+    spec.sweep.emplace();
+    spec.sweep->ts = {0.1, t};
+    status = spec.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidSpec) << "t=" << t;
+    EXPECT_NE(status.message().find("sweep.ts entries must be finite"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(JobSpecJsonTest, SeedsAboveTwoToTheFiftyThreeAreRejected) {

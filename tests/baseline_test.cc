@@ -9,11 +9,11 @@
 #include "distance/emd.h"
 #include "distance/emd_bounds.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 #include "utility/sse.h"
 
 namespace tcm {
@@ -141,11 +141,7 @@ TEST(SabreLikeTest, MoreBucketsMeansMoreInformationLossThanAlgorithm3) {
   Dataset data = MakeMcdDataset();
   QiSpace space(data);
   EmdCalculator emd(data);
-  AnonymizerOptions options;
-  options.k = 2;
-  options.t = 0.05;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto alg3 = Anonymize(data, options);
+  auto alg3 = RunAlgorithm(data, "tclose_first", {.k = 2, .t = 0.05});
   ASSERT_TRUE(alg3.ok());
 
   auto sabre = SabreLikePartition(space, emd, 2, 0.05);

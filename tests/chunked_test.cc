@@ -1,5 +1,4 @@
-// Tests for chunked (scalable) microaggregation and multi-confidential-
-// attribute t-closeness enforcement.
+// Tests for chunked (scalable) microaggregation.
 
 #include <numeric>
 #include <vector>
@@ -12,9 +11,6 @@
 #include "microagg/aggregate.h"
 #include "microagg/chunked.h"
 #include "microagg/mdav.h"
-#include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
-#include "tclose/merge.h"
 #include "utility/sse.h"
 
 namespace tcm {
@@ -132,81 +128,6 @@ TEST(ChunkedTest, SubsetHelpersCoverOnlyGivenRows) {
     std::sort(covered.begin(), covered.end());
     EXPECT_EQ(covered, rows) << MicroaggMethodName(method);
   }
-}
-
-// ----------------------------------------------- Multi-attribute closeness
-
-Dataset CensusWithBothConfidential() {
-  Dataset data = MakeCensusLike();
-  auto schema =
-      data.schema().WithRole("FEDTAX", AttributeRole::kConfidential);
-  auto schema2 = schema->WithRole("FICA", AttributeRole::kConfidential);
-  EXPECT_TRUE(data.ReplaceSchema(std::move(schema2).value()).ok());
-  return data;
-}
-
-TEST(MultiAttributeTest, SingleAttributeSteeringLeavesOthersUnbounded) {
-  // Without enforce_all_confidential, the second attribute may violate t
-  // (this documents why the flag exists).
-  Dataset data = CensusWithBothConfidential();
-  AnonymizerOptions options;
-  options.k = 2;
-  options.t = 0.05;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto result = Anonymize(data, options);
-  ASSERT_TRUE(result.ok());
-  auto secondary = EvaluateTCloseness(result->anonymized, 1);
-  ASSERT_TRUE(secondary.ok());
-  EXPECT_GT(secondary->max_emd, 0.05);
-}
-
-TEST(MultiAttributeTest, EnforceAllBoundsEveryAttribute) {
-  Dataset data = CensusWithBothConfidential();
-  AnonymizerOptions options;
-  options.k = 2;
-  options.t = 0.1;
-  options.enforce_all_confidential = true;
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    options.algorithm = algorithm;
-    auto result = Anonymize(data, options);
-    ASSERT_TRUE(result.ok()) << TCloseAlgorithmName(algorithm);
-    for (size_t offset : {0u, 1u}) {
-      auto report = EvaluateTCloseness(result->anonymized, offset);
-      ASSERT_TRUE(report.ok());
-      EXPECT_LE(report->max_emd, 0.1 + 1e-9)
-          << TCloseAlgorithmName(algorithm) << " attribute " << offset;
-    }
-    EXPECT_LE(result->max_cluster_emd, 0.1 + 1e-9);
-  }
-}
-
-TEST(MultiAttributeTest, MultiMergeDirectApi) {
-  Dataset data = CensusWithBothConfidential();
-  QiSpace space(data);
-  EmdCalculator fedtax(data, 0);
-  EmdCalculator fica(data, 1);
-  auto initial = Mdav(space, 3);
-  ASSERT_TRUE(initial.ok());
-  MergeStats stats;
-  auto merged = MergeUntilTCloseMulti(space, {&fedtax, &fica}, 0.08,
-                                      *initial, &stats);
-  ASSERT_TRUE(merged.ok());
-  for (const Cluster& cluster : merged->clusters) {
-    EXPECT_LE(fedtax.ClusterEmd(cluster), 0.08 + 1e-12);
-    EXPECT_LE(fica.ClusterEmd(cluster), 0.08 + 1e-12);
-  }
-  EXPECT_LE(stats.final_max_emd, 0.08 + 1e-12);
-}
-
-TEST(MultiAttributeTest, MultiMergeRequiresCalculators) {
-  Dataset data = MakeUniformDataset(20, 2, 61);
-  QiSpace space(data);
-  auto initial = Mdav(space, 2);
-  ASSERT_TRUE(initial.ok());
-  EXPECT_FALSE(MergeUntilTCloseMulti(space, {}, 0.1, *initial).ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/stats.h"
+#include "data/summary.h"
 #include "data/value.h"
 #include "microagg/aggregate.h"
 
@@ -562,6 +564,72 @@ TEST(GeneratorTest, ClusteredConfidentialCorrelatesWithQis) {
   // The mode drives both QIs and the confidential value.
   Dataset data = MakeClusteredDataset(1000, 2, 4, 3);
   EXPECT_GT(QiConfidentialCorrelation(data), 0.3);
+}
+
+// ----------------------------------------------------------------- Summary
+
+// Four records: a QI, an "other" column with two values and a
+// confidential column that rises with the QI.
+Dataset SummaryData() {
+  auto data = DatasetFromColumns(
+      {"q", "other", "conf"},
+      {{10, 20, 30, 40}, {7, 7, 8, 8}, {1, 2, 3, 4}},
+      {AttributeRole::kQuasiIdentifier, AttributeRole::kOther,
+       AttributeRole::kConfidential});
+  return std::move(data).value();
+}
+
+TEST(SummaryTest, StatisticsMatchKnownData) {
+  Dataset data = SummaryData();
+  auto summary = SummarizeDataset(data);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->records, 4u);
+  ASSERT_EQ(summary->attributes.size(), 3u);
+  const AttributeSummary& q = summary->attributes[0];
+  EXPECT_DOUBLE_EQ(q.min, 10.0);
+  EXPECT_DOUBLE_EQ(q.max, 40.0);
+  EXPECT_DOUBLE_EQ(q.mean, 25.0);
+  EXPECT_DOUBLE_EQ(q.median, 25.0);
+  EXPECT_EQ(q.distinct_values, 4u);
+  EXPECT_EQ(summary->attributes[1].distinct_values, 2u);
+  ASSERT_EQ(summary->qi_confidential_correlation.size(), 1u);
+  EXPECT_NEAR(summary->qi_confidential_correlation[0], 1.0, 1e-9);
+}
+
+TEST(SummaryTest, EmptyDatasetRejected) {
+  Dataset empty;
+  EXPECT_FALSE(SummarizeDataset(empty).ok());
+}
+
+TEST(SummaryTest, FormatIncludesEveryAttribute) {
+  auto summary = SummarizeDataset(SummaryData());
+  ASSERT_TRUE(summary.ok());
+  std::string text = FormatSummary(*summary);
+  EXPECT_NE(text.find("conf"), std::string::npos);
+  EXPECT_NE(text.find("quasi-identifier"), std::string::npos);
+  EXPECT_NE(text.find("records: 4"), std::string::npos);
+}
+
+TEST(SummaryTest, HistogramCountsSumToRecords) {
+  Dataset data = MakeUniformDataset(500, 2, 3);
+  auto histogram = ColumnHistogram(data, 0, 10);
+  ASSERT_TRUE(histogram.ok());
+  EXPECT_EQ(std::accumulate(histogram->begin(), histogram->end(), size_t{0}),
+            500u);
+}
+
+TEST(SummaryTest, HistogramErrors) {
+  Dataset data = SummaryData();
+  EXPECT_FALSE(ColumnHistogram(data, 9, 4).ok());
+  EXPECT_FALSE(ColumnHistogram(data, 0, 0).ok());
+}
+
+TEST(SummaryTest, ConstantColumnHistogramLandsInFirstBin) {
+  auto data = DatasetFromColumns({"x"}, {{5, 5, 5}}, {AttributeRole::kOther});
+  ASSERT_TRUE(data.ok());
+  auto histogram = ColumnHistogram(*data, 0, 4);
+  ASSERT_TRUE(histogram.ok());
+  EXPECT_EQ((*histogram)[0], 3u);
 }
 
 }  // namespace

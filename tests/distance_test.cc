@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "data/generator.h"
-#include "distance/categorical.h"
 #include "distance/emd.h"
 #include "distance/emd_bounds.h"
 #include "distance/qi_space.h"
@@ -360,37 +359,6 @@ TEST(EmdBoundsTest, AdjustClusterSizeInvariant) {
 TEST(EmdBoundsTest, AdjustClusterSizeNoChangeWhenDivisible) {
   EXPECT_EQ(AdjustClusterSizeForRemainder(1080, 10), 10u);
   EXPECT_EQ(AdjustClusterSizeForRemainder(1080, 30), 30u);
-}
-
-// ------------------------------------------------------------ Categorical
-
-TEST(CategoricalTest, OrdinalEmdMatchesNumericFormula) {
-  // Counts (2,0,0) vs (0,0,2): all mass across 2 steps of 2 bins -> 1.
-  EXPECT_DOUBLE_EQ(OrdinalCategoricalEmd({2, 0, 0}, {0, 0, 2}), 1.0);
-  EXPECT_DOUBLE_EQ(OrdinalCategoricalEmd({1, 1}, {1, 1}), 0.0);
-}
-
-TEST(CategoricalTest, OrdinalEmdSeesDistanceNominalDoesNot) {
-  // Moving mass one bin vs two bins: ordinal distinguishes, nominal not.
-  double near = OrdinalCategoricalEmd({1, 0, 0}, {0, 1, 0});
-  double far = OrdinalCategoricalEmd({1, 0, 0}, {0, 0, 1});
-  EXPECT_LT(near, far);
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmd({1, 0, 0}, {0, 1, 0}),
-                   NominalCategoricalEmd({1, 0, 0}, {0, 0, 1}));
-}
-
-TEST(CategoricalTest, NominalEmdIsTotalVariation) {
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmd({1, 1, 0}, {0, 1, 1}), 0.5);
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmd({3, 1}, {3, 1}), 0.0);
-  EXPECT_DOUBLE_EQ(NominalCategoricalEmd({4, 0}, {0, 4}), 1.0);
-}
-
-TEST(CategoricalTest, JensenShannonProperties) {
-  EXPECT_DOUBLE_EQ(JensenShannonDivergence({2, 2}, {2, 2}), 0.0);
-  double jsd = JensenShannonDivergence({4, 0}, {0, 4});
-  EXPECT_NEAR(jsd, std::log(2.0), 1e-12);  // maximal for disjoint support
-  EXPECT_DOUBLE_EQ(JensenShannonDivergence({1, 3}, {3, 1}),
-                   JensenShannonDivergence({3, 1}, {1, 3}));
 }
 
 }  // namespace

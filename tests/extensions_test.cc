@@ -1,132 +1,26 @@
-// Tests for the paper's "research directions" implementations: nominal
-// (categorical) t-closeness, (n,t)-closeness, and the interval-disclosure
-// risk measure.
+// Tests for the paper's "research directions" implementations:
+// (n,t)-closeness and the interval-disclosure risk measure.
 
-#include <map>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "data/generator.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/interval_disclosure.h"
 #include "privacy/ntcloseness.h"
-#include "tclose/anonymizer.h"
-#include "tclose/nominal.h"
 
 namespace tcm {
 namespace {
-
-// Records with 2 numeric QIs and a nominal confidential code attribute.
-struct NominalFixture {
-  Dataset data;
-  std::vector<int32_t> categories;
-};
-
-NominalFixture MakeNominalData(size_t n, size_t num_categories,
-                               uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> q1(n), q2(n), conf(n);
-  std::vector<int32_t> categories(n);
-  for (size_t i = 0; i < n; ++i) {
-    q1[i] = rng.NextDouble() * 100;
-    q2[i] = rng.NextDouble() * 10;
-    // Category weakly follows q1 so QI-local clusters are skewed (the
-    // hard case for nominal t-closeness).
-    size_t bucket = static_cast<size_t>(q1[i] / (100.0 / num_categories));
-    if (rng.NextDouble() < 0.3) bucket = rng.NextBounded(num_categories);
-    categories[i] =
-        static_cast<int32_t>(std::min(bucket, num_categories - 1));
-    conf[i] = categories[i];
-  }
-  auto data = DatasetFromColumns(
-      {"q1", "q2", "conf"}, {q1, q2, conf},
-      {AttributeRole::kQuasiIdentifier, AttributeRole::kQuasiIdentifier,
-       AttributeRole::kConfidential});
-  return {std::move(data).value(), std::move(categories)};
-}
-
-// ----------------------------------------------------- Nominal t-closeness
-
-TEST(NominalTCloseTest, TotalVariationHelperKnownValues) {
-  std::vector<int32_t> categories = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(ClusterTotalVariation(categories, {0, 2}), 0.0);
-  EXPECT_DOUBLE_EQ(ClusterTotalVariation(categories, {0, 1}), 0.5);
-  EXPECT_DOUBLE_EQ(ClusterTotalVariation(categories, {0}), 0.5);
-}
-
-TEST(NominalTCloseTest, RejectsBadArguments) {
-  NominalFixture fixture = MakeNominalData(40, 3, 1);
-  QiSpace space(fixture.data);
-  EXPECT_FALSE(
-      NominalTCloseFirstPartition(space, fixture.categories, 0, 0.2).ok());
-  EXPECT_FALSE(
-      NominalTCloseFirstPartition(space, fixture.categories, 41, 0.2).ok());
-  EXPECT_FALSE(
-      NominalTCloseFirstPartition(space, fixture.categories, 2, 0.0).ok());
-  std::vector<int32_t> wrong_size = {1, 2};
-  EXPECT_FALSE(NominalTCloseFirstPartition(space, wrong_size, 2, 0.2).ok());
-}
-
-class NominalSweepTest
-    : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
-
-TEST_P(NominalSweepTest, EveryClusterWithinTotalVariationT) {
-  auto [num_categories, t] = GetParam();
-  NominalFixture fixture = MakeNominalData(600, num_categories, 7);
-  QiSpace space(fixture.data);
-  NominalTCloseStats stats;
-  auto partition = NominalTCloseFirstPartition(space, fixture.categories, 3,
-                                               t, &stats);
-  ASSERT_TRUE(partition.ok());
-  EXPECT_TRUE(ValidatePartition(*partition, 600, 3).ok());
-  EXPECT_EQ(stats.num_categories, num_categories);
-  for (const Cluster& cluster : partition->clusters) {
-    EXPECT_LE(ClusterTotalVariation(fixture.categories, cluster), t + 1e-9)
-        << "categories=" << num_categories << " t=" << t;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, NominalSweepTest,
-    ::testing::Combine(::testing::Values(2, 3, 5, 8),
-                       ::testing::Values(0.05, 0.1, 0.2, 0.4)));
-
-TEST(NominalTCloseTest, EffectiveKGrowsWithCategoriesAndShrinkingT) {
-  NominalFixture fixture = MakeNominalData(600, 6, 9);
-  QiSpace space(fixture.data);
-  NominalTCloseStats strict, loose;
-  ASSERT_TRUE(NominalTCloseFirstPartition(space, fixture.categories, 2, 0.05,
-                                          &strict)
-                  .ok());
-  ASSERT_TRUE(NominalTCloseFirstPartition(space, fixture.categories, 2, 0.4,
-                                          &loose)
-                  .ok());
-  EXPECT_GT(strict.effective_k, loose.effective_k);
-  EXPECT_GE(strict.effective_k, 6u / 2u);
-}
-
-TEST(NominalTCloseTest, TinyTCollapsesToOneCluster) {
-  NominalFixture fixture = MakeNominalData(50, 4, 11);
-  QiSpace space(fixture.data);
-  auto partition =
-      NominalTCloseFirstPartition(space, fixture.categories, 2, 1e-6);
-  ASSERT_TRUE(partition.ok());
-  EXPECT_EQ(partition->NumClusters(), 1u);
-}
 
 // ---------------------------------------------------------- (n,t)-closeness
 
 TEST(NTClosenessTest, WholeDatasetSupersetReducesToTCloseness) {
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.1});
   ASSERT_TRUE(result.ok());
   auto nt = EvaluateNTCloseness(result->anonymized, data.NumRecords());
   ASSERT_TRUE(nt.ok());
@@ -136,10 +30,7 @@ TEST(NTClosenessTest, WholeDatasetSupersetReducesToTCloseness) {
 TEST(NTClosenessTest, LargeClassesSatisfyTrivially) {
   // Classes >= n are their own natural supersets: EMD 0.
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 30;
-  options.t = 0.25;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 30, .t = 0.25});
   ASSERT_TRUE(result.ok());
   auto nt = EvaluateNTCloseness(result->anonymized, /*min_superset_size=*/20);
   ASSERT_TRUE(nt.ok());

@@ -11,12 +11,12 @@
 #include "data/csv.h"
 #include "data/generator.h"
 #include "data/stats.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "privacy/kanonymity.h"
 #include "privacy/ldiversity.h"
 #include "privacy/linkage.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 #include "utility/info_loss.h"
 #include "utility/query.h"
 #include "utility/sse.h"
@@ -26,10 +26,7 @@ namespace {
 
 TEST(IntegrationTest, AnonymizeVerifyPersistRoundTrip) {
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.1});
   ASSERT_TRUE(result.ok());
 
   // Verify.
@@ -49,11 +46,7 @@ TEST(IntegrationTest, TClosenessImpliesWeakerModelsHold) {
   // A t-close release with small t forces diverse confidential values in
   // every class: distinct l-diversity >= 2 and p-sensitivity >= 2 follow.
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.05;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.05});
   ASSERT_TRUE(result.ok());
   auto diversity = EvaluateLDiversity(result->anonymized);
   ASSERT_TRUE(diversity.ok());
@@ -62,20 +55,12 @@ TEST(IntegrationTest, TClosenessImpliesWeakerModelsHold) {
 
 TEST(IntegrationTest, StricterTCostsUtilityForEveryAlgorithm) {
   Dataset data = MakeMcdDataset();
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    AnonymizerOptions options;
-    options.k = 2;
-    options.algorithm = algorithm;
-    options.t = 0.25;
-    auto loose = Anonymize(data, options);
-    options.t = 0.02;
-    auto strict = Anonymize(data, options);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto loose = RunAlgorithm(data, algorithm, {.k = 2, .t = 0.25});
+    auto strict = RunAlgorithm(data, algorithm, {.k = 2, .t = 0.02});
     ASSERT_TRUE(loose.ok() && strict.ok());
     EXPECT_GE(strict->normalized_sse, loose->normalized_sse)
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
   }
 }
 
@@ -84,12 +69,8 @@ TEST(IntegrationTest, LinkageRiskBoundedByOneOverK) {
   // empirical risk is not monotone in k — centroid placement dominates —
   // so only the bound is asserted.)
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.t = 0.25;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
   for (size_t k : {2u, 10u, 30u}) {
-    options.k = k;
-    auto result = Anonymize(data, options);
+    auto result = RunAlgorithm(data, "tclose_first", {.k = k, .t = 0.25});
     ASSERT_TRUE(result.ok());
     auto risk = EvaluateLinkageRisk(data, result->anonymized);
     ASSERT_TRUE(risk.ok());
@@ -102,11 +83,7 @@ TEST(IntegrationTest, PatientDischargePipeline) {
   PatientDischargeOptions gen;
   gen.num_records = 1500;
   Dataset data = MakePatientDischargeLike(gen);
-  AnonymizerOptions options;
-  options.k = 3;
-  options.t = 0.1;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 3, .t = 0.1});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(IsKAnonymous(result->anonymized, 3).value());
   EXPECT_TRUE(IsTClose(result->anonymized, 0.1).value());
@@ -137,12 +114,8 @@ TEST(IntegrationTest, MondrianAndMicroaggregationBothVerify) {
 
 TEST(IntegrationTest, DeterministicEndToEnd) {
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.08;
-  options.algorithm = TCloseAlgorithm::kKAnonymityFirst;
-  auto a = Anonymize(data, options);
-  auto b = Anonymize(data, options);
+  auto a = RunAlgorithm(data, "kanon_first", {.k = 5, .t = 0.08});
+  auto b = RunAlgorithm(data, "kanon_first", {.k = 5, .t = 0.08});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->anonymized == b->anonymized);
   EXPECT_EQ(a->partition.clusters, b->partition.clusters);
@@ -153,12 +126,10 @@ TEST(IntegrationTest, HigherCorrelationCostsMoreUtilityForAlgorithm3) {
   // conflicts with the forced confidential spread. SSE(HCD) > SSE(MCD)
   // under identical settings (the QI marginals are identical by
   // construction; only the confidential coupling differs).
-  AnonymizerOptions options;
-  options.k = 2;
-  options.t = 0.05;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto mcd = Anonymize(MakeMcdDataset(), options);
-  auto hcd = Anonymize(MakeHcdDataset(), options);
+  auto mcd =
+      RunAlgorithm(MakeMcdDataset(), "tclose_first", {.k = 2, .t = 0.05});
+  auto hcd =
+      RunAlgorithm(MakeHcdDataset(), "tclose_first", {.k = 2, .t = 0.05});
   ASSERT_TRUE(mcd.ok() && hcd.ok());
   EXPECT_GT(hcd->normalized_sse, mcd->normalized_sse);
 }

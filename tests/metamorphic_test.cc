@@ -15,9 +15,8 @@
 #include "distance/emd.h"
 #include "distance/emd_bounds.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/mdav.h"
-#include "tclose/anonymizer.h"
-#include "tclose/report_io.h"
 
 namespace tcm {
 namespace {
@@ -97,22 +96,15 @@ TEST(MetamorphicTest, FullPipelineInvariantUnderJointScaling) {
   transformed = WithAffineColumn(transformed, qi[1], 0.25, -3.0);
   transformed = WithMonotoneColumn(transformed, conf);
 
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    AnonymizerOptions options;
-    options.k = 4;
-    options.t = 0.1;
-    options.algorithm = algorithm;
-    auto original = Anonymize(data, options);
-    auto mapped = Anonymize(transformed, options);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto original = RunAlgorithm(data, algorithm, {.k = 4, .t = 0.1});
+    auto mapped = RunAlgorithm(transformed, algorithm, {.k = 4, .t = 0.1});
     ASSERT_TRUE(original.ok() && mapped.ok());
     EXPECT_EQ(original->partition.clusters, mapped->partition.clusters)
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
     EXPECT_NEAR(original->max_cluster_emd, mapped->max_cluster_emd, 1e-9);
     EXPECT_NEAR(original->normalized_sse, mapped->normalized_sse, 1e-6)
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
   }
 }
 
@@ -128,52 +120,6 @@ TEST(MetamorphicTest, DuplicatingEveryRecordHalvesRequiredT) {
     EXPECT_LE(large, 2 * small);
     EXPECT_GE(large, small);
   }
-}
-
-// ----------------------------------------------------------- Serialization
-
-TEST(ReportIoTest, JsonContainsEveryField) {
-  Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  auto result = Anonymize(data, options);
-  ASSERT_TRUE(result.ok());
-  std::string json = ReportToJson(*result, options);
-  for (const char* key :
-       {"\"algorithm\"", "\"k\":5", "\"t\":0.1", "\"clusters\"",
-        "\"min_cluster_size\"", "\"max_cluster_emd\"", "\"normalized_sse\"",
-        "\"cluster_size_histogram\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  // Balanced braces (cheap well-formedness check).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(ReportIoTest, PartitionTsvRoundTrip) {
-  Dataset data = MakeUniformDataset(120, 2, 103);
-  QiSpace space(data);
-  auto partition = Mdav(space, 7);
-  ASSERT_TRUE(partition.ok());
-  std::string tsv = PartitionToTsv(*partition);
-  auto parsed = PartitionFromTsv(tsv, 120);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->clusters, partition->clusters);
-}
-
-TEST(ReportIoTest, PartitionTsvRejectsGarbage) {
-  EXPECT_FALSE(PartitionFromTsv("not\tnumbers\n", 2).ok());
-  EXPECT_FALSE(PartitionFromTsv("0\n", 1).ok());          // one field
-  EXPECT_FALSE(PartitionFromTsv("0\t0\n0\t0\n", 1).ok()); // double cover
-  EXPECT_FALSE(PartitionFromTsv("0\t0\n", 2).ok());       // missing record
-  EXPECT_TRUE(PartitionFromTsv("0\t0\n0\t1\n", 2).ok());
-}
-
-TEST(ReportIoTest, EmptyLinesTolerated) {
-  auto parsed = PartitionFromTsv("0\t0\n\n0\t1\n  \n", 2);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->NumClusters(), 1u);
 }
 
 }  // namespace

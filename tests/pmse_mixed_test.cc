@@ -3,6 +3,7 @@
 // Adult-like generator.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,11 +12,11 @@
 #include "data/generator.h"
 #include "data/stats.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 #include "utility/pmse.h"
 
 namespace tcm {
@@ -137,17 +138,13 @@ TEST(AdultLikeTest, CsvRoundTripWithCategories) {
 }
 
 class MixedPipelineTest
-    : public ::testing::TestWithParam<TCloseAlgorithm> {};
+    : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(MixedPipelineTest, AnonymizeMixedTypesEndToEnd) {
   AdultLikeOptions options;
   options.num_records = 600;
   Dataset data = MakeAdultLike(options);
-  AnonymizerOptions anonymizer_options;
-  anonymizer_options.k = 4;
-  anonymizer_options.t = 0.12;
-  anonymizer_options.algorithm = GetParam();
-  auto result = Anonymize(data, anonymizer_options);
+  auto result = RunAlgorithm(data, GetParam(), {.k = 4, .t = 0.12});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(IsKAnonymous(result->anonymized, 4).value());
   EXPECT_TRUE(IsTClose(result->anonymized, 0.12).value());
@@ -164,29 +161,18 @@ TEST_P(MixedPipelineTest, AnonymizeMixedTypesEndToEnd) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, MixedPipelineTest,
-    ::testing::Values(TCloseAlgorithm::kMicroaggregationMerge,
-                      TCloseAlgorithm::kKAnonymityFirst,
-                      TCloseAlgorithm::kTClosenessFirst),
-    [](const ::testing::TestParamInfo<TCloseAlgorithm>& info) {
-      switch (info.param) {
-        case TCloseAlgorithm::kMicroaggregationMerge:
-          return "merge";
-        case TCloseAlgorithm::kKAnonymityFirst:
-          return "kanonfirst";
-        case TCloseAlgorithm::kTClosenessFirst:
-          return "tclosefirst";
-      }
-      return "unknown";
+    ::testing::Values("merge", "kanon_first", "tclose_first"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::erase(name, '_');
+      return name;
     });
 
 TEST(MixedPipelineTest, PmseOnMixedRelease) {
   AdultLikeOptions options;
   options.num_records = 500;
   Dataset data = MakeAdultLike(options);
-  AnonymizerOptions anonymizer_options;
-  anonymizer_options.k = 5;
-  anonymizer_options.t = 0.15;
-  auto result = Anonymize(data, anonymizer_options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.15});
   ASSERT_TRUE(result.ok());
   auto pmse = PropensityMse(data, result->anonymized);
   ASSERT_TRUE(pmse.ok());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/equivalence.h"
@@ -12,7 +13,6 @@
 #include "privacy/linkage.h"
 #include "privacy/psensitive.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 
 namespace tcm {
 namespace {
@@ -116,10 +116,7 @@ TEST(TClosenessTest, SkewedClassesHaveLargeEmd) {
 
 TEST(TClosenessTest, MatchesAnonymizerReportedEmd) {
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.1});
   ASSERT_TRUE(result.ok());
   auto report = EvaluateTCloseness(result->anonymized);
   ASSERT_TRUE(report.ok());

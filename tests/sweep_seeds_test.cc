@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "engine/registry.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 
 namespace tcm {
 namespace {
@@ -30,22 +30,15 @@ TEST_P(SeedSweepTest, PatientDischargeAllAlgorithmsHoldGuarantees) {
   gen.num_records = param.n;
   gen.seed = param.seed;
   Dataset data = MakePatientDischargeLike(gen);
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    AnonymizerOptions options;
-    options.k = param.k;
-    options.t = param.t;
-    options.algorithm = algorithm;
-    auto result = Anonymize(data, options);
-    ASSERT_TRUE(result.ok()) << TCloseAlgorithmName(algorithm);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto result = RunAlgorithm(data, algorithm, {.k = param.k, .t = param.t});
+    ASSERT_TRUE(result.ok()) << algorithm;
     auto k_anon = IsKAnonymous(result->anonymized, param.k);
     auto t_close = IsTClose(result->anonymized, param.t);
     ASSERT_TRUE(k_anon.ok() && t_close.ok());
-    EXPECT_TRUE(*k_anon) << TCloseAlgorithmName(algorithm) << " seed "
+    EXPECT_TRUE(*k_anon) << algorithm << " seed "
                          << param.seed;
-    EXPECT_TRUE(*t_close) << TCloseAlgorithmName(algorithm) << " seed "
+    EXPECT_TRUE(*t_close) << algorithm << " seed "
                           << param.seed << " maxEMD "
                           << result->max_cluster_emd;
   }
@@ -79,18 +72,11 @@ TEST_P(UniformSweepTest, IndependentConfidentialAttribute) {
   // not much above max{k, k*}).
   auto [n, k, t] = GetParam();
   Dataset data = MakeUniformDataset(n, 3, n * 7 + k);
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    AnonymizerOptions options;
-    options.k = k;
-    options.t = t;
-    options.algorithm = algorithm;
-    auto result = Anonymize(data, options);
-    ASSERT_TRUE(result.ok()) << TCloseAlgorithmName(algorithm);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto result = RunAlgorithm(data, algorithm, {.k = k, .t = t});
+    ASSERT_TRUE(result.ok()) << algorithm;
     EXPECT_LE(result->max_cluster_emd, t + 1e-9)
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
     EXPECT_GE(result->min_cluster_size, k);
   }
 }

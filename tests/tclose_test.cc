@@ -1,19 +1,22 @@
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/generator.h"
 #include "distance/emd.h"
 #include "distance/emd_bounds.h"
 #include "distance/qi_space.h"
+#include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
-#include "tclose/anonymizer.h"
 #include "tclose/kanon_first.h"
 #include "tclose/merge.h"
 #include "tclose/tclose_first.h"
@@ -147,13 +150,13 @@ TEST(MergeTest, HierarchicalMatchesSequentialGuarantees) {
   ThreadPool pool(4);
   options.pool = &pool;
   MergeStats pooled_stats;
-  auto pooled = MergeUntilTCloseWith(space, {&emd}, t, *initial, options,
+  auto pooled = MergeUntilTCloseWith(space, emd, t, *initial, options,
                                      &pooled_stats);
   ASSERT_TRUE(pooled.ok());
 
   options.pool = nullptr;  // inline subtree execution
   MergeStats inline_stats;
-  auto inlined = MergeUntilTCloseWith(space, {&emd}, t, *initial, options,
+  auto inlined = MergeUntilTCloseWith(space, emd, t, *initial, options,
                                       &inline_stats);
   ASSERT_TRUE(inlined.ok());
 
@@ -389,30 +392,24 @@ class AlgorithmSweepTest : public ::testing::TestWithParam<SweepParam> {
 TEST_P(AlgorithmSweepTest, AllThreeAlgorithmsMeetBothGuarantees) {
   const SweepParam& param = GetParam();
   Dataset data = MakeData(param.highly_correlated);
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    AnonymizerOptions options;
-    options.k = param.k;
-    options.t = param.t;
-    options.algorithm = algorithm;
-    auto result = Anonymize(data, options);
-    ASSERT_TRUE(result.ok()) << TCloseAlgorithmName(algorithm);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto result = RunAlgorithm(data, algorithm,
+                               AlgorithmParams{.k = param.k, .t = param.t});
+    ASSERT_TRUE(result.ok()) << algorithm;
 
     // The partition is a valid k-anonymous cover.
     EXPECT_TRUE(
         ValidatePartition(result->partition, data.NumRecords(), param.k).ok())
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
 
     // The released data set verifies independently.
     auto k_anon = IsKAnonymous(result->anonymized, param.k);
     ASSERT_TRUE(k_anon.ok());
-    EXPECT_TRUE(*k_anon) << TCloseAlgorithmName(algorithm);
+    EXPECT_TRUE(*k_anon) << algorithm;
     auto t_close = IsTClose(result->anonymized, param.t);
     ASSERT_TRUE(t_close.ok());
-    EXPECT_TRUE(*t_close) << TCloseAlgorithmName(algorithm)
-                          << " k=" << param.k << " t=" << param.t;
+    EXPECT_TRUE(*t_close) << algorithm << " k=" << param.k
+                          << " t=" << param.t;
 
     // Report fields are consistent.
     EXPECT_EQ(result->min_cluster_size,
@@ -437,21 +434,24 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.highly_correlated ? "_hcd" : "_mcd");
     });
 
-// ------------------------------------------------------------ Anonymizer
+// ------------------------------------------------- RunAlgorithm dispatch
 
 TEST(AnonymizerTest, RejectsInvalidConfigurations) {
   Dataset data = MakeUniformDataset(20, 2, 3);
-  AnonymizerOptions options;
-  options.k = 0;
-  EXPECT_FALSE(Anonymize(data, options).ok());
-  options.k = 21;
-  EXPECT_FALSE(Anonymize(data, options).ok());
-  options.k = 2;
-  options.t = -0.1;
-  EXPECT_FALSE(Anonymize(data, options).ok());
-  options.t = 0.1;
-  options.confidential_offset = 5;
-  EXPECT_FALSE(Anonymize(data, options).ok());
+  EXPECT_FALSE(RunAlgorithm(data, "tclose_first", {.k = 0}).ok());
+  EXPECT_FALSE(RunAlgorithm(data, "tclose_first", {.k = 21}).ok());
+  EXPECT_FALSE(
+      RunAlgorithm(data, "tclose_first", {.k = 2, .t = -0.1}).ok());
+  // Every t >= 1 already disables the constraint (EMD <= 1), so a
+  // non-finite t is never meaningful; NaN would also slip past `t < 0`.
+  for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    auto result = RunAlgorithm(data, "merge", {.k = 2, .t = t});
+    ASSERT_FALSE(result.ok()) << "t=" << t;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("finite"), std::string::npos);
+  }
 }
 
 TEST(AnonymizerTest, RejectsDatasetsWithoutRoles) {
@@ -459,60 +459,83 @@ TEST(AnonymizerTest, RejectsDatasetsWithoutRoles) {
       {"a", "b"}, {{1, 2, 3}, {4, 5, 6}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kOther});
   ASSERT_TRUE(no_conf.ok());
-  EXPECT_FALSE(Anonymize(*no_conf, {}).ok());
+  EXPECT_FALSE(RunAlgorithm(*no_conf, "tclose_first", {}).ok());
   auto no_qi = DatasetFromColumns(
       {"a", "b"}, {{1, 2, 3}, {4, 5, 6}},
       {AttributeRole::kOther, AttributeRole::kConfidential});
   ASSERT_TRUE(no_qi.ok());
-  EXPECT_FALSE(Anonymize(*no_qi, {}).ok());
+  EXPECT_FALSE(RunAlgorithm(*no_qi, "tclose_first", {}).ok());
 }
 
 TEST(AnonymizerTest, ConfidentialColumnIsNeverPerturbed) {
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 5;
-  options.t = 0.1;
-  for (TCloseAlgorithm algorithm :
-       {TCloseAlgorithm::kMicroaggregationMerge,
-        TCloseAlgorithm::kKAnonymityFirst,
-        TCloseAlgorithm::kTClosenessFirst}) {
-    options.algorithm = algorithm;
-    auto result = Anonymize(data, options);
+  for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
+    auto result = RunAlgorithm(data, algorithm, {.k = 5, .t = 0.1});
     ASSERT_TRUE(result.ok());
     size_t conf = data.schema().ConfidentialIndices()[0];
     EXPECT_EQ(result->anonymized.ColumnAsDouble(conf),
               data.ColumnAsDouble(conf))
-        << TCloseAlgorithmName(algorithm);
+        << algorithm;
   }
 }
 
 TEST(AnonymizerTest, SecondConfidentialAttributeSelectable) {
-  // Census-like data with both FEDTAX and FICA confidential; offset picks.
+  // Census-like data: the role, not the column position, picks the
+  // confidential attribute. FICA is the last column and FEDTAX before it
+  // stays a non-confidential attribute.
   Dataset data = MakeCensusLike();
-  auto schema = data.schema().WithRole("FEDTAX", AttributeRole::kConfidential);
+  auto schema = data.schema().WithRole("FICA", AttributeRole::kConfidential);
   ASSERT_TRUE(schema.ok());
-  auto schema2 = schema->WithRole("FICA", AttributeRole::kConfidential);
-  ASSERT_TRUE(schema2.ok());
-  ASSERT_TRUE(data.ReplaceSchema(std::move(schema2).value()).ok());
+  ASSERT_TRUE(data.ReplaceSchema(std::move(schema).value()).ok());
 
-  AnonymizerOptions options;
-  options.k = 4;
-  options.t = 0.1;
-  options.confidential_offset = 1;  // FICA
-  auto result = Anonymize(data, options);
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 4, .t = 0.1});
   ASSERT_TRUE(result.ok());
-  auto report = EvaluateTCloseness(result->anonymized, 1);
+  auto report = EvaluateTCloseness(result->anonymized, 0);
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->max_emd, 0.1 + 1e-9);
+  size_t fica = data.schema().ConfidentialIndices()[0];
+  EXPECT_EQ(data.schema().at(fica).name, "FICA");
 }
 
 TEST(AnonymizerTest, AlgorithmNamesAreStable) {
-  EXPECT_STREQ(TCloseAlgorithmName(TCloseAlgorithm::kMicroaggregationMerge),
-               "microaggregation+merge");
-  EXPECT_STREQ(TCloseAlgorithmName(TCloseAlgorithm::kKAnonymityFirst),
-               "k-anonymity-first");
-  EXPECT_STREQ(TCloseAlgorithmName(TCloseAlgorithm::kTClosenessFirst),
-               "t-closeness-first");
+  // The paper's three algorithms under their registry names, plus the
+  // historic CLI spellings.
+  const AlgorithmRegistry& registry = AlgorithmRegistry::BuiltIns();
+  for (const char* name :
+       {"merge", "kanon_first", "tclose_first", "kanon", "tclose"}) {
+    EXPECT_TRUE(registry.Contains(name)) << name;
+  }
+}
+
+// The registry entries carry no settings of their own: each one is the
+// direct algorithm call with default options. Tests and benches that run
+// an algorithm by name rely on this.
+TEST(AnonymizerTest, RegistryMatchesDirectCallsWithDefaultOptions) {
+  for (const Dataset& data : {MakeMcdDataset(), MakeHcdDataset()}) {
+    QiSpace space(data);
+    EmdCalculator emd(data);
+    for (auto [k, t] : {std::pair<size_t, double>{2, 0.05}, {5, 0.2}}) {
+      const AlgorithmParams params{.k = k, .t = t};
+      MicroaggOptions vmdav;
+      vmdav.method = MicroaggMethod::kVMdav;
+      vmdav.vmdav.gamma = 0.2;
+      const std::pair<const char*, Result<Partition>> direct[] = {
+          {"merge", MergeTCloseness(space, emd, k, t, MicroaggOptions{})},
+          {"merge_vmdav", MergeTCloseness(space, emd, k, t, vmdav)},
+          {"kanon_first",
+           KAnonFirstTCloseness(space, emd, k, t,
+                                KAnonFirstOptions{.enable_swaps = true})},
+          {"tclose_first", TCloseFirstTCloseness(space, emd, k, t)},
+      };
+      for (const auto& [name, partition] : direct) {
+        ASSERT_TRUE(partition.ok()) << name;
+        auto result = RunAlgorithm(data, name, params);
+        ASSERT_TRUE(result.ok()) << name;
+        EXPECT_EQ(result->partition.clusters, partition->clusters)
+            << name << " k=" << k << " t=" << t;
+      }
+    }
+  }
 }
 
 TEST(AnonymizerTest, Paper_TClosenessFirstHasBestUtilityAtSmallT) {
@@ -520,15 +543,10 @@ TEST(AnonymizerTest, Paper_TClosenessFirstHasBestUtilityAtSmallT) {
   // the better the utility. At k=2 and strict t the ordering is
   // SSE(Alg3) <= SSE(Alg2) and SSE(Alg3) <= SSE(Alg1).
   Dataset data = MakeMcdDataset();
-  AnonymizerOptions options;
-  options.k = 2;
-  options.t = 0.05;
-  options.algorithm = TCloseAlgorithm::kMicroaggregationMerge;
-  auto alg1 = Anonymize(data, options);
-  options.algorithm = TCloseAlgorithm::kKAnonymityFirst;
-  auto alg2 = Anonymize(data, options);
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
-  auto alg3 = Anonymize(data, options);
+  const AlgorithmParams params{.k = 2, .t = 0.05};
+  auto alg1 = RunAlgorithm(data, "merge", params);
+  auto alg2 = RunAlgorithm(data, "kanon_first", params);
+  auto alg3 = RunAlgorithm(data, "tclose_first", params);
   ASSERT_TRUE(alg1.ok() && alg2.ok() && alg3.ok());
   EXPECT_LE(alg3->normalized_sse, alg2->normalized_sse);
   EXPECT_LE(alg3->normalized_sse, alg1->normalized_sse);
@@ -536,17 +554,48 @@ TEST(AnonymizerTest, Paper_TClosenessFirstHasBestUtilityAtSmallT) {
 
 TEST(AnonymizerTest, Paper_Table3SizesIndependentOfCorrelation) {
   // Table 3: Algorithm 3's cluster sizes are identical for MCD and HCD.
-  AnonymizerOptions options;
-  options.algorithm = TCloseAlgorithm::kTClosenessFirst;
   for (double t : {0.05, 0.13, 0.25}) {
-    options.k = 2;
-    options.t = t;
-    auto mcd = Anonymize(MakeMcdDataset(), options);
-    auto hcd = Anonymize(MakeHcdDataset(), options);
+    const AlgorithmParams params{.k = 2, .t = t};
+    auto mcd = RunAlgorithm(MakeMcdDataset(), "tclose_first", params);
+    auto hcd = RunAlgorithm(MakeHcdDataset(), "tclose_first", params);
     ASSERT_TRUE(mcd.ok() && hcd.ok());
     EXPECT_EQ(mcd->min_cluster_size, hcd->min_cluster_size);
     EXPECT_EQ(mcd->max_cluster_size, hcd->max_cluster_size);
   }
+}
+
+// ------------------------------------------- Ordinal confidential attribute
+
+TEST(OrdinalConfidentialTest, AnonymizeHandlesOrdinalConfidential) {
+  // Future-work item (iii): numeric QIs with an ordinal (rankable)
+  // confidential attribute flow through the full pipeline; EMD operates
+  // on the category ranks.
+  Schema schema({
+      Attribute{"age", AttributeType::kNumeric,
+                AttributeRole::kQuasiIdentifier, {}},
+      Attribute{"income", AttributeType::kNumeric,
+                AttributeRole::kQuasiIdentifier, {}},
+      Attribute{"severity", AttributeType::kOrdinal,
+                AttributeRole::kConfidential,
+                {"none", "mild", "moderate", "severe", "critical"}},
+  });
+  Dataset data(schema);
+  Rng rng(33);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(data.Append({Value::Numeric(20 + rng.NextDouble() * 60),
+                             Value::Numeric(rng.NextDouble() * 1e5),
+                             Value::Categorical(static_cast<int32_t>(
+                                 rng.NextBounded(5)))})
+                    .ok());
+  }
+  auto result = RunAlgorithm(data, "tclose_first", {.k = 4, .t = 0.1});
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(result->max_cluster_emd, 0.1 + 1e-9);
+  auto verified = IsTClose(result->anonymized, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(*verified);
+  // Ordinal column released unchanged.
+  EXPECT_EQ(result->anonymized.ColumnAsDouble(2), data.ColumnAsDouble(2));
 }
 
 }  // namespace

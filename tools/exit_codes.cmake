@@ -87,6 +87,13 @@ expect_exit(2 "usage error (audit refuses anonymization flags)"
 expect_exit(3 "InvalidSpec" --job "${WORK_DIR}/invalid_spec_job.json"
   --output "${WORK_DIR}/never.csv")
 
+# A non-finite t is a spec error, as it is in a JSON spec (which cannot
+# spell inf at all): the run could not record the t it verified, and
+# t = 1 already disables the constraint because EMD <= 1.
+expect_exit(3 "InvalidSpec (--t inf)"
+  --job "${WORK_DIR}/ok_job.json" --algorithm tclose_first --t inf
+  --output "${WORK_DIR}/never.csv")
+
 expect_exit(4 "UnknownAlgorithm"
   --job "${WORK_DIR}/unknown_algorithm_job.json"
   --output "${WORK_DIR}/never.csv")

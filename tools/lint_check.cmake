@@ -1,7 +1,7 @@
 # ctest driver for tcm_lint: the whole-tree lint must pass on the
 # committed repository, the exit-code contract of tools/exit_codes.h
-# must hold on the tool itself, and an injected-bad-artifact negative
-# test proves the gate actually bites (a lint that cannot fail pins
+# must hold on the tool itself, and injected-bad-artifact and test-only-
+# header negative trees prove the gate actually bites (a lint that cannot fail pins
 # nothing).
 #
 # Invoked by tools/CMakeLists.txt with:
@@ -192,7 +192,54 @@ execute_process(
   ERROR_VARIABLE output)
 expect_exit("dropped HTTP route" 3 "${result}" "${output}")
 
-# --- 6. IO and usage errors keep their contract codes. ---------------------
+# --- 6. Test-only code: a src/ header no program reaches fails. -----------
+# lib/used.h is included by a tool and pulls in its lib/used.cc, whose
+# lib/impl_detail.h is therefore reached too. lib/orphan.h is included
+# only from tests/, and lib/chained.h only through lib/orphan.h: both
+# must be named, nothing else. The trees above have no src/, so they
+# never run this check.
+set(ORPHAN_TREE "${WORK_DIR}/orphan_tree")
+file(MAKE_DIRECTORY "${ORPHAN_TREE}/tests/golden")
+configure_file("${REPO_ROOT}/README.md" "${ORPHAN_TREE}/README.md" COPYONLY)
+file(WRITE "${ORPHAN_TREE}/tools/tool.cc"
+  "#include \"lib/used.h\"\nint main() { return 0; }\n")
+file(WRITE "${ORPHAN_TREE}/src/lib/used.h" "#pragma once\n")
+file(WRITE "${ORPHAN_TREE}/src/lib/used.cc"
+  "#include \"lib/used.h\"\n#include \"lib/impl_detail.h\"\n")
+file(WRITE "${ORPHAN_TREE}/src/lib/impl_detail.h" "#pragma once\n")
+file(WRITE "${ORPHAN_TREE}/src/lib/orphan.h"
+  "#pragma once\n#include \"lib/chained.h\"\n")
+file(WRITE "${ORPHAN_TREE}/src/lib/chained.h" "#pragma once\n")
+file(WRITE "${ORPHAN_TREE}/tests/orphan_test.cc"
+  "#include \"lib/orphan.h\"\n")
+execute_process(
+  COMMAND ${TCM_LINT} --root ${ORPHAN_TREE}
+  RESULT_VARIABLE result
+  OUTPUT_VARIABLE output
+  ERROR_VARIABLE output)
+expect_exit("test-only headers" 3 "${result}" "${output}")
+foreach(named src/lib/orphan.h src/lib/chained.h)
+  if(NOT output MATCHES "FAIL: ${named}")
+    message(FATAL_ERROR
+      "test-only headers: ${named} is not named\n${output}")
+  endif()
+endforeach()
+if(output MATCHES "FAIL: src/lib/(used|impl_detail)\\.h")
+  message(FATAL_ERROR
+    "test-only headers: a reached header was flagged\n${output}")
+endif()
+
+# Once the orphan chain is gone the same tree lints clean.
+file(REMOVE "${ORPHAN_TREE}/src/lib/orphan.h"
+  "${ORPHAN_TREE}/src/lib/chained.h")
+execute_process(
+  COMMAND ${TCM_LINT} --root ${ORPHAN_TREE}
+  RESULT_VARIABLE result
+  OUTPUT_VARIABLE output
+  ERROR_VARIABLE output)
+expect_exit("reachable headers only" 0 "${result}" "${output}")
+
+# --- 7. IO and usage errors keep their contract codes. ---------------------
 execute_process(
   COMMAND ${TCM_LINT} --spec ${WORK_DIR}/definitely_missing.json
   RESULT_VARIABLE result
@@ -208,5 +255,5 @@ execute_process(
 expect_exit("usage error" 2 "${result}" "${output}")
 
 message(STATUS "tcm_lint contract holds: clean tree 0, bad artifacts, "
-  "drifted docs/version pins and HTTP mapping drift 3, missing file 5, "
-  "usage 2")
+  "drifted docs/version pins, HTTP mapping drift and test-only headers 3, "
+  "missing file 5, usage 2")

@@ -1,5 +1,5 @@
 // tcm_lint — the repo's domain lint: statically validates the tree's own
-// machine-readable artifacts the way clang-tidy validates its C++. Three
+// machine-readable artifacts the way clang-tidy validates its C++. Four
 // invariant families, all cheap enough to gate every merge:
 //
 //   1. JobSpec artifacts. Every job*.json under tests/golden/ and
@@ -23,6 +23,11 @@
 //      `"stats_schema":N` in docs and protocol sources, and the README
 //      ".tcmb, version N" binary-format pin.
 //
+//   4. No test-only code. Every src/**/*.h must be reachable through
+//      quoted #include chains from a program: tools/, bench/, examples/
+//      or perfbench/ (a reached X.h also reaches its X.cc). A header only
+//      tests include is dead library code and fails, named by path.
+//
 // Exit codes follow the shared contract (tools/exit_codes.h): 0 clean,
 // 2 usage error, 3 (InvalidSpec) for any failed artifact or consistency
 // check, 5 (IoError) for an unreadable named file. Pinned by the
@@ -34,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -55,7 +61,9 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: tcm_lint [options]
 
-Validates the repository's own JobSpec/golden/doc artifacts.
+Validates the repository's own JobSpec/golden/doc artifacts and, when
+the root has a src/, that every src/ header is reachable from a program
+(tools/, bench/, examples/, perfbench/) rather than only from tests/.
 
   --root DIR     repository root to lint (default: current directory)
   --spec FILE    validate FILE as a strict JobSpec document; repeatable
@@ -537,6 +545,113 @@ void CheckTcmbFormatVersion(const std::string& readme_path,
   }
 }
 
+// ---------------------------------------------------------- test-only code
+
+// The quoted #include targets of one source file, in order.
+std::vector<std::string> QuotedIncludes(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t pos = line.find_first_not_of(" \t");
+    if (pos == std::string::npos || line[pos] != '#') continue;
+    pos = line.find_first_not_of(" \t", pos + 1);
+    if (pos == std::string::npos || line.compare(pos, 7, "include") != 0) {
+      continue;
+    }
+    size_t open = line.find('"', pos + 7);
+    if (open == std::string::npos) continue;  // <system> include
+    size_t close = line.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    out.push_back(line.substr(open + 1, close - open - 1));
+  }
+  return out;
+}
+
+// Resolves an include the way the build does: next to the including
+// file, then from the repository root ("bench/bench_util.h"), then from
+// src/ (the library's include root). Empty when nothing matches.
+std::filesystem::path ResolveInclude(const std::filesystem::path& base,
+                                     const std::filesystem::path& from,
+                                     const std::string& target) {
+  for (const std::filesystem::path& dir :
+       {from.parent_path(), base, base / "src"}) {
+    std::error_code ec;
+    std::filesystem::path candidate = dir / target;
+    if (std::filesystem::is_regular_file(candidate, ec)) {
+      return std::filesystem::weakly_canonical(candidate, ec);
+    }
+  }
+  return {};
+}
+
+bool IsSourceFile(const std::filesystem::path& path) {
+  const std::string ext = path.extension().string();
+  return ext == ".h" || ext == ".cc" || ext == ".cpp";
+}
+
+void CheckNoTestOnlyHeaders(const std::filesystem::path& root,
+                            LintReport* report) {
+  std::error_code ec;
+  const std::filesystem::path base =
+      std::filesystem::weakly_canonical(root, ec);
+  const std::filesystem::path src = base / "src";
+
+  // Breadth-first over the include graph from every program source.
+  std::set<std::filesystem::path> reached;
+  std::vector<std::filesystem::path> frontier;
+  auto reach = [&](const std::filesystem::path& path) {
+    if (reached.insert(path).second) frontier.push_back(path);
+  };
+  for (const char* dir : {"tools", "bench", "examples", "perfbench"}) {
+    std::filesystem::recursive_directory_iterator it(base / dir, ec), end;
+    for (; !ec && it != end; it.increment(ec)) {
+      if (it->is_regular_file() && IsSourceFile(it->path())) {
+        reach(std::filesystem::weakly_canonical(it->path(), ec));
+      }
+    }
+    ec.clear();
+  }
+  while (!frontier.empty()) {
+    const std::filesystem::path file = frontier.back();
+    frontier.pop_back();
+    if (file.extension() == ".h") {
+      std::filesystem::path impl = file;
+      impl.replace_extension(".cc");
+      if (std::filesystem::is_regular_file(impl, ec)) reach(impl);
+    }
+    auto text = ReadFile(file.string());
+    if (!text) continue;
+    for (const std::string& target : QuotedIncludes(*text)) {
+      std::filesystem::path resolved = ResolveInclude(base, file, target);
+      if (!resolved.empty()) reach(resolved);
+    }
+  }
+
+  std::vector<std::string> orphans;
+  size_t headers = 0;
+  std::filesystem::recursive_directory_iterator it(src, ec), end;
+  for (; !ec && it != end; it.increment(ec)) {
+    if (!it->is_regular_file() || it->path().extension() != ".h") continue;
+    ++headers;
+    if (reached.count(std::filesystem::weakly_canonical(it->path(), ec)) ==
+        0) {
+      orphans.push_back(
+          std::filesystem::relative(it->path(), base).generic_string());
+    }
+  }
+  std::sort(orphans.begin(), orphans.end());  // deterministic order
+  for (const std::string& orphan : orphans) {
+    report->Fail(orphan,
+                 "no #include chain from tools/, bench/, examples/ or "
+                 "perfbench/ reaches this header (test-only code)");
+  }
+  if (orphans.empty()) {
+    report->Pass("src/ headers reachable from programs (" +
+                 std::to_string(headers) + " headers)");
+  }
+}
+
 // ----------------------------------------------------------------- driver
 
 int Run(int argc, char** argv) {
@@ -578,6 +693,9 @@ int Run(int argc, char** argv) {
       CheckDocSnippets(protocol_header, &report);
       CheckProtocolVersionPins(protocol_header, &report);
       CheckStatsSchemaPins(protocol_header, &report);
+    }
+    if (std::filesystem::is_directory(base / "src")) {
+      CheckNoTestOnlyHeaders(base, &report);
     }
   }
 
