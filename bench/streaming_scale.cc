@@ -1,5 +1,5 @@
 // Out-of-core streaming throughput: drive a generated million-row
-// record stream through StreamingPipelineRunner and measure rows/sec,
+// record stream through a streamed RunJob and measure rows/sec,
 // window count and the peak resident rows against the
 // --max-resident-rows budget. Seeds the BENCH_streaming.json perf
 // trajectory: one JSON object per run, printed as a line on stdout and
@@ -43,20 +43,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "api/runner.h"
 #include "bench/bench_util.h"
-#include "colstore/columnar_source.h"
 #include "colstore/convert.h"
 #include "common/timer.h"
 #include "data/csv.h"
-#include "data/csv_stream.h"
 #include "data/record_source.h"
-#include "engine/streaming.h"
 #include "obs/trace.h"
 #include "tclose/merge.h"
 
@@ -84,14 +80,31 @@ struct RunConfig {
   Role role = Role::kMeasured;
 };
 
+// The streamed job every row runs; the caller sets its input.
+tcm::JobSpec StreamSpec(const RunConfig& config, size_t resident,
+                        size_t shard_size) {
+  tcm::JobSpec spec;
+  spec.algorithm.name = config.algorithm;
+  spec.algorithm.k = 5;
+  spec.algorithm.t = 0.2;
+  spec.algorithm.seed = 2016;
+  spec.execution.mode = tcm::ExecutionMode::kStreaming;
+  spec.execution.threads = config.threads;
+  spec.execution.shard_size = shard_size;
+  spec.execution.max_resident_rows = resident;
+  spec.execution.merge_strategy = config.merge_strategy;
+  spec.execution.overlap_io = config.overlap_io;
+  spec.verify = true;
+  return spec;
+}
+
 // One BENCH_streaming.json row. `input` names the record source
-// (synthetic | csv | tcmb); mapped/copied bytes are zero for synthetic
-// rows and carry the RunReport-style input accounting for file rows.
+// (synthetic | csv | tcmb); mapped/copied bytes are the report's input
+// accounting (zero for synthetic rows).
 std::string FormatRow(const RunConfig& config, const char* input, size_t n,
                       size_t resident, size_t shard_size,
-                      const tcm::StreamingReport& report, double seconds,
-                      double speedup, double sse_ratio, size_t mapped_bytes,
-                      size_t copied_bytes) {
+                      const tcm::RunReport& report, double seconds,
+                      double speedup, double sse_ratio) {
   const bool bounded = report.peak_resident_rows <= resident;
   const bool verified = report.k_verified && report.t_verified;
   char line[768];
@@ -112,7 +125,8 @@ std::string FormatRow(const RunConfig& config, const char* input, size_t n,
       report.num_windows, shard_size, config.threads, seconds,
       static_cast<double>(n) / seconds, speedup,
       verified ? "true" : "false", report.stats.final_merges,
-      report.stats.pruned_checks, mapped_bytes, copied_bytes,
+      report.stats.pruned_checks, report.input_mapped_bytes,
+      report.input_copied_bytes,
       report.normalized_sse, sse_ratio, report.max_cluster_emd);
   return line;
 }
@@ -182,22 +196,11 @@ int main() {
     }
   };
   for (const RunConfig& config : configs) {
-    tcm::StreamingSpec spec;
-    spec.algorithm = config.algorithm;
-    spec.k = 5;
-    spec.t = 0.2;
-    spec.seed = 2016;
-    spec.shard_size = shard_size;
-    spec.max_resident_rows = resident;
-    spec.merge_strategy = config.merge_strategy;
-    spec.overlap_io = config.overlap_io;
-    spec.verify = true;
-
     // A source is single-pass: regenerate the identical stream per run.
     auto source = tcm::MakeUniformSource(n, 3, 2016);
-    tcm::StreamingPipelineRunner runner(config.threads);
     tcm::WallTimer timer;
-    auto report = runner.Run(source.get(), spec);
+    auto report =
+        tcm::RunJob(source.get(), StreamSpec(config, resident, shard_size));
     double seconds = timer.ElapsedSeconds();
     if (!report.ok()) {
       std::fprintf(stderr, "%s threads=%zu failed: %s\n",
@@ -220,8 +223,7 @@ int main() {
 
     const std::string line = FormatRow(
         config, "synthetic", n, resident, shard_size, *report, seconds,
-        speedup, report->normalized_sse / baseline_sse, /*mapped_bytes=*/0,
-        /*copied_bytes=*/0);
+        speedup, report->normalized_sse / baseline_sse);
     std::printf("%s\n", line.c_str());
     json_lines.push_back(line);
     if (!bounded || !verified) return 1;
@@ -259,73 +261,26 @@ int main() {
     for (const std::string input : {"csv", "tcmb"}) {
       RunConfig config{algorithm, tcm::MergeStrategy::kHierarchical,
                        /*overlap_io=*/true, /*threads=*/4, Role::kMeasured};
-      tcm::StreamingSpec spec;
-      spec.algorithm = config.algorithm;
-      spec.k = 5;
-      spec.t = 0.2;
-      spec.seed = 2016;
-      spec.shard_size = shard_size;
-      spec.max_resident_rows = resident;
-      spec.merge_strategy = config.merge_strategy;
-      spec.overlap_io = config.overlap_io;
-      spec.verify = true;
+      tcm::JobSpec spec = StreamSpec(config, resident, shard_size);
+      spec.input.path = input == "csv" ? csv_path : tcmb_path;
+      spec.input.format =
+          input == "csv" ? tcm::InputFormat::kCsv : tcm::InputFormat::kTcmb;
+      spec.roles.quasi_identifiers = {"QI0", "QI1", "QI2"};
+      spec.roles.confidential = "CONF";
 
-      std::unique_ptr<tcm::StreamingCsvReader> reader;
-      std::unique_ptr<tcm::ColumnarSource> columnar;
-      tcm::RecordSource* source = nullptr;
       tcm::WallTimer timer;
-      if (input == "csv") {
-        auto opened = tcm::StreamingCsvReader::OpenNumeric(csv_path);
-        if (!opened.ok()) {
-          std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-          return 1;
-        }
-        reader = std::move(*opened);
-        tcm::Status roles = reader->ReplaceSchema(materialized.schema());
-        if (!roles.ok()) {
-          std::fprintf(stderr, "%s\n", roles.ToString().c_str());
-          return 1;
-        }
-        source = reader.get();
-      } else {
-        auto opened = tcm::ColumnarSource::Open(tcmb_path);
-        if (!opened.ok()) {
-          std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-          return 1;
-        }
-        columnar = std::move(*opened);
-        tcm::Status roles = columnar->ReplaceSchema(materialized.schema());
-        if (!roles.ok()) {
-          std::fprintf(stderr, "%s\n", roles.ToString().c_str());
-          return 1;
-        }
-        source = columnar.get();
-      }
-
-      tcm::StreamingPipelineRunner runner(config.threads);
-      auto report = runner.Run(source, spec);
+      auto report = tcm::RunJob(spec);
       double seconds = timer.ElapsedSeconds();
       if (!report.ok()) {
         std::fprintf(stderr, "%s input failed: %s\n", input.c_str(),
                      report.status().ToString().c_str());
         return 1;
       }
-      size_t mapped_bytes = 0;
-      size_t copied_bytes = 0;
-      if (columnar != nullptr) {
-        mapped_bytes = columnar->mapped_bytes();
-        copied_bytes = columnar->copied_bytes();
-      } else {
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(csv_path, ec);
-        copied_bytes = ec ? 0 : static_cast<size_t>(size);
-      }
 
       check_sse(config, input.c_str(), report->normalized_sse);
       const std::string line = FormatRow(
           config, input.c_str(), n, resident, shard_size, *report, seconds,
-          baseline_seconds / seconds, report->normalized_sse / baseline_sse,
-          mapped_bytes, copied_bytes);
+          baseline_seconds / seconds, report->normalized_sse / baseline_sse);
       std::printf("%s\n", line.c_str());
       json_lines.push_back(line);
       if (report->peak_resident_rows > resident ||

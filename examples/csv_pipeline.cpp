@@ -104,6 +104,6 @@ int main(int argc, char** argv) {
       "released %s (normalized SSE %.4f, verified %.2f-close, "
       "%zu shard(s) on %zu thread(s)); report at %s\n",
       release_path.c_str(), published->normalized_sse, kT,
-      published->num_shards, published->threads, report_path.c_str());
+      published->stats.num_shards, published->threads, report_path.c_str());
   return 0;
 }

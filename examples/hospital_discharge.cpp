@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
               report->clusters, report->min_cluster_size,
               report->average_cluster_size, report->max_cluster_size,
               report->max_cluster_emd, report->normalized_sse,
-              report->num_shards, report->threads,
+              report->stats.num_shards, report->threads,
               report->anonymize_seconds);
   const tcm::Dataset& release = *report->release;
 

@@ -625,13 +625,18 @@ Status JobSpec::Validate() const {
           "roles (their schemas cannot be rewritten mid-stream); leave "
           "the roles section empty");
     }
+    // A window needs max(k, 2) rows plus the k-row read-ahead; with
+    // overlap_io two windows are resident at once (the one being
+    // processed and the one being prefetched).
+    const size_t min_window = std::max<size_t>(algorithm.k, 2);
     const size_t floor =
-        algorithm.k + std::max<size_t>(algorithm.k, 2);
+        algorithm.k + (execution.overlap_io ? 2 : 1) * min_window;
     if (execution.max_resident_rows < floor) {
       return SpecError(
           "execution.max_resident_rows (" +
           std::to_string(execution.max_resident_rows) +
-          ") too small: need at least k + max(k, 2) = " +
+          ") too small: need at least k + " +
+          (execution.overlap_io ? "2 * " : "") + "max(k, 2) = " +
           std::to_string(floor) + " rows for k = " +
           std::to_string(algorithm.k));
     }

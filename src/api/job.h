@@ -18,10 +18,10 @@ class RecordSource;
 
 // ---------------------------------------------------------------------------
 // JobSpec: the one versioned description of an anonymization job, the
-// public API boundary of this library. It subsumes the engine's entry
-// points — StreamingSpec (every non-sweep job, in-memory or out-of-core)
-// and RunBatch (parameter sweeps) — which remain thin internals the
-// facade lowers onto (api/runner.h). A JobSpec round-trips through JSON
+// public API boundary of this library. RunJob (api/runner.h) runs it
+// directly: every non-sweep job, in-memory or out-of-core, through one
+// window loop over ShardedAnonymize, and parameter sweeps through
+// RunBatch. A JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
 // config-driven deployments, services and the CLI all speak the same
 // schema. See README.md ("API") for the documented job.json layout.
@@ -39,9 +39,9 @@ enum class InputKind { kCsvPath, kSynthetic, kDataset, kRecordSource };
 // byte-identical releases to the CSV it was converted from.
 enum class InputFormat { kCsv, kTcmb };
 
-// How the job executes, both on StreamingPipelineRunner: fully in
-// memory (the input loaded once and run as a single window), or window
-// by window under a bounded resident-row budget.
+// How the job executes, both on RunJob's window loop: fully in memory
+// (the input loaded once and run as a single window), or window by
+// window under a bounded resident-row budget.
 enum class ExecutionMode { kInMemory, kStreaming };
 
 const char* InputKindName(InputKind kind);
@@ -95,7 +95,8 @@ struct JobExecution {
   ExecutionMode mode = ExecutionMode::kInMemory;
   size_t threads = 1;        // 0 = one per hardware thread
   size_t shard_size = 4096;  // rows per shard; 0 disables sharding
-  // Streaming only: resident input-row budget (see engine/streaming.h).
+  // Streaming only: resident input rows (window + k-row read-ahead);
+  // at least k + max(k, 2), or k + 2 * max(k, 2) with overlap_io.
   size_t max_resident_rows = 200000;
   // Engine for the global t-closeness repair pass: "sequential" is the
   // byte-stable legacy loop, "hierarchical" repairs deterministic
@@ -104,8 +105,9 @@ struct JobExecution {
   // ShardedAnonymizeOptions::merge_strategy.
   MergeStrategy merge_strategy = MergeStrategy::kSequential;
   // Streaming only: overlap the next window's read/parse with the
-  // current window's processing (see StreamingSpec::overlap_io; halves
-  // the window target to stay inside max_resident_rows).
+  // current window's processing. Halves the window target to stay inside
+  // max_resident_rows, so the window boundaries (and release bytes)
+  // differ from the non-overlapped run, deterministically.
   bool overlap_io = false;
 };
 

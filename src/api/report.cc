@@ -40,17 +40,17 @@ JsonValue RunReport::ToJson() const {
 
   JsonValue execution_json = JsonValue::MakeObject();
   execution_json.Set("threads", threads);
-  execution_json.Set("shards", num_shards);
-  execution_json.Set("final_merges", final_merges);
+  execution_json.Set("shards", stats.num_shards);
+  execution_json.Set("final_merges", stats.final_merges);
   if (!swept) {
     execution_json.Set("merge_strategy", MergeStrategyName(merge_strategy));
     JsonValue merge_json = JsonValue::MakeObject();
-    merge_json.Set("subtrees", merge_subtrees);
-    merge_json.Set("subtree_merges", subtree_merges);
-    merge_json.Set("tail_merges", tail_merges);
-    merge_json.Set("candidate_checks", candidate_checks);
-    merge_json.Set("pruned_checks", pruned_checks);
-    merge_json.Set("exact_checks", exact_checks);
+    merge_json.Set("subtrees", stats.merge_subtrees);
+    merge_json.Set("subtree_merges", stats.subtree_merges);
+    merge_json.Set("tail_merges", stats.tail_merges);
+    merge_json.Set("candidate_checks", stats.candidate_checks);
+    merge_json.Set("pruned_checks", stats.pruned_checks);
+    merge_json.Set("exact_checks", stats.exact_checks);
     execution_json.Set("merge", std::move(merge_json));
   }
   if (mode == ExecutionMode::kStreaming) {
@@ -75,11 +75,12 @@ JsonValue RunReport::ToJson() const {
   timings.Set("total_seconds", total_seconds);
   json.Set("timings", std::move(timings));
 
-  if (!stage_seconds.empty()) {
+  if (!swept) {
     JsonValue stages = JsonValue::MakeObject();
-    for (const auto& [name, seconds] : stage_seconds) {
-      stages.Set(name, seconds);
-    }
+    stages.Set("shard_seconds", stats.shard_seconds);
+    stages.Set("shard_anonymize_seconds", stats.anonymize_seconds);
+    stages.Set("merge_seconds", stats.merge_seconds);
+    stages.Set("metrics_seconds", stats.measure_seconds);
     json.Set("stage_seconds", std::move(stages));
   }
 

@@ -11,7 +11,8 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "engine/streaming.h"
+#include "engine/sharded.h"
+#include "tclose/merge.h"
 
 namespace tcm {
 
@@ -34,10 +35,27 @@ struct SweepOutcome {
   double elapsed_seconds = 0.0;
 };
 
-// RunReport: the one machine-readable account of a job, a superset of
-// the engine's StreamingReport. Every execution mode
-// fills the shared core (rows, cluster stats, verification, timings);
-// streaming runs add per-window summaries, sweeps add per-cell outcomes.
+// Per-window measurements of a streamed job, in window order.
+struct StreamingWindowSummary {
+  size_t rows = 0;
+  size_t clusters = 0;
+  size_t num_shards = 1;
+  // The shard plan the window actually ran with (report-only — recorded
+  // so operators can see the fan-out per window; no adaptivity yet).
+  size_t shard_size = 0;
+  size_t threads = 1;
+  size_t final_merges = 0;
+  size_t min_cluster_size = 0;
+  size_t max_cluster_size = 0;
+  double max_cluster_emd = 0.0;
+  double normalized_sse = 0.0;
+  double anonymize_seconds = 0.0;
+};
+
+// RunReport: the one machine-readable account of a job. Every execution
+// mode fills the shared core (rows, cluster stats, verification,
+// timings); streaming runs add per-window summaries, sweeps add per-cell
+// outcomes.
 // ToJson() serializes everything except the in-memory release dataset;
 // all wall-clock fields end in "_seconds" so tooling (and the golden
 // report pin) can normalize timings with one pattern.
@@ -73,22 +91,18 @@ struct RunReport {
 
   // Execution shape.
   size_t threads = 1;
-  size_t num_shards = 0;
-  size_t final_merges = 0;
   size_t num_windows = 0;        // streaming only
   size_t peak_resident_rows = 0; // streaming only
-  // Global repair-pass engine and its ledger (see MergeStats): subtree
-  // fan-out plus the bound-pruning counters, which always satisfy
-  // candidate_checks == pruned_checks + exact_checks.
   MergeStrategy merge_strategy = MergeStrategy::kSequential;
-  size_t merge_subtrees = 0;
-  size_t subtree_merges = 0;
-  size_t tail_merges = 0;
-  size_t candidate_checks = 0;
-  size_t pruned_checks = 0;
-  size_t exact_checks = 0;
   bool overlap_io = false;        // streaming only
   size_t overlapped_reads = 0;    // streaming only
+  // The engine's ledger, every window's ShardedAnonymizeStats folded
+  // with operator+=: shard and final-merge totals, the global repair
+  // pass's subtree fan-out and bound-pruning counters (candidate_checks
+  // == pruned_checks + exact_checks), and the anonymize stage's shard /
+  // shard_anonymize / merge / metrics seconds (serialized as the
+  // "stage_seconds" object). Sweeps leave it zero.
+  ShardedAnonymizeStats stats{.num_shards = 0};
 
   // Verification verdicts (stay false when verify was off).
   bool verify_requested = false;
@@ -103,14 +117,6 @@ struct RunReport {
   double verify_seconds = 0.0;
   double write_seconds = 0.0;
   double total_seconds = 0.0;
-
-  // Optional finer breakdown of the anonymize stage (insertion-ordered;
-  // serialized as the "stage_seconds" object when non-empty). Every key
-  // ends in "_seconds" so the golden timing normalization catches these
-  // too. Sweeps leave it empty; in-memory and streaming runs report
-  // shard / shard_anonymize / merge / metrics splits — the signal the
-  // sequential-merge scaling work is judged against.
-  std::vector<std::pair<std::string, double>> stage_seconds;
 
   std::string release_path;  // empty when no release CSV was written
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -18,7 +20,8 @@
 #include "data/generator.h"
 #include "engine/batch.h"
 #include "engine/pipeline.h"
-#include "engine/streaming.h"
+#include "engine/sharded.h"
+#include "engine/thread_pool.h"
 #include "obs/trace.h"
 
 namespace tcm {
@@ -80,14 +83,15 @@ size_t CsvFileBytes(const std::string& path) {
   return ec ? 0 : static_cast<size_t>(size);
 }
 
-// A .tcmb file may carry roles of its own; when neither it nor the spec
-// provides both role kinds the job cannot anonymize anything — fail as an
-// invalid spec (exit 3 at the CLI) rather than deep inside the engine.
-Status CheckTcmbRoles(const Schema& schema) {
+// A .tcmb file or a caller's dataset or record source may carry roles of
+// its own; when neither it nor the spec provides both role kinds the job
+// cannot anonymize anything — fail as an invalid spec (exit 3 at the
+// CLI) up front rather than deep inside the engine.
+Status CheckRoles(const Schema& schema) {
   if (schema.QuasiIdentifierIndices().empty() ||
       schema.ConfidentialIndices().empty()) {
     return Status::InvalidSpec(
-        ".tcmb input carries no quasi-identifier/confidential roles; set "
+        "input carries no quasi-identifier/confidential roles; set "
         "roles.quasi_identifiers and roles.confidential in the spec");
   }
   return Status::Ok();
@@ -135,10 +139,6 @@ Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
     TCM_RETURN_IF_ERROR(AssignRoles(storage, spec.roles.quasi_identifiers,
                                     spec.roles.confidential));
   }
-  if (spec.input.kind == InputKind::kCsvPath &&
-      spec.input.format == InputFormat::kTcmb) {
-    TCM_RETURN_IF_ERROR(CheckTcmbRoles(storage->schema()));
-  }
   return storage;
 }
 
@@ -151,13 +151,12 @@ struct JobSource {
   // In-memory jobs: the materialized input and its adapter.
   Dataset storage;
   std::optional<DatasetSource> dataset;
-  size_t dataset_rows = 0;
 };
 
 // In-memory input: the whole dataset, loaded once, as one stream.
 Status OpenInMemorySource(const JobSpec& spec, JobSource* input,
                           RunReport* report) {
-  TraceSpan span("load");
+  ScopedStage stage("load", &report->load_seconds);
   InputBytes bytes;
   TCM_ASSIGN_OR_RETURN(const Dataset* data,
                        MaterializeDataset(spec, &input->storage, &bytes));
@@ -165,7 +164,6 @@ Status OpenInMemorySource(const JobSpec& spec, JobSource* input,
   report->input_copied_bytes = bytes.copied;
   input->dataset.emplace(data);
   input->source = &*input->dataset;
-  input->dataset_rows = data->NumRecords();
   return Status::Ok();
 }
 
@@ -187,7 +185,6 @@ Status OpenStreamingSource(const JobSpec& spec, JobSource* input) {
           TCM_RETURN_IF_ERROR(
               input->columnar->ReplaceSchema(std::move(schema)));
         }
-        TCM_RETURN_IF_ERROR(CheckTcmbRoles(input->columnar->schema()));
         input->source = input->columnar.get();
         break;
       }
@@ -223,92 +220,260 @@ Status OpenStreamingSource(const JobSpec& spec, JobSource* input) {
   return Status::Ok();
 }
 
-// Copies the runner's account of a job into the report's shared core,
-// the same for both execution modes.
-void FillReport(const StreamingReport& run, RunReport* report) {
-  report->rows = run.total_rows;
-  report->clusters = 0;
-  for (const StreamingWindowSummary& window : run.windows) {
-    report->clusters += window.clusters;
-  }
-  report->min_cluster_size = run.min_cluster_size;
-  report->max_cluster_size = run.max_cluster_size;
-  report->max_cluster_emd = run.max_cluster_emd;
-  report->normalized_sse = run.normalized_sse;
-  report->threads = run.threads;
-  report->num_shards = run.stats.num_shards;
-  report->final_merges = run.stats.final_merges;
-  report->k_verified = run.k_verified;
-  report->t_verified = run.t_verified;
-  report->load_seconds += run.read_seconds;
-  report->anonymize_seconds = run.anonymize_seconds;
-  report->verify_seconds = run.verify_seconds;
-  report->write_seconds = run.write_seconds;
-  report->stage_seconds = {
-      {"shard_seconds", run.stats.shard_seconds},
-      {"shard_anonymize_seconds", run.stats.anonymize_seconds},
-      {"merge_seconds", run.stats.merge_seconds},
-      {"metrics_seconds", run.stats.measure_seconds},
+// Seed stride between windows; deliberately different from the per-shard
+// stride inside ShardedAnonymize. Window 0 adds nothing, so a job whose
+// stream fits in one window uses the spec's seed exactly — which keeps a
+// single-window release equal to one ShardedAnonymize call.
+constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
+
+// The window loop behind every non-sweep job: consume `source` window by
+// window, run each window through ShardedAnonymize on `pool`, verify and
+// write it, and fold it into `report`. An in-memory job is one unbounded
+// window whose release stays in report->release.
+//
+// Memory model (streaming). At most one window plus a k-row read-ahead
+// is resident:
+//   - a window is filled to max_resident_rows - k input rows;
+//   - k more rows are read ahead to decide whether the stream continues;
+//     if the stream ends inside the read-ahead, its rows (fewer than k,
+//     too few to anonymize alone) join the current window.
+// Resident input rows therefore never exceed max_resident_rows, whose
+// floor JobSpec::Validate checks. (The anonymized copy of the current
+// window roughly doubles the footprint while a window is in flight; the
+// bound governs input rows.) With overlap_io, window N+1 is read on the
+// pool while window N is anonymized, verified and written; the window
+// target is halved so both windows and the read-ahead fit the budget.
+// Each released window is k-anonymous and t-close on its own, so their
+// concatenation is k-anonymous, and t-close per window.
+//
+// Determinism. Window w runs with seed + kWindowSeedStride * w, and
+// ShardedAnonymize is byte-identical for any thread count, so releases
+// are too. A stream that fits in one window releases the in-memory
+// job's bytes; the tests pin it.
+Status RunWindows(const JobSpec& spec, RecordSource* source,
+                  ThreadPool* pool, RunReport* report) {
+  const Schema& schema = source->schema();
+  TCM_RETURN_IF_ERROR(CheckRoles(schema));
+  const bool streaming = spec.execution.mode == ExecutionMode::kStreaming;
+  const bool overlap_io = spec.execution.overlap_io;
+  const size_t read_ahead = spec.algorithm.k;
+  const size_t window_target =
+      streaming ? (spec.execution.max_resident_rows - read_ahead) /
+                      (overlap_io ? 2 : 1)
+                : std::numeric_limits<size_t>::max();
+
+  ShardedAnonymizeOptions options;
+  options.algorithm = spec.algorithm.name;
+  options.params.k = spec.algorithm.k;
+  options.params.t = spec.algorithm.t;
+  options.shard_size = spec.execution.shard_size;
+  options.merge_strategy = spec.execution.merge_strategy;
+
+  // Reader state. Exactly one read_window call runs at a time — inline,
+  // or as the single outstanding prefetch task under overlap_io — so
+  // carry, exhausted and report->load_seconds need no lock: the future's
+  // get() orders each prefetch before the next use.
+  Dataset carry(schema);
+  bool exhausted = false;
+
+  // Assembles the next window: carried read-ahead rows first, then fill
+  // from the stream, then read k rows ahead to learn whether this is the
+  // final window.
+  struct WindowRead {
+    Status status = Status::Ok();
+    Dataset window;
+    bool final_window = false;
+    size_t resident = 0;  // window + carry + still-processing rows
   };
-  report->merge_subtrees = run.stats.merge_subtrees;
-  report->subtree_merges = run.stats.subtree_merges;
-  report->tail_merges = run.stats.tail_merges;
-  report->candidate_checks = run.stats.candidate_checks;
-  report->pruned_checks = run.stats.pruned_checks;
-  report->exact_checks = run.stats.exact_checks;
-}
-
-// Both execution modes run on StreamingPipelineRunner. An in-memory job
-// is one window: the budget covers every row plus the k-row read-ahead,
-// so window 0 holds the whole input and runs with the spec's own seed,
-// and a sink keeps that window's release for the caller.
-Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
-  const bool in_memory = spec.execution.mode == ExecutionMode::kInMemory;
-  StreamingSpec engine;
-  engine.algorithm = spec.algorithm.name;
-  engine.k = spec.algorithm.k;
-  engine.t = spec.algorithm.t;
-  engine.seed = spec.algorithm.seed;
-  engine.shard_size = spec.execution.shard_size;
-  engine.max_resident_rows = spec.execution.max_resident_rows;
-  engine.merge_strategy = spec.execution.merge_strategy;
-  engine.overlap_io = spec.execution.overlap_io;
-  engine.verify = spec.verify;
-  engine.output_path = spec.output.release_path;
-
-  JobSource input;
-  StreamingPipelineRunner::WindowSink keep_release;
-  if (in_memory) {
-    WallTimer load_timer;
-    TCM_RETURN_IF_ERROR(OpenInMemorySource(spec, &input, report));
-    report->load_seconds = load_timer.ElapsedSeconds();
-    // Never below the runner's floor of k + max(k, 2), so undersized
-    // inputs still reach the engine's own validation. (Validate() has
-    // already refused overlap_io, which would halve the window.)
-    engine.max_resident_rows =
-        std::max<size_t>(input.dataset_rows, std::max<size_t>(engine.k, 2)) +
-        engine.k;
-    keep_release = [report](Dataset release, const StreamingWindowSummary&) {
-      report->release = std::move(release);
+  auto read_window = [&schema, &carry, &exhausted, source, window_target,
+                      read_ahead, report](size_t processing_rows) {
+    ScopedStage stage("read", &report->load_seconds);
+    WindowRead read;
+    read.window = Dataset(schema);
+    auto fill = [&]() -> Status {
+      for (size_t row = 0; row < carry.NumRecords(); ++row) {
+        TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+      }
+      carry = Dataset(schema);
+      if (read.window.NumRecords() < window_target) {
+        TCM_RETURN_IF_ERROR(
+            source
+                ->ReadInto(&read.window,
+                           window_target - read.window.NumRecords())
+                .status());
+      }
+      TCM_ASSIGN_OR_RETURN(size_t ahead,
+                           source->ReadInto(&carry, read_ahead));
+      if (ahead < read_ahead) {
+        // Stream exhausted inside the read-ahead: its rows are too few
+        // to anonymize alone, so they join this (final) window.
+        for (size_t row = 0; row < carry.NumRecords(); ++row) {
+          TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+        }
+        carry = Dataset(schema);
+        exhausted = true;
+      }
       return Status::Ok();
     };
+    read.status = fill();
+    read.final_window = exhausted;
+    read.resident = processing_rows + read.window.NumRecords() +
+                    carry.NumRecords();
+    return read;
+  };
+
+  // The prefetch task runs read_window, which references this frame's
+  // reader state, so it must finish before this function returns — on
+  // the error returns inside the loop too, not only when its future is
+  // collected.
+  std::future<WindowRead> prefetch;
+  class PrefetchWait {
+   public:
+    explicit PrefetchWait(std::future<WindowRead>* future) : future_(future) {}
+    PrefetchWait(const PrefetchWait&) = delete;
+    PrefetchWait& operator=(const PrefetchWait&) = delete;
+    ~PrefetchWait() {
+      if (future_->valid()) future_->wait();
+    }
+
+   private:
+    std::future<WindowRead>* future_;
+  } prefetch_wait(&prefetch);
+
+  std::unique_ptr<StreamingCsvWriter> writer;
+  report->k_verified = spec.verify;  // stays true until a window fails
+  report->t_verified = spec.verify;
+  double weighted_sse = 0.0;
+  WindowRead current = read_window(0);
+  // Only the first window can be empty (a non-final window leaves k
+  // read-ahead rows for the next); ShardedAnonymize rejects it.
+  for (size_t w = 0;; ++w) {
+    TCM_RETURN_IF_ERROR(current.status);
+    if (streaming) {
+      report->peak_resident_rows =
+          std::max(report->peak_resident_rows, current.resident);
+    }
+    TraceSpan window_span("window");
+    const Dataset window = std::move(current.window);
+    const bool final_window = current.final_window;
+
+    // Overlap: kick off the next window's read/parse before this
+    // window's anonymize/verify/write. The prefetch task exclusively
+    // owns the reader state until its future is collected below.
+    const bool overlapped = overlap_io && !final_window;
+    if (overlapped) {
+      const size_t processing_rows = window.NumRecords();
+      prefetch = pool->Submit([&read_window, processing_rows]() {
+        return read_window(processing_rows);
+      });
+      ++report->overlapped_reads;
+    }
+
+    // Anonymize: the window's shards fan out on the pool.
+    options.params.seed = spec.algorithm.seed + kWindowSeedStride * w;
+    ShardedAnonymizeStats stats;
+    WallTimer anonymize_timer;
+    auto result = ShardedAnonymize(window, options, pool, &stats);
+    if (!result.ok()) {
+      return Status(result.status().code(),
+                    "window " + std::to_string(w) + ": " +
+                        result.status().message());
+    }
+    const double anonymize_seconds = anonymize_timer.ElapsedSeconds();
+    report->anonymize_seconds += anonymize_seconds;
+    report->stats += stats;
+
+    // Verify: independent re-check of both guarantees per window.
+    if (spec.verify) {
+      ScopedStage stage("verify", &report->verify_seconds);
+      TCM_ASSIGN_OR_RETURN(ReleaseVerification verification,
+                           CheckRelease(result->anonymized, spec.algorithm.k,
+                                        spec.algorithm.t, pool));
+      report->k_verified = report->k_verified && verification.k_anonymous;
+      report->t_verified = report->t_verified && verification.t_close;
+      if (!verification.ok()) {
+        return PrivacyViolationError(verification,
+                                     "window " + std::to_string(w) + ": ");
+      }
+    }
+
+    // Write: header once, then each window's release rows.
+    if (!spec.output.release_path.empty()) {
+      ScopedStage stage("write", &report->write_seconds);
+      if (writer == nullptr) {
+        TCM_ASSIGN_OR_RETURN(writer,
+                             StreamingCsvWriter::Open(
+                                 spec.output.release_path, schema));
+      }
+      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized, pool));
+    }
+
+    // Fold the window in; normalized SSE is a row-weighted mean, and a
+    // single window's is its own value, taken as is (scaling by the row
+    // count and back can move the last bit).
+    const size_t rows = window.NumRecords();
+    const size_t clusters = result->partition.NumClusters();
+    report->rows += rows;
+    report->clusters += clusters;
+    report->min_cluster_size =
+        w == 0 ? result->min_cluster_size
+               : std::min(report->min_cluster_size, result->min_cluster_size);
+    report->max_cluster_size =
+        std::max(report->max_cluster_size, result->max_cluster_size);
+    report->max_cluster_emd =
+        std::max(report->max_cluster_emd, result->max_cluster_emd);
+    weighted_sse += result->normalized_sse * static_cast<double>(rows);
+    report->normalized_sse =
+        w == 0 ? result->normalized_sse
+               : weighted_sse / static_cast<double>(report->rows);
+    if (streaming) {
+      StreamingWindowSummary& summary = report->windows.emplace_back();
+      summary.rows = rows;
+      summary.clusters = clusters;
+      summary.num_shards = stats.num_shards;
+      summary.shard_size = spec.execution.shard_size;
+      summary.threads = pool->num_threads();
+      summary.final_merges = stats.final_merges;
+      summary.min_cluster_size = result->min_cluster_size;
+      summary.max_cluster_size = result->max_cluster_size;
+      summary.max_cluster_emd = result->max_cluster_emd;
+      summary.normalized_sse = result->normalized_sse;
+      summary.anonymize_seconds = anonymize_seconds;
+      report->num_windows = w + 1;
+    } else {
+      report->average_cluster_size =
+          static_cast<double>(rows) / static_cast<double>(clusters);
+      report->release = std::move(result->anonymized);
+    }
+
+    if (overlapped) {
+      current = prefetch.get();
+    } else if (!final_window) {
+      current = read_window(0);
+    } else {
+      break;
+    }
+  }
+
+  if (writer != nullptr) {
+    ScopedStage stage("write", &report->write_seconds);
+    TCM_RETURN_IF_ERROR(writer->Close());
+  }
+  return Status::Ok();
+}
+
+// Both execution modes run the window loop: an in-memory job loads its
+// input once and runs it as a single window.
+Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
+  JobSource input;
+  if (spec.execution.mode == ExecutionMode::kInMemory) {
+    TCM_RETURN_IF_ERROR(OpenInMemorySource(spec, &input, report));
   } else {
     TCM_RETURN_IF_ERROR(OpenStreamingSource(spec, &input));
   }
-
-  StreamingPipelineRunner runner(spec.execution.threads);
-  TCM_ASSIGN_OR_RETURN(StreamingReport run,
-                       runner.Run(input.source, engine, keep_release));
-  FillReport(run, report);
-  if (in_memory) {
-    report->average_cluster_size = static_cast<double>(report->rows) /
-                                   static_cast<double>(report->clusters);
-    return Status::Ok();
-  }
-  report->num_windows = run.num_windows;
-  report->peak_resident_rows = run.peak_resident_rows;
-  report->overlapped_reads = run.overlapped_reads;
-  report->windows = std::move(run.windows);
+  ThreadPool pool(spec.execution.threads);
+  report->threads = pool.num_threads();
+  TCM_RETURN_IF_ERROR(RunWindows(spec, input.source, &pool, report));
   if (input.columnar != nullptr) {
     report->input_mapped_bytes = input.columnar->mapped_bytes();
     report->input_copied_bytes = input.columnar->copied_bytes();
@@ -319,14 +484,16 @@ Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
 }
 
 Status RunSweepJob(const JobSpec& spec, RunReport* report) {
-  WallTimer timer;
   Dataset storage;
   InputBytes bytes;
-  TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                       MaterializeDataset(spec, &storage, &bytes));
+  const Dataset* data = nullptr;
+  {
+    ScopedStage stage("load", &report->load_seconds);
+    TCM_ASSIGN_OR_RETURN(data, MaterializeDataset(spec, &storage, &bytes));
+  }
+  TCM_RETURN_IF_ERROR(CheckRoles(data->schema()));
   report->input_mapped_bytes = bytes.mapped;
   report->input_copied_bytes = bytes.copied;
-  report->load_seconds = timer.ElapsedSeconds();
   report->rows = data->NumRecords();
 
   const JobSweep& sweep = *spec.sweep;
@@ -369,11 +536,13 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
 
   ThreadPool pool(spec.execution.threads);
   report->threads = pool.num_threads();
-  timer.Restart();
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, &pool);
-  // Wall clock of the fan-out; each cell's own time is in its outcome
-  // (their sum exceeds this when cells run concurrently).
-  report->anonymize_seconds = timer.ElapsedSeconds();
+  std::vector<BatchOutcome> outcomes;
+  {
+    // Wall clock of the fan-out; each cell's own time is in its outcome
+    // (their sum exceeds this when cells run concurrently).
+    ScopedStage stage("anonymize", &report->anonymize_seconds);
+    outcomes = RunBatch(jobs, &pool);
+  }
 
   report->sweep.reserve(outcomes.size());
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -413,7 +582,6 @@ Result<RunReport> RunJob(const JobSpec& spec) {
     trace_sink.emplace(spec.output.trace_path);
   }
 
-  WallTimer total;
   RunReport report;
   report.mode = spec.execution.mode;
   report.swept = spec.sweep.has_value();
@@ -430,14 +598,13 @@ Result<RunReport> RunJob(const JobSpec& spec) {
   if (!report.swept) report.release_path = spec.output.release_path;
 
   {
-    TraceSpan job_span("job");
+    ScopedStage job_stage("job", &report.total_seconds);
     if (report.swept) {
       TCM_RETURN_IF_ERROR(RunSweepJob(spec, &report));
     } else {
       TCM_RETURN_IF_ERROR(RunPipelineJob(spec, &report));
     }
   }
-  report.total_seconds = total.ElapsedSeconds();
 
   if (!spec.output.report_path.empty()) {
     TCM_RETURN_IF_ERROR(

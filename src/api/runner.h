@@ -12,17 +12,16 @@ namespace tcm {
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
-// kUnknownAlgorithm), lowers it onto StreamingPipelineRunner (an
-// in-memory job is one window over the loaded input) or, for sweeps,
-// RunBatch, and — when the spec names a report_path — writes the JSON
-// report before returning. Failures carry
-// the structured taxonomy: kIoError for unreadable inputs/sinks,
+// kUnknownAlgorithm), runs it window by window over ShardedAnonymize
+// (an in-memory job is one window over the loaded input) or, for
+// sweeps, through RunBatch, and — when the spec names a report_path —
+// writes the JSON report before returning. Failures carry the
+// structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.
 //
-// Determinism: a JobSpec maps onto the engine exactly the way the
-// pre-facade spec structs did, so release bytes are unchanged for any
-// thread count and for streamed-vs-in-memory single-window runs (pinned
-// by tests/golden/).
+// Determinism: release bytes are the same for any thread count, and a
+// streamed job whose input fits in one window releases the in-memory
+// job's bytes (pinned by tests/golden/).
 Result<RunReport> RunJob(const JobSpec& spec);
 
 // Sugar for in-process callers: runs `spec` against a live dataset or

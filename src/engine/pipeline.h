@@ -10,9 +10,9 @@
 
 namespace tcm {
 
-// Stage helpers shared by the pipeline runner (engine/streaming.h), the
-// Job API and the CLI: the independent release re-check and role
-// assignment by column name.
+// Stage helpers shared by the Job API's window loop (api/runner.cc) and
+// the CLI: the independent release re-check and role assignment by
+// column name.
 
 // Verdicts of the independent release re-check (the auditor-side view:
 // only the released data is consulted, never the algorithm's own

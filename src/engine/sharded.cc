@@ -67,30 +67,26 @@ struct ShardOutcome {
   double seconds = 0.0;
 };
 
-ShardOutcome RunShard(const Dataset& data, const std::vector<size_t>& rows,
-                      const std::string& algorithm,
-                      const AlgorithmParams& params) {
-  ShardOutcome outcome;
-  TraceSpan span("shard_anonymize");
-  WallTimer timer;
+void RunShard(const Dataset& data, const std::vector<size_t>& rows,
+              const std::string& algorithm, const AlgorithmParams& params,
+              ShardOutcome* outcome) {
+  ScopedStage stage("shard_anonymize", &outcome->seconds);
   auto fn = AlgorithmRegistry::BuiltIns().Find(algorithm);
   if (!fn.ok()) {
-    outcome.status = fn.status();
-    return outcome;
+    outcome->status = fn.status();
+    return;
   }
   auto shard_data = data.Select(rows);
   if (!shard_data.ok()) {
-    outcome.status = shard_data.status();
-    return outcome;
+    outcome->status = shard_data.status();
+    return;
   }
   auto partition = (*fn)(*shard_data, params);
-  outcome.seconds = timer.ElapsedSeconds();
   if (!partition.ok()) {
-    outcome.status = partition.status();
-    return outcome;
+    outcome->status = partition.status();
+    return;
   }
-  outcome.partition = std::move(partition).value();
-  return outcome;
+  outcome->partition = std::move(partition).value();
 }
 
 }  // namespace
@@ -105,40 +101,33 @@ Result<AnonymizationResult> ShardedAnonymize(
   }
   TCM_RETURN_IF_ERROR(ValidateAlgorithmInputs(data, params));
 
+  ShardedAnonymizeStats local;
+  ShardedAnonymizeStats& out = stats != nullptr ? *stats : local;
+  out = ShardedAnonymizeStats{};
   WallTimer timer;
-  WallTimer stage_timer;
   ShardPlan plan = MakeShardPlan(data.NumRecords(), options.shard_size,
                                  params.k);
-  if (stats != nullptr) *stats = ShardedAnonymizeStats{};
-  if (stats != nullptr) stats->num_shards = plan.NumShards();
+  out.num_shards = plan.NumShards();
 
   if (plan.NumShards() == 1) {
-    TraceSpan span("anonymize");
-    auto result = RunAlgorithm(data, options.algorithm, params);
-    if (stats != nullptr) {
-      stats->anonymize_seconds = stage_timer.ElapsedSeconds();
-    }
-    return result;
+    ScopedStage stage("anonymize", &out.anonymize_seconds);
+    return RunAlgorithm(data, options.algorithm, params);
   }
 
-  if (stats != nullptr) stats->shard_seconds = stage_timer.ElapsedSeconds();
+  out.shard_seconds = timer.ElapsedSeconds();
 
   // Fan the shards across the pool, each copying its own rows; collect
   // in shard order so the merged partition never depends on completion
   // order.
-  stage_timer.Restart();
   std::vector<ShardOutcome> outcomes(plan.NumShards());
   {
-    TraceSpan span("anonymize");
+    ScopedStage stage("anonymize", &out.anonymize_seconds);
     ParallelFor(pool, plan.NumShards(), [&](size_t s) {
       AlgorithmParams shard_params = params;
       shard_params.seed = params.seed + 0x9E3779B97F4A7C15ULL * (s + 1);
-      outcomes[s] =
-          RunShard(data, plan.shards[s], options.algorithm, shard_params);
+      RunShard(data, plan.shards[s], options.algorithm, shard_params,
+               &outcomes[s]);
     });
-  }
-  if (stats != nullptr) {
-    stats->anonymize_seconds = stage_timer.ElapsedSeconds();
   }
 
   Partition merged;
@@ -149,10 +138,7 @@ Result<AnonymizationResult> ShardedAnonymize(
                     "shard " + std::to_string(s) + ": " +
                         outcome.status.message());
     }
-    if (stats != nullptr) {
-      stats->max_shard_seconds =
-          std::max(stats->max_shard_seconds, outcome.seconds);
-    }
+    out.max_shard_seconds = std::max(out.max_shard_seconds, outcome.seconds);
     // Translate shard-local row ids back to global ones.
     const std::vector<size_t>& rows = plan.shards[s];
     for (Cluster& cluster : outcome.partition.clusters) {
@@ -168,8 +154,7 @@ Result<AnonymizationResult> ShardedAnonymize(
   // deterministically repairs whatever residual violations remain.
   std::optional<EmdCalculator> global_emd;
   if (options.final_merge) {
-    TraceSpan span("merge");
-    stage_timer.Restart();
+    ScopedStage stage("merge", &out.merge_seconds);
     QiSpace space(data, params.normalization);
     global_emd.emplace(data, 0);
     MergeOptions merge_options;
@@ -184,25 +169,20 @@ Result<AnonymizationResult> ShardedAnonymize(
         merged,
         MergeUntilTCloseWith(space, *global_emd, params.t, std::move(merged),
                              merge_options, &merge_stats));
-    if (stats != nullptr) {
-      stats->final_merges = merge_stats.merges;
-      stats->merge_seconds = stage_timer.ElapsedSeconds();
-      stats->merge_subtrees = merge_stats.num_subtrees;
-      stats->subtree_merges = merge_stats.subtree_merges;
-      stats->tail_merges = merge_stats.tail_merges;
-      stats->candidate_checks = merge_stats.candidate_checks;
-      stats->pruned_checks = merge_stats.pruned_checks;
-      stats->exact_checks = merge_stats.exact_checks;
-    }
+    out.final_merges = merge_stats.merges;
+    out.merge_subtrees = merge_stats.num_subtrees;
+    out.subtree_merges = merge_stats.subtree_merges;
+    out.tail_merges = merge_stats.tail_merges;
+    out.candidate_checks = merge_stats.candidate_checks;
+    out.pruned_checks = merge_stats.pruned_checks;
+    out.exact_checks = merge_stats.exact_checks;
   }
 
-  TraceSpan measure_span("metrics");
-  stage_timer.Restart();
+  ScopedStage stage("metrics", &out.measure_seconds);
   TCM_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       MeasurePartition(data, std::move(merged), timer.ElapsedSeconds(),
                        global_emd ? &*global_emd : nullptr, pool));
-  if (stats != nullptr) stats->measure_seconds = stage_timer.ElapsedSeconds();
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

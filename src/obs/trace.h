@@ -11,6 +11,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "common/timer.h"
 
 namespace tcm {
 
@@ -85,6 +86,28 @@ class TraceSpan {
   uint64_t start_us_ = 0;
   int depth_ = 0;
   std::string name_;
+};
+
+// RAII pipeline stage: a TraceSpan that also adds its wall-clock
+// seconds to *seconds when it closes (nullptr records the span only).
+// Stage timings in the engine and the Job API come from this one
+// mechanism, so a report's "*_seconds" and the trace's spans measure
+// the same interval.
+class ScopedStage {
+ public:
+  ScopedStage(std::string_view name, double* seconds)
+      : span_(name), seconds_(seconds) {}
+  ~ScopedStage() {
+    if (seconds_ != nullptr) *seconds_ += timer_.ElapsedSeconds();
+  }
+
+  ScopedStage(const ScopedStage&) = delete;
+  ScopedStage& operator=(const ScopedStage&) = delete;
+
+ private:
+  TraceSpan span_;
+  WallTimer timer_;
+  double* seconds_;
 };
 
 // RAII trace collection for one run: Clear()s and Enable()s the global

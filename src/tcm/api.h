@@ -15,9 +15,11 @@
 //   auto report = tcm::RunJob(spec);
 //
 // Everything re-exported here is covered by the JobSpec schema version
-// (JobSpec::kVersion): JobSpec and its JSON round-trip, RunReport and
-// its JSON serialization, RunJob/VerifyRelease, and the structured
-// StatusCode taxonomy carried on Status/Result. The serving layer —
+// (JobSpec::kVersion): JobSpec and its JSON round-trip, RunReport (with
+// its per-window StreamingWindowSummary and the engine ledger it embeds,
+// ShardedAnonymizeStats) and its JSON serialization, RunJob/VerifyRelease,
+// and the structured StatusCode taxonomy carried on Status/Result. The
+// serving layer —
 // JobServer/JobQueue/ServeClient and the newline-delimited JSON wire
 // protocol they speak (serve/protocol.h, versioned separately by
 // kServeProtocolVersion) — is re-exported too, so an embedder can host

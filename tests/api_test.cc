@@ -176,6 +176,12 @@ TEST(JobSpecJsonTest, RejectionCorpus) {
       {R"({"input": {"kind": "synthetic"},
            "execution": {"mode": "streaming", "max_resident_rows": 5}})",
        "max_resident_rows"},
+      // overlap_io keeps two windows resident: 12 rows cover k + max(k, 2)
+      // = 10 for k = 5, but not the overlapped floor of 15.
+      {R"({"input": {"kind": "synthetic"}, "algorithm": {"k": 5},
+           "execution": {"mode": "streaming", "max_resident_rows": 12,
+                         "overlap_io": true}})",
+       "need at least k + 2 * max(k, 2) = 15"},
       {R"({"input": {"kind": "synthetic", "generator": "mcd"},
            "execution": {"mode": "streaming"}})",
        "cannot stream"},
@@ -578,9 +584,12 @@ TEST(RunJobTest, SweepFansOutTheCrossProduct) {
   JsonValue json = report->ToJson();
   EXPECT_EQ(json.Find("mode")->string_value(), "sweep");
   EXPECT_EQ(json.Find("sweep")->size(), 4u);
+  // A sweep runs no window loop: no engine ledger, no stage breakdown.
+  EXPECT_EQ(json.Find("stage_seconds"), nullptr);
+  EXPECT_EQ(json.Find("execution")->Find("shards")->number_value(), 0.0);
 }
 
-TEST(RunJobTest, StreamingReportCarriesWindows) {
+TEST(RunJobTest, StreamedReportCarriesWindows) {
   JobSpec spec;
   spec.input.kind = InputKind::kSynthetic;
   spec.input.generator = "uniform";

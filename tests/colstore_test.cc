@@ -367,7 +367,7 @@ TEST(FormatEquivalenceTest, CsvAndTcmbReleaseByteIdenticalEverywhere) {
   }
 }
 
-TEST(FormatEquivalenceTest, StreamingReportRecordsTheShardPlan) {
+TEST(FormatEquivalenceTest, StreamedReportRecordsTheShardPlan) {
   const std::string csv = std::string(TCM_GOLDEN_DIR) + "/input_mcd_120.csv";
   FormatRun run = RunGolden(csv, InputFormat::kCsv,
                             ExecutionMode::kStreaming, 2, "shard_plan.csv");

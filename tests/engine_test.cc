@@ -447,7 +447,7 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
-  EXPECT_GT(report->num_shards, 1u);
+  EXPECT_GT(report->stats.num_shards, 1u);
   EXPECT_EQ(report->threads, 2u);
   EXPECT_GE(report->anonymize_seconds, 0.0);
 
@@ -481,7 +481,7 @@ TEST(PipelineTest, InMemoryRunKeepsExistingRoles) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
-  EXPECT_EQ(report->num_shards, 1u);
+  EXPECT_EQ(report->stats.num_shards, 1u);
   // The single window is an implementation detail: no window fields.
   EXPECT_EQ(report->num_windows, 0u);
   EXPECT_EQ(report->peak_resident_rows, 0u);

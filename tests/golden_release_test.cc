@@ -21,10 +21,8 @@
 
 #include "api/runner.h"
 #include "data/csv.h"
-#include "data/csv_stream.h"
 #include "data/generator.h"
 #include "data/record_source.h"
-#include "engine/streaming.h"
 
 #ifndef TCM_GOLDEN_DIR
 #error "TCM_GOLDEN_DIR must point at tests/golden"
@@ -61,6 +59,14 @@ void CompareWithGolden(const std::string& name, const std::string& bytes) {
       << "release bytes drifted from " << name
       << "; if intentional, regenerate with TCM_REGENERATE_GOLDEN=1 and "
          "review the diff";
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 Dataset GoldenInput() { return MakeMcdDataset({.num_records = 120, .seed = 7}); }
@@ -121,26 +127,15 @@ TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
   const std::string mem_bytes = WriteCsvString(*mem_report->release);
 
   DatasetSource source(&data);
-  StreamingSpec spec;
-  spec.algorithm = "tclose_first";
-  spec.k = 5;
-  spec.t = 0.3;
-  spec.seed = 9;
-  spec.shard_size = 64;
-  spec.max_resident_rows = 4096;  // whole stream in one window
-  std::string streamed_bytes;
-  AppendCsvHeader(data.schema(), &streamed_bytes);
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(
-      &source, spec,
-      [&](const Dataset& release, const StreamingWindowSummary&) {
-        for (size_t row = 0; row < release.NumRecords(); ++row) {
-          AppendCsvRow(release, row, &streamed_bytes);
-        }
-        return Status::Ok();
-      });
+  JobSpec spec = mem_spec;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.max_resident_rows = 4096;  // whole stream in one window
+  spec.output.release_path =
+      ::testing::TempDir() + "golden_streamed_single_window.csv";
+  auto report = RunJob(&source, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->num_windows, 1u);
+  const std::string streamed_bytes = ReadFileBytes(spec.output.release_path);
   EXPECT_EQ(streamed_bytes, mem_bytes);
   CompareWithGolden("release_tclose_first_k5_t30.csv", streamed_bytes);
 }
@@ -149,27 +144,22 @@ TEST(GoldenReleaseTest, StreamedSingleWindowMatchesInMemoryGolden) {
 // per-window seeds are part of the streaming contract.
 TEST(GoldenReleaseTest, StreamedMultiWindowReleaseIsPinned) {
   auto source = MakeUniformSource(400, 2, 31);
-  StreamingSpec spec;
-  spec.algorithm = "merge_chunked";
-  spec.k = 4;
-  spec.t = 0.25;
-  spec.seed = 13;
-  spec.shard_size = 64;
-  spec.max_resident_rows = 150;
-  std::string bytes;
-  AppendCsvHeader(source->schema(), &bytes);
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(
-      source.get(), spec,
-      [&](const Dataset& release, const StreamingWindowSummary&) {
-        for (size_t row = 0; row < release.NumRecords(); ++row) {
-          AppendCsvRow(release, row, &bytes);
-        }
-        return Status::Ok();
-      });
+  JobSpec spec;
+  spec.algorithm.name = "merge_chunked";
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.25;
+  spec.algorithm.seed = 13;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.threads = 2;
+  spec.execution.shard_size = 64;
+  spec.execution.max_resident_rows = 150;
+  spec.output.release_path =
+      ::testing::TempDir() + "golden_streamed_multi_window.csv";
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->num_windows, 2u);
-  CompareWithGolden("release_streamed_uniform400.csv", bytes);
+  CompareWithGolden("release_streamed_uniform400.csv",
+                    ReadFileBytes(spec.output.release_path));
 }
 
 // Mixed-type (categorical) releases exercise label round-tripping in

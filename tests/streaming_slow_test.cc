@@ -11,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/runner.h"
 #include "data/record_source.h"
-#include "engine/streaming.h"
 
 namespace tcm {
 namespace {
@@ -21,27 +21,28 @@ TEST(StreamingSlowTest, MillionRowStreamStaysWithinResidentBudget) {
   constexpr size_t kRows = 1000000;
   constexpr size_t kBudget = 100000;
   auto source = MakeUniformSource(kRows, 3, 2016);
-  StreamingSpec spec;
-  spec.algorithm = "merge_chunked";
-  spec.k = 5;
-  spec.t = 0.2;
-  spec.seed = 2016;
-  spec.shard_size = 4096;
-  spec.max_resident_rows = kBudget;
+  JobSpec spec;
+  spec.algorithm.name = "merge_chunked";
+  spec.algorithm.k = 5;
+  spec.algorithm.t = 0.2;
+  spec.algorithm.seed = 2016;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.threads = 4;
+  spec.execution.shard_size = 4096;
+  spec.execution.max_resident_rows = kBudget;
   spec.verify = true;
 
-  StreamingPipelineRunner runner(4);
-  auto report = runner.Run(source.get(), spec);
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->total_rows, kRows);
+  EXPECT_EQ(report->rows, kRows);
   EXPECT_LE(report->peak_resident_rows, kBudget);
   EXPECT_GE(report->num_windows, kRows / kBudget);
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
   for (const StreamingWindowSummary& window : report->windows) {
-    EXPECT_GE(window.rows, spec.k);
+    EXPECT_GE(window.rows, spec.algorithm.k);
     EXPECT_LE(window.rows, kBudget);
-    EXPECT_GE(window.min_cluster_size, spec.k);
+    EXPECT_GE(window.min_cluster_size, spec.algorithm.k);
   }
 }
 
@@ -52,15 +53,16 @@ TEST(StreamingSlowTest, MillionRowStreamIsThreadInvariant) {
   std::vector<StreamingWindowSummary> reference;
   for (size_t threads : {1u, 8u}) {
     auto source = MakeUniformSource(500000, 2, 7);
-    StreamingSpec spec;
-    spec.algorithm = "merge_chunked";
-    spec.k = 5;
-    spec.t = 0.25;
-    spec.seed = 7;
-    spec.shard_size = 4096;
-    spec.max_resident_rows = 120000;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(source.get(), spec);
+    JobSpec spec;
+    spec.algorithm.name = "merge_chunked";
+    spec.algorithm.k = 5;
+    spec.algorithm.t = 0.25;
+    spec.algorithm.seed = 7;
+    spec.execution.mode = ExecutionMode::kStreaming;
+    spec.execution.threads = threads;
+    spec.execution.shard_size = 4096;
+    spec.execution.max_resident_rows = 120000;
+    auto report = RunJob(source.get(), spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     if (threads == 1u) {
       reference = report->windows;

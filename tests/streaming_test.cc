@@ -1,11 +1,11 @@
 // Tests for the out-of-core streaming execution layer: RecordSource and
-// its implementations, the streaming CSV reader/writer, and
-// StreamingPipelineRunner. The load-bearing properties: (1) streamed
-// and in-memory jobs agree — a single-window streamed release is
-// byte-identical to the in-memory job's release at any thread count;
-// (2) resident input rows never exceed the max_resident_rows budget;
-// (3) every released window independently re-verifies k-anonymous and
-// t-close; (4) no pool task outlives Run.
+// its implementations, the streaming CSV reader/writer, and streamed
+// RunJob. The load-bearing properties: (1) streamed and in-memory jobs
+// agree — a single-window streamed release is byte-identical to the
+// in-memory job's release at any thread count; (2) resident input rows
+// never exceed the max_resident_rows budget; (3) every released window
+// independently re-verifies k-anonymous and t-close; (4) no pool task
+// outlives RunJob.
 
 #include <atomic>
 #include <chrono>
@@ -26,7 +26,8 @@
 #include "data/generator.h"
 #include "data/record_source.h"
 #include "engine/pipeline.h"
-#include "engine/streaming.h"
+#include "engine/registry.h"
+#include "engine/sharded.h"
 #include "privacy/kanonymity.h"
 #include "privacy/tcloseness.h"
 
@@ -208,23 +209,27 @@ TEST(StreamingCsvWriterTest, WindowedWritesMatchWriteCsvBytes) {
   EXPECT_EQ(ReadFileBytes(windowed_path), ReadFileBytes(whole_path));
 }
 
-// ----------------------------------------------- StreamingPipelineRunner
+// ---------------------------------------------------- streamed RunJob
 
-StreamingSpec BaseSpec() {
-  StreamingSpec spec;
-  spec.algorithm = "tclose_first";
-  spec.k = 4;
-  spec.t = 0.25;
-  spec.seed = 7;
-  spec.shard_size = 256;
-  spec.max_resident_rows = 100000;
+// A streaming job over a caller's record source (the source carries the
+// roles, so the spec names none).
+JobSpec StreamSpec(size_t max_resident_rows, size_t threads = 1) {
+  JobSpec spec;
+  spec.algorithm.name = "tclose_first";
+  spec.algorithm.k = 4;
+  spec.algorithm.t = 0.25;
+  spec.algorithm.seed = 7;
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.threads = threads;
+  spec.execution.shard_size = 256;
+  spec.execution.max_resident_rows = max_resident_rows;
   return spec;
 }
 
 // The acceptance anchor: when the budget covers the whole stream, a
 // streamed job releases the in-memory job's bytes and reports the same
 // measurements — checked at two thread counts.
-TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
+TEST(StreamingJobTest, SingleWindowByteIdenticalToInMemory) {
   constexpr size_t kRows = 1500;
   Dataset data = MakeUniformDataset(kRows, 3, 2016);
   const std::string input_path = TempPath("stream_identity_in.csv");
@@ -266,37 +271,35 @@ TEST(StreamingPipelineRunnerTest, SingleWindowByteIdenticalToInMemory) {
     EXPECT_EQ(str->max_cluster_size, mem->max_cluster_size);
     EXPECT_EQ(str->max_cluster_emd, mem->max_cluster_emd);
     EXPECT_EQ(str->normalized_sse, mem->normalized_sse);
-    EXPECT_EQ(str->num_shards, mem->num_shards);
-    EXPECT_EQ(str->final_merges, mem->final_merges);
-    EXPECT_EQ(str->merge_subtrees, mem->merge_subtrees);
-    EXPECT_EQ(str->subtree_merges, mem->subtree_merges);
-    EXPECT_EQ(str->tail_merges, mem->tail_merges);
-    EXPECT_EQ(str->candidate_checks, mem->candidate_checks);
-    EXPECT_EQ(str->pruned_checks, mem->pruned_checks);
-    EXPECT_EQ(str->exact_checks, mem->exact_checks);
+    EXPECT_EQ(str->stats.num_shards, mem->stats.num_shards);
+    EXPECT_EQ(str->stats.final_merges, mem->stats.final_merges);
+    EXPECT_EQ(str->stats.merge_subtrees, mem->stats.merge_subtrees);
+    EXPECT_EQ(str->stats.subtree_merges, mem->stats.subtree_merges);
+    EXPECT_EQ(str->stats.tail_merges, mem->stats.tail_merges);
+    EXPECT_EQ(str->stats.candidate_checks, mem->stats.candidate_checks);
+    EXPECT_EQ(str->stats.pruned_checks, mem->stats.pruned_checks);
+    EXPECT_EQ(str->stats.exact_checks, mem->stats.exact_checks);
   }
 }
 
-TEST(StreamingPipelineRunnerTest, MultiWindowRespectsResidentBudget) {
+TEST(StreamingJobTest, MultiWindowRespectsResidentBudget) {
   constexpr size_t kRows = 3000;
   constexpr size_t kBudget = 700;
   auto source = MakeUniformSource(kRows, 3, 42);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = kBudget;
+  JobSpec spec = StreamSpec(kBudget, 2);
   const std::string out_path = TempPath("stream_multiwindow.csv");
-  spec.output_path = out_path;
+  spec.output.release_path = out_path;
 
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), spec);
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->num_windows, 4u);
-  EXPECT_EQ(report->total_rows, kRows);
+  EXPECT_EQ(report->rows, kRows);
   EXPECT_LE(report->peak_resident_rows, kBudget);
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
   size_t sum = 0;
   for (const StreamingWindowSummary& window : report->windows) {
-    EXPECT_GE(window.rows, spec.k);
+    EXPECT_GE(window.rows, spec.algorithm.k);
     EXPECT_LE(window.rows, kBudget);
     sum += window.rows;
   }
@@ -307,22 +310,20 @@ TEST(StreamingPipelineRunnerTest, MultiWindowRespectsResidentBudget) {
   ASSERT_TRUE(release.ok());
   EXPECT_EQ(release->NumRecords(), kRows);
   ASSERT_TRUE(AssignRoles(&*release, {"QI0", "QI1", "QI2"}, "CONF").ok());
-  auto k_ok = IsKAnonymous(*release, spec.k);
+  auto k_ok = IsKAnonymous(*release, spec.algorithm.k);
   ASSERT_TRUE(k_ok.ok());
   EXPECT_TRUE(*k_ok);
 }
 
-TEST(StreamingPipelineRunnerTest, MultiWindowReleaseIsThreadInvariant) {
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 500;
+TEST(StreamingJobTest, MultiWindowReleaseIsThreadInvariant) {
   std::string reference;
   for (size_t threads : {1u, 4u}) {
     auto source = MakeUniformSource(1700, 2, 13);
+    JobSpec spec = StreamSpec(500, threads);
     const std::string out_path =
         TempPath("stream_invariant_" + std::to_string(threads) + ".csv");
-    spec.output_path = out_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(source.get(), spec);
+    spec.output.release_path = out_path;
+    auto report = RunJob(source.get(), spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report->num_windows, 1u);
     std::string bytes = ReadFileBytes(out_path);
@@ -368,7 +369,7 @@ JsonValue ThreadFreeReport(const JsonValue& value) {
 // disjoint outputs, so release bytes and report are the same at any
 // thread count. The overlapped windows hold 9,997 rows: several format
 // chunks plus a partial one.
-TEST(StreamingPipelineRunnerTest, ReleaseAndReportAreThreadCountInvariant) {
+TEST(StreamingJobTest, ReleaseAndReportAreThreadCountInvariant) {
   constexpr size_t kRows = 24000;
   const std::string input_path = TempPath("stream_threads_in.csv");
   ASSERT_TRUE(WriteCsv(MakeUniformDataset(kRows, 3, 2016), input_path).ok());
@@ -394,7 +395,7 @@ TEST(StreamingPipelineRunnerTest, ReleaseAndReportAreThreadCountInvariant) {
     ASSERT_EQ(report->num_windows, 3u);
     EXPECT_EQ(report->windows[0].rows, 9997u);
     EXPECT_NE(report->windows[0].rows % CsvRowWriter::kRowsPerChunk, 0u);
-    EXPECT_GT(report->merge_subtrees, 0u);
+    EXPECT_GT(report->stats.merge_subtrees, 0u);
     const std::string bytes = ReadFileBytes(report->release_path);
     const std::string json = ThreadFreeReport(report->ToJson()).Write(2);
     if (threads == 1) {
@@ -413,22 +414,20 @@ TEST(StreamingPipelineRunnerTest, ReleaseAndReportAreThreadCountInvariant) {
 // both guarantees verify, and the release stays byte-identical for any
 // thread count — including one thread, where the "prefetch" is stolen
 // back and run inline.
-TEST(StreamingPipelineRunnerTest, OverlapIoStaysBoundedAndDeterministic) {
+TEST(StreamingJobTest, OverlapIoStaysBoundedAndDeterministic) {
   constexpr size_t kRows = 3000;
   constexpr size_t kBudget = 700;
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = kBudget;
-  spec.overlap_io = true;
   std::string reference;
   for (size_t threads : {1u, 2u, 4u}) {
     auto source = MakeUniformSource(kRows, 3, 42);
+    JobSpec spec = StreamSpec(kBudget, threads);
+    spec.execution.overlap_io = true;
     const std::string out_path =
         TempPath("stream_overlap_" + std::to_string(threads) + ".csv");
-    spec.output_path = out_path;
-    StreamingPipelineRunner runner(threads);
-    auto report = runner.Run(source.get(), spec);
+    spec.output.release_path = out_path;
+    auto report = RunJob(source.get(), spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->total_rows, kRows);
+    EXPECT_EQ(report->rows, kRows);
     EXPECT_LE(report->peak_resident_rows, kBudget);
     EXPECT_GT(report->num_windows, 1u);
     EXPECT_GT(report->overlapped_reads, 0u);
@@ -442,28 +441,22 @@ TEST(StreamingPipelineRunnerTest, OverlapIoStaysBoundedAndDeterministic) {
     }
   }
 
-  // The legacy serial path is untouched: overlap off reports no
-  // overlapped reads (and the existing byte-pinning tests above cover
-  // its output).
+  // The serial path is untouched: overlap off reports no overlapped
+  // reads (and the byte-pinning tests above cover its output).
   auto source = MakeUniformSource(kRows, 3, 42);
-  StreamingSpec serial = BaseSpec();
-  serial.max_resident_rows = kBudget;
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), serial);
+  auto report = RunJob(source.get(), StreamSpec(kBudget, 2));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->overlapped_reads, 0u);
 }
 
 // Hierarchical repair inside windows composes with streaming: verdicts
 // hold per window and the merge ledger balances across the whole run.
-TEST(StreamingPipelineRunnerTest, HierarchicalMergeComposesWithWindows) {
+TEST(StreamingJobTest, HierarchicalMergeComposesWithWindows) {
   auto source = MakeUniformSource(2400, 3, 21);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 800;
-  spec.shard_size = 120;
-  spec.merge_strategy = MergeStrategy::kHierarchical;
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = StreamSpec(800, 2);
+  spec.execution.shard_size = 120;
+  spec.execution.merge_strategy = MergeStrategy::kHierarchical;
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->k_verified);
   EXPECT_TRUE(report->t_verified);
@@ -471,66 +464,79 @@ TEST(StreamingPipelineRunnerTest, HierarchicalMergeComposesWithWindows) {
   EXPECT_EQ(stats.candidate_checks, stats.pruned_checks + stats.exact_checks);
   EXPECT_EQ(stats.subtree_merges + stats.tail_merges, stats.final_merges);
   size_t shards = 0;
+  size_t final_merges = 0;
   for (const StreamingWindowSummary& window : report->windows) {
     shards += window.num_shards;
+    final_merges += window.final_merges;
   }
   EXPECT_EQ(stats.num_shards, shards);
+  EXPECT_EQ(stats.final_merges, final_merges);
 }
 
-TEST(StreamingPipelineRunnerTest, TailSmallerThanKJoinsFinalWindow) {
+TEST(StreamingJobTest, TailSmallerThanKJoinsFinalWindow) {
   // 104-row budget with k=4 gives 100-row fill targets; 302 rows leave a
   // 2-row tail that cannot be anonymized alone and must join the last
   // window.
   auto source = MakeUniformSource(302, 2, 99);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 104;
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
+  JobSpec spec = StreamSpec(104);
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->total_rows, 302u);
+  EXPECT_EQ(report->rows, 302u);
   EXPECT_LE(report->peak_resident_rows, 104u);
   for (const StreamingWindowSummary& window : report->windows) {
-    EXPECT_GE(window.rows, spec.k);
+    EXPECT_GE(window.rows, spec.algorithm.k);
   }
 }
 
-TEST(StreamingPipelineRunnerTest, SinkSeesEveryWindowInOrder) {
+// The release file is every window's release in stream order: read back
+// window by window (report->windows[w].rows rows each), every block is
+// k-anonymous and t-close on its own, and nothing follows the last one.
+TEST(StreamingJobTest, ReleaseHoldsEveryWindowInOrder) {
   auto source = MakeUniformSource(900, 2, 55);
-  StreamingSpec spec = BaseSpec();
-  spec.max_resident_rows = 300;
-  StreamingPipelineRunner runner(2);
-  size_t sink_rows = 0;
-  size_t sink_calls = 0;
-  auto report = runner.Run(
-      source.get(), spec,
-      [&](const Dataset& release, const StreamingWindowSummary& summary) {
-        EXPECT_EQ(release.NumRecords(), summary.rows);
-        sink_rows += release.NumRecords();
-        ++sink_calls;
-        return Status::Ok();
-      });
+  JobSpec spec = StreamSpec(300, 2);
+  spec.output.release_path = TempPath("stream_window_order.csv");
+  auto report = RunJob(source.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(sink_calls, report->num_windows);
-  EXPECT_EQ(sink_rows, report->total_rows);
+  ASSERT_GE(report->num_windows, 3u);
+  EXPECT_EQ(report->windows.size(), report->num_windows);
+
+  auto reader = StreamingCsvReader::OpenNumeric(spec.output.release_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto schema = SchemaWithRoles((*reader)->schema(), {"QI0", "QI1"}, "CONF");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  ASSERT_TRUE((*reader)->ReplaceSchema(*schema).ok());
+  size_t rows = 0;
+  for (const StreamingWindowSummary& window : report->windows) {
+    Dataset block(*schema);
+    auto got = (*reader)->ReadInto(&block, window.rows);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*got, window.rows);
+    EXPECT_TRUE(VerifyRelease(block, spec.algorithm.k, spec.algorithm.t).ok());
+    rows += window.rows;
+  }
+  Dataset rest(*schema);
+  auto extra = (*reader)->ReadInto(&rest, 1);
+  ASSERT_TRUE(extra.ok());
+  EXPECT_EQ(*extra, 0u);
+  EXPECT_EQ(rows, report->rows);
 }
 
-TEST(StreamingPipelineRunnerTest, RejectsBudgetSmallerThanKFloor) {
+TEST(StreamingJobTest, RejectsBudgetSmallerThanKFloor) {
   auto source = MakeUniformSource(100, 2, 1);
-  StreamingSpec spec = BaseSpec();
-  spec.k = 10;
-  spec.max_resident_rows = 15;  // < k + max(k, 2) = 20
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
-  EXPECT_FALSE(report.ok());
+  JobSpec spec = StreamSpec(15);  // < k + max(k, 2) = 20
+  spec.algorithm.k = 10;
+  auto report = RunJob(source.get(), spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidSpec);
 }
 
-TEST(StreamingPipelineRunnerTest, RejectsUnknownAlgorithmBeforeReading) {
+TEST(StreamingJobTest, RejectsUnknownAlgorithmBeforeReading) {
   auto source = MakeUniformSource(100, 2, 1);
-  StreamingSpec spec = BaseSpec();
-  spec.algorithm = "no_such_algorithm";
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(source.get(), spec);
-  EXPECT_FALSE(report.ok());
+  JobSpec spec = StreamSpec(100000);
+  spec.algorithm.name = "no_such_algorithm";
+  auto report = RunJob(source.get(), spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kUnknownAlgorithm);
   // Nothing was consumed: the stream still yields its first row.
   Dataset probe(source->schema());
   auto got = source->ReadInto(&probe, 1);
@@ -538,47 +544,49 @@ TEST(StreamingPipelineRunnerTest, RejectsUnknownAlgorithmBeforeReading) {
   EXPECT_EQ(*got, 1u);
 }
 
-TEST(StreamingPipelineRunnerTest, RejectsSchemaWithoutRoles) {
+TEST(StreamingJobTest, RejectsSchemaWithoutRoles) {
   Dataset data = MakeUniformDataset(50, 2, 3);
   const std::string path = TempPath("stream_no_roles.csv");
   ASSERT_TRUE(WriteCsv(data, path).ok());
   auto reader = StreamingCsvReader::OpenNumeric(path);  // roles all kOther
   ASSERT_TRUE(reader.ok());
-  StreamingSpec spec = BaseSpec();
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(reader->get(), spec);
-  EXPECT_FALSE(report.ok());
+  auto report = RunJob(reader->get(), StreamSpec(100000));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidSpec);
+  // Refused before reading: the stream still yields every row.
+  Dataset probe((*reader)->schema());
+  auto got = (*reader)->ReadInto(&probe, 100);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, 50u);
 }
 
-TEST(StreamingPipelineRunnerTest, EmptyStreamIsAnError) {
+TEST(StreamingJobTest, EmptyStreamIsAnError) {
   Dataset data(Schema({Attribute{"QI0", AttributeType::kNumeric,
                                  AttributeRole::kQuasiIdentifier, {}},
                        Attribute{"CONF", AttributeType::kNumeric,
                                  AttributeRole::kConfidential, {}}}));
   DatasetSource source(&data);
-  StreamingSpec spec = BaseSpec();
-  StreamingPipelineRunner runner(1);
-  auto report = runner.Run(&source, spec);
+  auto report = RunJob(&source, StreamSpec(100000));
   EXPECT_FALSE(report.ok());
 }
 
-// A uniform stream whose reads after the first window's two (fill and
-// read-ahead) wait for `sink_ran` and then take a while, so an
-// overlapped prefetch is still inside ReadInto when the sink fails.
-// Counts the ReadInto calls started and those in progress.
+// Reads that SlowSource has started beyond its first window's two (fill
+// and read-ahead): the overlapped prefetches.
+std::atomic<int> g_prefetch_reads{0};
+
+// A uniform stream whose reads after the first window's two take a
+// while, so an overlapped prefetch stays inside ReadInto while window 0
+// is processed. Counts the ReadInto calls started and those in progress.
 class SlowSource : public RecordSource {
  public:
-  SlowSource(size_t rows, const std::atomic<bool>* sink_ran)
-      : inner_(MakeUniformSource(rows, 2, 5)), sink_ran_(sink_ran) {}
+  explicit SlowSource(size_t rows) : inner_(MakeUniformSource(rows, 2, 5)) {}
 
   const Schema& schema() const override { return inner_->schema(); }
 
   Result<size_t> ReadInto(Dataset* out, size_t max_rows) override {
     ++active_;
     if (calls_++ >= 2) {
-      for (int i = 0; i < 5000 && !sink_ran_->load(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      ++g_prefetch_reads;
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     auto got = inner_->ReadInto(out, max_rows);
@@ -591,33 +599,50 @@ class SlowSource : public RecordSource {
 
  private:
   std::unique_ptr<SyntheticSource> inner_;
-  const std::atomic<bool>* sink_ran_;
   std::atomic<int> calls_{0};
   std::atomic<int> active_{0};
 };
 
-// The overlap_io prefetch reads through state in Run's frame, so Run must
-// wait for it on its error returns too, not only when it collects it.
-TEST(StreamingPipelineRunnerTest, FailingSinkWaitsForOutstandingPrefetch) {
-  std::atomic<bool> sink_ran{false};
-  SlowSource source(400, &sink_ran);
-  StreamingSpec spec = BaseSpec();
-  spec.shard_size = 0;  // window 0 runs inline; the pool only prefetches
-  spec.max_resident_rows = 204;  // 100-row windows under overlap_io
-  spec.overlap_io = true;
-  StreamingPipelineRunner runner(2);
-  auto report = runner.Run(
-      &source, spec, [&](Dataset, const StreamingWindowSummary&) {
-        // Fail only once the prefetch is inside its first ReadInto.
-        for (int i = 0; i < 5000 && source.calls() < 3; ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        sink_ran = true;
-        return Status::Internal("sink failed");
-      });
-  EXPECT_EQ(source.active(), 0) << "a prefetch ReadInto outlived Run";
+// tclose_first, started only once a prefetch is inside
+// SlowSource::ReadInto: whatever fails after it in window 0 fails while
+// that read is still running.
+std::string WaitForPrefetchAlgorithm() {
+  static const std::string name = [] {
+    const std::string registered = "test.wait_for_prefetch";
+    AlgorithmRegistry& registry = AlgorithmRegistry::BuiltIns();
+    PartitionFn inner = registry.Find("tclose_first").value();
+    Status status = registry.Register(
+        registered, "tclose_first once a prefetch read has started",
+        [inner](const Dataset& data, const AlgorithmParams& params) {
+          for (int i = 0; i < 5000 && g_prefetch_reads.load() == 0; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return inner(data, params);
+        });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return registered;
+  }();
+  return name;
+}
+
+// The overlap_io prefetch reads through state in the window loop's
+// frame, so the loop must wait for it on its error returns too, not only
+// when it collects it. Window 0's write fails (the release directory
+// does not exist) while window 1's prefetch is inside ReadInto.
+TEST(StreamingJobTest, FailingWriteWaitsForOutstandingPrefetch) {
+  g_prefetch_reads = 0;
+  SlowSource source(400);
+  JobSpec spec = StreamSpec(204, 2);  // 100-row windows under overlap_io
+  spec.algorithm.name = WaitForPrefetchAlgorithm();
+  // Window 0 runs inline; the pool only prefetches.
+  spec.execution.shard_size = 0;
+  spec.execution.overlap_io = true;
+  spec.output.release_path = TempPath("no_such_directory/release.csv");
+  auto report = RunJob(&source, spec);
+  EXPECT_GE(source.calls(), 3) << "no prefetch was started";
+  EXPECT_EQ(source.active(), 0) << "a prefetch ReadInto outlived RunJob";
   ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(report.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

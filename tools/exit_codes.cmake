@@ -94,6 +94,21 @@ expect_exit(3 "InvalidSpec (--t inf)"
   --job "${WORK_DIR}/ok_job.json" --algorithm tclose_first --t inf
   --output "${WORK_DIR}/never.csv")
 
+# overlap_io keeps two windows resident, so its budget floor is
+# k + 2 * max(k, 2) = 15 rows at k = 5: 12 rows is a spec error up front,
+# not a failure at run time.
+file(WRITE "${WORK_DIR}/overlap_floor_job.json" [[{
+  "version": 1,
+  "input": {"kind": "synthetic", "generator": "uniform",
+            "rows": 120, "quasi_identifiers": 2, "seed": 1},
+  "algorithm": {"name": "tclose_first", "k": 5, "t": 0.3},
+  "execution": {"mode": "streaming", "max_resident_rows": 12,
+                "overlap_io": true}
+}]])
+expect_exit(3 "InvalidSpec (overlap_io budget below its floor)"
+  --job "${WORK_DIR}/overlap_floor_job.json"
+  --output "${WORK_DIR}/never.csv")
+
 expect_exit(4 "UnknownAlgorithm"
   --job "${WORK_DIR}/unknown_algorithm_job.json"
   --output "${WORK_DIR}/never.csv")
@@ -124,6 +139,16 @@ expect_exit(5 "IoError (missing job file)"
 expect_exit(6 "PrivacyViolation (audit of a leaky release)"
   --audit "${WORK_DIR}/leaky_release.csv"
   --qi age,zip --confidential salary --k 5 --t 0.5)
+
+# The audit takes the job path's range for t: nan would read as a
+# violation and inf would pass anything.
+expect_exit(3 "InvalidSpec (audit --t inf)"
+  --audit "${WORK_DIR}/leaky_release.csv"
+  --qi age,zip --confidential salary --k 1 --t inf)
+
+expect_exit(3 "InvalidSpec (audit --t nan)"
+  --audit "${WORK_DIR}/leaky_release.csv"
+  --qi age,zip --confidential salary --k 1 --t nan)
 
 expect_exit(0 "audit passes on a compliant threshold"
   --audit "${WORK_DIR}/leaky_release.csv"

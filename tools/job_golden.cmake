@@ -3,6 +3,10 @@
 #   1. the release bytes to EQUAL the committed golden release, and
 #   2. the --report-json document, with every volatile "*_seconds" timing
 #      normalized to 0, to EQUAL the committed golden report.
+# Then run tests/golden/job_streamed_hierarchical.json — a streamed CSV
+# job over three overlapped windows with the hierarchical repair pass, so
+# the per-window summaries and every merge-ledger counter are nonzero —
+# and compare its normalized report the same way.
 # Together with anonymize_golden.cmake (the flag spelling of the same
 # run) this pins the whole --job path: JSON spec parsing, the facade
 # lowering, and the RunReport schema — a schema change shows up as a
@@ -19,7 +23,10 @@ endif()
 set(job "${GOLDEN_DIR}/job_tclose_first.json")
 set(golden_release "${GOLDEN_DIR}/release_tclose_first_k5_t30.csv")
 set(golden_report "${GOLDEN_DIR}/report_tclose_first.json")
-foreach(file IN ITEMS "${job}" "${golden_release}" "${golden_report}")
+set(streamed_job "${GOLDEN_DIR}/job_streamed_hierarchical.json")
+set(streamed_report "${GOLDEN_DIR}/report_streamed_hierarchical.json")
+foreach(file IN ITEMS "${job}" "${golden_release}" "${golden_report}"
+                      "${streamed_job}" "${streamed_report}")
   if(NOT EXISTS "${file}")
     message(FATAL_ERROR "missing golden file ${file}")
   endif()
@@ -53,21 +60,40 @@ if(NOT diff EQUAL 0)
     "regenerate the goldens and review the diff")
 endif()
 
-# Normalize the volatile fields — timings (every key ending in _seconds)
-# and the run-local release path — and compare the rest byte for byte.
-file(READ "${report_out}" report)
-string(REGEX REPLACE "\"([a-z_]*_seconds)\": [-+.eE0-9]+" "\"\\1\": 0"
-  report "${report}")
-string(REGEX REPLACE "\"release_path\": \"[^\"]*\""
-  "\"release_path\": \"<release>\"" report "${report}")
-file(READ "${golden_report}" expected)
-if(NOT report STREQUAL expected)
-  file(WRITE "${WORK_DIR}/job_report_normalized.json" "${report}")
-  message(FATAL_ERROR
-    "--report-json schema drifted from ${golden_report} "
-    "(normalized copy at ${WORK_DIR}/job_report_normalized.json); if "
-    "intentional, regenerate the golden and review the diff")
+# Normalizes the volatile fields of the report at `path` — timings
+# (every key ending in _seconds) and the run-local release path — and
+# compares the rest byte for byte with `golden`.
+function(expect_report path golden)
+  file(READ "${path}" report)
+  string(REGEX REPLACE "\"([a-z_]*_seconds)\": [-+.eE0-9]+" "\"\\1\": 0"
+    report "${report}")
+  string(REGEX REPLACE "\"release_path\": \"[^\"]*\""
+    "\"release_path\": \"<release>\"" report "${report}")
+  file(READ "${golden}" expected)
+  if(NOT report STREQUAL expected)
+    file(WRITE "${path}.normalized" "${report}")
+    message(FATAL_ERROR
+      "--report-json schema drifted from ${golden} "
+      "(normalized copy at ${path}.normalized); if "
+      "intentional, regenerate the golden and review the diff")
+  endif()
+endfunction()
+
+expect_report("${report_out}" "${golden_report}")
+
+set(streamed_release_out "${WORK_DIR}/streamed_release.csv")
+set(streamed_report_out "${WORK_DIR}/streamed_report.json")
+file(REMOVE "${streamed_release_out}" "${streamed_report_out}")
+execute_process(
+  COMMAND "${TCM_ANONYMIZE}" --job "${streamed_job}"
+    --output "${streamed_release_out}" --report-json "${streamed_report_out}"
+  WORKING_DIRECTORY "${GOLDEN_DIR}"
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE errors)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "streamed --job golden run exited with ${rc}\n${errors}")
 endif()
+expect_report("${streamed_report_out}" "${streamed_report}")
 
 # A spec typo must fail fast with the structured code on stderr.
 execute_process(
@@ -84,4 +110,4 @@ if(NOT errors MATCHES "UnknownAlgorithm")
     "unknown-algorithm failure lacks the structured code:\n${errors}")
 endif()
 
-message(STATUS "job golden OK: release and report match pinned bytes")
+message(STATUS "job golden OK: release and reports match pinned bytes")

@@ -54,6 +54,7 @@
 // Unreadable or truncated .tcmb inputs exit 5 (IoError); malformed
 // headers or a format-version mismatch exit 3 (InvalidSpec).
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -97,6 +98,15 @@ bool HasTcmbExtension(const std::string& path) {
 // before writing.
 int RunAudit(const std::string& path, const std::vector<std::string>& qi,
              const std::string& confidential, size_t k, double t) {
+  // The same range the job path enforces (JobSpec::Validate): a nan t
+  // would read as a privacy violation and an infinite one would pass
+  // any release.
+  if (!std::isfinite(t) || t < 0.0) {
+    const tcm::Status invalid =
+        tcm::Status::InvalidSpec("--t must be a finite number >= 0");
+    std::fprintf(stderr, "%s\n", invalid.ToString().c_str());
+    return tcm::tools::ExitCodeForStatus(invalid);
+  }
   tcm::Dataset data{tcm::Schema{}};
   if (HasTcmbExtension(path)) {
     auto table = tcm::ReadTcmb(path);
@@ -171,12 +181,12 @@ void PrintReport(const tcm::JobSpec& spec, const tcm::RunReport& report) {
                 report.peak_resident_rows);
   }
   std::printf("shards             : %zu (merges to restore t: %zu)\n",
-              report.num_shards, report.final_merges);
+              report.stats.num_shards, report.stats.final_merges);
   std::printf("merge strategy     : %s (subtrees %zu, pruned %zu/%zu "
               "checks)\n",
               tcm::MergeStrategyName(report.merge_strategy),
-              report.merge_subtrees, report.pruned_checks,
-              report.candidate_checks);
+              report.stats.merge_subtrees, report.stats.pruned_checks,
+              report.stats.candidate_checks);
   if (!streamed) {
     std::printf("clusters           : %zu\n", report.clusters);
     std::printf("cluster size       : min=%zu avg=%.2f max=%zu\n",
