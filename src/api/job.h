@@ -104,10 +104,11 @@ struct JobExecution {
   // thread count, but legitimately different release bytes). See
   // ShardedAnonymizeOptions::merge_strategy.
   MergeStrategy merge_strategy = MergeStrategy::kSequential;
-  // Streaming only: overlap the next window's read/parse with the
-  // current window's processing. Halves the window target to stay inside
-  // max_resident_rows, so the window boundaries (and release bytes)
-  // differ from the non-overlapped run, deterministically.
+  // Streaming only: while a window anonymizes, read/parse the next one
+  // and verify and write the previous one on the pool. Halves the window
+  // target to stay inside max_resident_rows, so the window boundaries
+  // (and release bytes) differ from the non-overlapped run,
+  // deterministically.
   bool overlap_io = false;
 };
 

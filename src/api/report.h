@@ -111,7 +111,8 @@ struct RunReport {
 
   // Per-stage wall clock. load_seconds covers loading the input (plus its
   // copy into the single window) in-memory and stream reads when
-  // streaming.
+  // streaming. With overlap_io, reads, verifies and writes run while
+  // windows anonymize, so the stage sums can exceed total_seconds.
   double load_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double verify_seconds = 0.0;

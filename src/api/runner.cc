@@ -231,20 +231,33 @@ constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
 // write it, and fold it into `report`. An in-memory job is one unbounded
 // window whose release stays in report->release.
 //
-// Memory model (streaming). At most one window plus a k-row read-ahead
-// is resident:
+// Memory model (streaming). The budget governs input rows:
 //   - a window is filled to max_resident_rows - k input rows;
 //   - k more rows are read ahead to decide whether the stream continues;
 //     if the stream ends inside the read-ahead, its rows (fewer than k,
 //     too few to anonymize alone) join the current window.
-// Resident input rows therefore never exceed max_resident_rows, whose
-// floor JobSpec::Validate checks. (The anonymized copy of the current
-// window roughly doubles the footprint while a window is in flight; the
-// bound governs input rows.) With overlap_io, window N+1 is read on the
-// pool while window N is anonymized, verified and written; the window
-// target is halved so both windows and the read-ahead fit the budget.
+// Without overlap_io one window plus the read-ahead is resident, so
+// resident input rows never exceed max_resident_rows, whose floor
+// JobSpec::Validate checks.
+//
+// Overlapped I/O. With overlap_io the loop is a three-stage pipeline on
+// the job's one pool: while window N+1 is anonymized on the caller's
+// thread, window N+2 is read on the pool, and window N is verified and
+// then written as one pool task (a window that fails verification is
+// never written). Two input windows are resident at once, so the window
+// target is halved to fit both plus the read-ahead in the budget. They
+// live in two buffers, reserved once and reused: each read refills the
+// buffer of the window before last, which ShardedAnonymize is done with.
+//
+// Releases are outside the budget, which counts input rows only: the
+// anonymized copy of the window in flight, and under overlap_io also
+// window N's release while it is verified and written. Under overlap_io
+// the verify and write seconds overlap anonymize, so the stage sums can
+// exceed total_seconds.
+//
 // Each released window is k-anonymous and t-close on its own, so their
-// concatenation is k-anonymous, and t-close per window.
+// concatenation is k-anonymous, and t-close per window. When several
+// windows fail, the earliest one's error is returned.
 //
 // Determinism. Window w runs with seed + kWindowSeedStride * w, and
 // ShardedAnonymize is byte-identical for any thread count, so releases
@@ -275,31 +288,33 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
   // get() orders each prefetch before the next use.
   Dataset carry(schema);
   bool exhausted = false;
+  // The window buffers: overlap_io alternates between them, the serial
+  // paths only use the first.
+  Dataset buffers[2] = {Dataset(schema), Dataset()};
 
-  // Assembles the next window: carried read-ahead rows first, then fill
-  // from the stream, then read k rows ahead to learn whether this is the
-  // final window.
+  // Refills `window` with the next window: carried read-ahead rows
+  // first, then fill from the stream, then read k rows ahead to learn
+  // whether this is the final window.
   struct WindowRead {
     Status status = Status::Ok();
-    Dataset window;
+    Dataset* window = nullptr;
     bool final_window = false;
     size_t resident = 0;  // window + carry + still-processing rows
   };
-  auto read_window = [&schema, &carry, &exhausted, source, window_target,
-                      read_ahead, report](size_t processing_rows) {
+  auto read_window = [&carry, &exhausted, source, window_target, read_ahead,
+                      report](Dataset* window, size_t processing_rows) {
     ScopedStage stage("read", &report->load_seconds);
     WindowRead read;
-    read.window = Dataset(schema);
+    read.window = window;
+    window->Clear();
     auto fill = [&]() -> Status {
       for (size_t row = 0; row < carry.NumRecords(); ++row) {
-        TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+        TCM_RETURN_IF_ERROR(window->Append(carry.record(row)));
       }
-      carry = Dataset(schema);
-      if (read.window.NumRecords() < window_target) {
+      carry.Clear();
+      if (window->NumRecords() < window_target) {
         TCM_RETURN_IF_ERROR(
-            source
-                ->ReadInto(&read.window,
-                           window_target - read.window.NumRecords())
+            source->ReadInto(window, window_target - window->NumRecords())
                 .status());
       }
       TCM_ASSIGN_OR_RETURN(size_t ahead,
@@ -308,63 +323,105 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
         // Stream exhausted inside the read-ahead: its rows are too few
         // to anonymize alone, so they join this (final) window.
         for (size_t row = 0; row < carry.NumRecords(); ++row) {
-          TCM_RETURN_IF_ERROR(read.window.Append(carry.record(row)));
+          TCM_RETURN_IF_ERROR(window->Append(carry.record(row)));
         }
-        carry = Dataset(schema);
+        carry.Clear();
         exhausted = true;
       }
       return Status::Ok();
     };
     read.status = fill();
     read.final_window = exhausted;
-    read.resident = processing_rows + read.window.NumRecords() +
-                    carry.NumRecords();
+    read.resident =
+        processing_rows + window->NumRecords() + carry.NumRecords();
     return read;
   };
 
-  // The prefetch task runs read_window, which references this frame's
-  // reader state, so it must finish before this function returns — on
-  // the error returns inside the loop too, not only when its future is
-  // collected.
-  std::future<WindowRead> prefetch;
-  class PrefetchWait {
-   public:
-    explicit PrefetchWait(std::future<WindowRead>* future) : future_(future) {}
-    PrefetchWait(const PrefetchWait&) = delete;
-    PrefetchWait& operator=(const PrefetchWait&) = delete;
-    ~PrefetchWait() {
-      if (future_->valid()) future_->wait();
-    }
-
-   private:
-    std::future<WindowRead>* future_;
-  } prefetch_wait(&prefetch);
-
+  // Verify, then write: header once, then each window's release rows.
+  // Under overlap_io this runs as a pool task, and each one is collected
+  // before the next starts, so the writer and the report's verdicts and
+  // verify/write seconds are only ever touched by one thread at a time.
   std::unique_ptr<StreamingCsvWriter> writer;
   report->k_verified = spec.verify;  // stays true until a window fails
   report->t_verified = spec.verify;
+  auto verify_and_write = [&spec, &schema, &writer, pool, report](
+                              const Dataset& release, size_t w) -> Status {
+    if (spec.verify) {
+      ScopedStage stage("verify", &report->verify_seconds);
+      TCM_ASSIGN_OR_RETURN(ReleaseVerification verification,
+                           CheckRelease(release, spec.algorithm.k,
+                                        spec.algorithm.t, pool));
+      report->k_verified = report->k_verified && verification.k_anonymous;
+      report->t_verified = report->t_verified && verification.t_close;
+      if (!verification.ok()) {
+        return PrivacyViolationError(verification,
+                                     "window " + std::to_string(w) + ": ");
+      }
+    }
+    if (!spec.output.release_path.empty()) {
+      ScopedStage stage("write", &report->write_seconds);
+      if (writer == nullptr) {
+        TCM_ASSIGN_OR_RETURN(writer, StreamingCsvWriter::Open(
+                                         spec.output.release_path, schema));
+      }
+      TCM_RETURN_IF_ERROR(writer->WriteRows(release, pool));
+    }
+    return Status::Ok();
+  };
+
+  // The pool tasks outstanding under overlap_io: the next window's read
+  // and the previous window's verify-and-write. Both reference this
+  // frame, so they are waited for on every return path, errors included.
+  struct InFlight {
+    std::future<WindowRead> read;
+    std::future<Status> output;
+    ~InFlight() {
+      if (read.valid()) read.wait();
+      if (output.valid()) output.wait();
+    }
+  } in_flight;
+  // The previous window's verify-and-write status. It is taken before
+  // any later window's error is returned, so the earliest error wins.
+  auto collect_output = [&in_flight]() {
+    return in_flight.output.valid() ? in_flight.output.get() : Status::Ok();
+  };
+  auto fail = [&collect_output](Status status) {
+    Status earlier = collect_output();
+    return earlier.ok() ? status : earlier;
+  };
+
   double weighted_sse = 0.0;
-  WindowRead current = read_window(0);
+  WindowRead current = read_window(&buffers[0], 0);
   // Only the first window can be empty (a non-final window leaves k
   // read-ahead rows for the next); ShardedAnonymize rejects it.
   for (size_t w = 0;; ++w) {
-    TCM_RETURN_IF_ERROR(current.status);
+    if (!current.status.ok()) return fail(current.status);
     if (streaming) {
       report->peak_resident_rows =
           std::max(report->peak_resident_rows, current.resident);
     }
     TraceSpan window_span("window");
-    const Dataset window = std::move(current.window);
+    const Dataset& window = *current.window;
+    const size_t rows = window.NumRecords();
     const bool final_window = current.final_window;
 
-    // Overlap: kick off the next window's read/parse before this
-    // window's anonymize/verify/write. The prefetch task exclusively
-    // owns the reader state until its future is collected below.
+    // Overlap: start the next window's read/parse into the other buffer
+    // before this window's anonymize. The prefetch task exclusively owns
+    // the reader state and that buffer until its future is collected.
     const bool overlapped = overlap_io && !final_window;
     if (overlapped) {
-      const size_t processing_rows = window.NumRecords();
-      prefetch = pool->Submit([&read_window, processing_rows]() {
-        return read_window(processing_rows);
+      if (w == 0) {
+        // The stream outlasts the first window: set up the second buffer
+        // and size both once.
+        buffers[1] = Dataset(schema);
+        for (Dataset& buffer : buffers) {
+          buffer.Reserve(window_target + read_ahead);
+        }
+      }
+      Dataset* next =
+          current.window == &buffers[0] ? &buffers[1] : &buffers[0];
+      in_flight.read = pool->Submit([&read_window, next, rows]() {
+        return read_window(next, rows);
       });
       ++report->overlapped_reads;
     }
@@ -375,43 +432,30 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
     WallTimer anonymize_timer;
     auto result = ShardedAnonymize(window, options, pool, &stats);
     if (!result.ok()) {
-      return Status(result.status().code(),
-                    "window " + std::to_string(w) + ": " +
-                        result.status().message());
+      return fail(Status(result.status().code(),
+                         "window " + std::to_string(w) + ": " +
+                             result.status().message()));
     }
     const double anonymize_seconds = anonymize_timer.ElapsedSeconds();
     report->anonymize_seconds += anonymize_seconds;
     report->stats += stats;
 
-    // Verify: independent re-check of both guarantees per window.
-    if (spec.verify) {
-      ScopedStage stage("verify", &report->verify_seconds);
-      TCM_ASSIGN_OR_RETURN(ReleaseVerification verification,
-                           CheckRelease(result->anonymized, spec.algorithm.k,
-                                        spec.algorithm.t, pool));
-      report->k_verified = report->k_verified && verification.k_anonymous;
-      report->t_verified = report->t_verified && verification.t_close;
-      if (!verification.ok()) {
-        return PrivacyViolationError(verification,
-                                     "window " + std::to_string(w) + ": ");
-      }
-    }
-
-    // Write: header once, then each window's release rows.
-    if (!spec.output.release_path.empty()) {
-      ScopedStage stage("write", &report->write_seconds);
-      if (writer == nullptr) {
-        TCM_ASSIGN_OR_RETURN(writer,
-                             StreamingCsvWriter::Open(
-                                 spec.output.release_path, schema));
-      }
-      TCM_RETURN_IF_ERROR(writer->WriteRows(result->anonymized, pool));
+    // Verify and write, after the previous window's: under overlap as a
+    // pool task that runs while the next window anonymizes, inline for
+    // the final window and on the serial paths.
+    TCM_RETURN_IF_ERROR(collect_output());
+    if (overlapped) {
+      in_flight.output = pool->Submit(
+          [&verify_and_write, release = std::move(result->anonymized), w]() {
+            return verify_and_write(release, w);
+          });
+    } else {
+      TCM_RETURN_IF_ERROR(verify_and_write(result->anonymized, w));
     }
 
     // Fold the window in; normalized SSE is a row-weighted mean, and a
     // single window's is its own value, taken as is (scaling by the row
     // count and back can move the last bit).
-    const size_t rows = window.NumRecords();
     const size_t clusters = result->partition.NumClusters();
     report->rows += rows;
     report->clusters += clusters;
@@ -447,9 +491,9 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
     }
 
     if (overlapped) {
-      current = prefetch.get();
+      current = in_flight.read.get();
     } else if (!final_window) {
-      current = read_window(0);
+      current = read_window(&buffers[0], 0);
     } else {
       break;
     }

@@ -39,6 +39,16 @@ class Dataset {
     return Append(std::span<const Value>(record));
   }
 
+  // Makes room for `rows` records without reallocating.
+  void Reserve(size_t rows) { values_.reserve(rows * schema_.size()); }
+
+  // Drops every record but keeps the buffer's capacity, so a refill up
+  // to that size allocates nothing.
+  void Clear() {
+    values_.clear();
+    num_records_ = 0;
+  }
+
   // Row `row`, valid until the next mutation of the row count.
   std::span<const Value> record(size_t row) const {
     TCM_DCHECK(row < num_records_);

@@ -491,34 +491,65 @@ TEST(StreamingJobTest, TailSmallerThanKJoinsFinalWindow) {
 // The release file is every window's release in stream order: read back
 // window by window (report->windows[w].rows rows each), every block is
 // k-anonymous and t-close on its own, and nothing follows the last one.
+// Window buffers are reused, so a stale row would show: the confidential
+// column, which aggregation leaves alone, must match the input row for
+// row. Both stream lengths end in a window of a different size from the
+// others — 900 rows in a short one, 890 in one that takes a 2-row tail.
 TEST(StreamingJobTest, ReleaseHoldsEveryWindowInOrder) {
-  auto source = MakeUniformSource(900, 2, 55);
-  JobSpec spec = StreamSpec(300, 2);
-  spec.output.release_path = TempPath("stream_window_order.csv");
-  auto report = RunJob(source.get(), spec);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_GE(report->num_windows, 3u);
-  EXPECT_EQ(report->windows.size(), report->num_windows);
+  for (size_t total : {900u, 890u}) {
+    const Dataset input = MakeUniformDataset(total, 2, 55);
+    const size_t conf = input.schema().ConfidentialIndices()[0];
+    for (bool overlap_io : {false, true}) {
+      for (size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(total) + " rows, overlap_io " +
+                     std::to_string(overlap_io) + ", " +
+                     std::to_string(threads) + " threads");
+        auto source = MakeUniformSource(total, 2, 55);
+        JobSpec spec = StreamSpec(300, threads);
+        spec.execution.overlap_io = overlap_io;
+        spec.output.release_path = TempPath("stream_window_order.csv");
+        auto report = RunJob(source.get(), spec);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        ASSERT_GE(report->num_windows, 3u);
+        EXPECT_EQ(report->windows.size(), report->num_windows);
+        const size_t first = report->windows.front().rows;
+        const size_t last = report->windows.back().rows;
+        if (total == 900) {
+          EXPECT_LT(last, first);
+        } else {
+          EXPECT_EQ(last, first + 2);
+        }
 
-  auto reader = StreamingCsvReader::OpenNumeric(spec.output.release_path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto schema = SchemaWithRoles((*reader)->schema(), {"QI0", "QI1"}, "CONF");
-  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
-  ASSERT_TRUE((*reader)->ReplaceSchema(*schema).ok());
-  size_t rows = 0;
-  for (const StreamingWindowSummary& window : report->windows) {
-    Dataset block(*schema);
-    auto got = (*reader)->ReadInto(&block, window.rows);
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(*got, window.rows);
-    EXPECT_TRUE(VerifyRelease(block, spec.algorithm.k, spec.algorithm.t).ok());
-    rows += window.rows;
+        auto reader =
+            StreamingCsvReader::OpenNumeric(spec.output.release_path);
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        auto schema =
+            SchemaWithRoles((*reader)->schema(), {"QI0", "QI1"}, "CONF");
+        ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+        ASSERT_TRUE((*reader)->ReplaceSchema(*schema).ok());
+        size_t rows = 0;
+        for (const StreamingWindowSummary& window : report->windows) {
+          Dataset block(*schema);
+          auto got = (*reader)->ReadInto(&block, window.rows);
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(*got, window.rows);
+          EXPECT_TRUE(
+              VerifyRelease(block, spec.algorithm.k, spec.algorithm.t).ok());
+          for (size_t row = 0; row < block.NumRecords(); ++row) {
+            ASSERT_EQ(block.cell(row, conf), input.cell(rows + row, conf))
+                << "release row " << rows + row;
+          }
+          rows += window.rows;
+        }
+        Dataset rest(*schema);
+        auto extra = (*reader)->ReadInto(&rest, 1);
+        ASSERT_TRUE(extra.ok());
+        EXPECT_EQ(*extra, 0u);
+        EXPECT_EQ(rows, report->rows);
+        EXPECT_EQ(rows, total);
+      }
+    }
   }
-  Dataset rest(*schema);
-  auto extra = (*reader)->ReadInto(&rest, 1);
-  ASSERT_TRUE(extra.ok());
-  EXPECT_EQ(*extra, 0u);
-  EXPECT_EQ(rows, report->rows);
 }
 
 TEST(StreamingJobTest, RejectsBudgetSmallerThanKFloor) {
@@ -643,6 +674,96 @@ TEST(StreamingJobTest, FailingWriteWaitsForOutstandingPrefetch) {
   EXPECT_EQ(source.active(), 0) << "a prefetch ReadInto outlived RunJob";
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kIoError);
+}
+
+// Calls of the algorithm RegisterFromSecondCall registers; each test
+// that runs one resets it.
+std::atomic<int> g_algorithm_calls{0};
+
+// Registers `name` (once per process): tclose_first on its first call,
+// `later` from the second on. With shard_size 0 each window is one call,
+// so window 0 anonymizes properly and every later window runs `later`.
+std::string RegisterFromSecondCall(const std::string& name,
+                                   PartitionFn later) {
+  AlgorithmRegistry& registry = AlgorithmRegistry::BuiltIns();
+  if (!registry.Contains(name)) {
+    PartitionFn first = registry.Find("tclose_first").value();
+    Status status = registry.Register(
+        name, "tclose_first once, then a test-only partition",
+        [first, later](const Dataset& data, const AlgorithmParams& params) {
+          return g_algorithm_calls++ == 0 ? first(data, params)
+                                          : later(data, params);
+        });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  return name;
+}
+
+// Under overlap_io window 1 is verified on the pool while window 2
+// anonymizes. Its pairs are not 4-anonymous: the job fails with window
+// 1's PrivacyViolation, window 1 is never written, and no read outlives
+// RunJob.
+TEST(StreamingJobTest, OverlappedVerifyFailureStopsBeforeTheWindowIsWritten) {
+  g_algorithm_calls = 0;
+  SlowSource source(400);
+  JobSpec spec = StreamSpec(204, 2);  // 100-row windows under overlap_io
+  spec.algorithm.name = RegisterFromSecondCall(
+      "test.pairs_from_second_call",
+      [](const Dataset& data, const AlgorithmParams&) -> Result<Partition> {
+        Partition partition;
+        for (size_t row = 0; row < data.NumRecords(); row += 2) {
+          Cluster cluster;
+          cluster.push_back(row);
+          if (row + 1 < data.NumRecords()) cluster.push_back(row + 1);
+          partition.clusters.push_back(std::move(cluster));
+        }
+        return partition;
+      });
+  spec.algorithm.t = 10.0;  // never triggers the t repair pass
+  spec.execution.shard_size = 0;
+  spec.execution.overlap_io = true;
+  spec.output.release_path = TempPath("stream_overlap_violation.csv");
+  auto report = RunJob(&source, spec);
+  EXPECT_EQ(source.active(), 0) << "a prefetch ReadInto outlived RunJob";
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kPrivacyViolation);
+  EXPECT_NE(report.status().message().find("window 1: "), std::string::npos)
+      << report.status().ToString();
+
+  // The release holds exactly window 0: the source's first 100 rows.
+  auto release = ReadNumericCsv(spec.output.release_path);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  ASSERT_EQ(release->NumRecords(), 100u);
+  ASSERT_TRUE(AssignRoles(&*release, {"QI0", "QI1"}, "CONF").ok());
+  EXPECT_TRUE(VerifyRelease(*release, spec.algorithm.k, spec.algorithm.t).ok());
+  const Dataset input = MakeUniformDataset(400, 2, 5);
+  const size_t conf = input.schema().ConfidentialIndices()[0];
+  for (size_t row = 0; row < release->NumRecords(); ++row) {
+    EXPECT_EQ(release->cell(row, conf), input.cell(row, conf)) << row;
+  }
+}
+
+// Window 0's write fails (the release directory does not exist) and
+// window 1's anonymize fails too; under overlap_io they can fail in
+// either order, and the earlier window's error is the one returned.
+TEST(StreamingJobTest, EarliestWindowErrorWins) {
+  for (size_t threads : {1u, 2u, 4u}) {
+    g_algorithm_calls = 0;
+    auto source = MakeUniformSource(400, 2, 5);
+    JobSpec spec = StreamSpec(204, threads);
+    spec.algorithm.name = RegisterFromSecondCall(
+        "test.fails_from_second_call",
+        [](const Dataset&, const AlgorithmParams&) -> Result<Partition> {
+          return Status::Internal("window 1 fails to anonymize");
+        });
+    spec.execution.shard_size = 0;
+    spec.execution.overlap_io = true;
+    spec.output.release_path = TempPath("no_such_directory/release.csv");
+    auto report = RunJob(source.get(), spec);
+    ASSERT_FALSE(report.ok()) << threads << " threads";
+    EXPECT_EQ(report.status().code(), StatusCode::kIoError)
+        << threads << " threads: " << report.status().ToString();
+  }
 }
 
 }  // namespace

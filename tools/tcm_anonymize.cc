@@ -19,9 +19,10 @@
 // switches to the bounded-memory out-of-core engine,
 // --merge-strategy hierarchical runs the parallel subtree repair pass
 // with EMD-bound pruning (deterministic at any thread count, different
-// release bytes than the sequential default), --overlap-io overlaps the
-// next window's read with the current window's processing (streaming
-// only), and --report-json writes the machine-readable RunReport.
+// release bytes than the sequential default), --overlap-io reads the
+// next window and verifies and writes the previous one while the current
+// window anonymizes (streaming only), and --report-json writes the
+// machine-readable RunReport.
 // --trace-out records one
 // Chrome trace-event JSON file of the run's stage spans (load, shard,
 // per-shard anonymize, each MergeUntilTClose round, verify, write) —
