@@ -10,9 +10,13 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
+#include "data/stats.h"
 #include "distance/emd.h"
 #include "distance/qi_space.h"
+#include "microagg/aggregate.h"
 #include "microagg/mdav.h"
+#include "microagg/univariate.h"
+#include "privacy/equivalence.h"
 #include "tclose/tclose_first.h"
 
 namespace {
@@ -94,6 +98,35 @@ void BM_TCloseFirstPartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TCloseFirstPartition)->Arg(1080)->Arg(4000);
+
+// The rank sort under every EmdCalculator (per shard, the window's merge,
+// verify): 4,096 rows is a shard, 50,000 a streamed window.
+void BM_SortOrder(benchmark::State& state) {
+  std::vector<double> values(static_cast<size_t>(state.range(0)));
+  tcm::Rng rng(3);
+  for (double& v : values) v = rng.NextDouble();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tcm::SortOrder(values).data());
+  }
+}
+BENCHMARK(BM_SortOrder)->Arg(4096)->Arg(50000);
+
+// Verify's grouping pass over a 50k-row k = 5 release (the projection
+// partition, aggregated).
+void BM_EquivalenceClasses(benchmark::State& state) {
+  tcm::Dataset data =
+      tcm::MakeUniformDataset(static_cast<size_t>(state.range(0)), 3, 11);
+  tcm::QiSpace space(data);
+  tcm::Dataset release =
+      tcm::AggregatePartition(data,
+                              tcm::ProjectionMicroaggregation(space, 5).value())
+          .value();
+  for (auto _ : state) {
+    auto classes = tcm::EquivalenceClasses(release);
+    benchmark::DoNotOptimize(classes.ok());
+  }
+}
+BENCHMARK(BM_EquivalenceClasses)->Arg(50000);
 
 }  // namespace
 

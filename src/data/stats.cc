@@ -1,7 +1,11 @@
 #include "data/stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -91,19 +95,55 @@ double SpearmanCorrelation(const std::vector<double>& xs,
   return PearsonCorrelation(AverageRanks(xs), AverageRanks(ys));
 }
 
-std::vector<size_t> SortOrder(const std::vector<double>& xs) {
-  // Sorting (value, index) pairs keeps each key next to its value, which
-  // is faster than an indirect sort through `xs`; the order is the same.
-  std::vector<std::pair<double, size_t>> keyed(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) keyed[i] = {xs[i], i};
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const std::pair<double, size_t>& a,
-                      const std::pair<double, size_t>& b) {
-                     return a.first < b.first;
-                   });
-  std::vector<size_t> order(xs.size());
-  for (size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+namespace {
+
+// Unsigned image of a double that orders like `<`: a non-negative value
+// gets its sign bit set, a negative one has every bit inverted. -0.0 is
+// folded into 0.0 first so the two zeros tie, as they do under `<`.
+uint64_t OrderedKey(double x) {
+  if (x == 0.0) x = 0.0;
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+}  // namespace
+
+std::vector<uint32_t> SortOrder32(const std::vector<double>& xs) {
+  const size_t n = xs.size();
+  TCM_CHECK_LE(n, size_t{std::numeric_limits<uint32_t>::max()});
+  // LSD radix sort over the keys' eight bytes. Each pass is a stable
+  // counting scatter, so records tied on the whole key keep index order.
+  constexpr int kDigits = 8;
+  std::vector<uint64_t> keys(n), keys_next(n);
+  std::vector<uint32_t> order(n), order_next(n);
+  std::array<std::array<uint32_t, 256>, kDigits> counts{};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = OrderedKey(xs[i]);
+    keys[i] = key;
+    order[i] = static_cast<uint32_t>(i);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+  }
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    const std::array<uint32_t, 256>& count = counts[d];
+    // A byte that is the same in every key would scatter to the identity.
+    if (n == 0 || count[(keys[0] >> shift) & 0xff] == n) continue;
+    std::array<uint32_t, 256> next{};
+    for (size_t b = 1; b < 256; ++b) next[b] = next[b - 1] + count[b - 1];
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t slot = next[(keys[i] >> shift) & 0xff]++;
+      keys_next[slot] = keys[i];
+      order_next[slot] = order[i];
+    }
+    keys.swap(keys_next);
+    order.swap(order_next);
+  }
   return order;
+}
+
+std::vector<size_t> SortOrder(const std::vector<double>& xs) {
+  std::vector<uint32_t> order = SortOrder32(xs);
+  return std::vector<size_t>(order.begin(), order.end());
 }
 
 bool SolveLinearSystem(std::vector<std::vector<double>> a,

@@ -2,6 +2,7 @@
 #define TCM_DATA_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "data/dataset.h"
@@ -41,7 +42,14 @@ std::vector<double> AverageRanks(const std::vector<double>& xs);
 
 // Positions 0..n-1 such that xs[order[0]] <= xs[order[1]] <= ...; ties
 // broken by original index (stable), giving each record a distinct rank.
+// -0.0 ties with 0.0. A stable LSD radix sort on order-preserving 64-bit
+// keys: O(n) per byte that varies across the input, at most eight. NaN
+// has no place under `<` (input readers reject it); here a NaN with its
+// sign bit clear sorts after +inf and one with it set before -inf.
 std::vector<size_t> SortOrder(const std::vector<double>& xs);
+
+// SortOrder as 32-bit positions; requires xs.size() < 2^32.
+std::vector<uint32_t> SortOrder32(const std::vector<double>& xs);
 
 // Solves the dense linear system A x = b by Gauss-Jordan elimination with
 // partial pivoting; returns false when A is numerically singular. A is

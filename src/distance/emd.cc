@@ -28,7 +28,7 @@ double AbsRankSum(int64_t a, int64_t b, double x) {
 }
 
 std::vector<uint32_t> RanksFromColumn(const std::vector<double>& values) {
-  std::vector<size_t> order = SortOrder(values);
+  std::vector<uint32_t> order = SortOrder32(values);
   std::vector<uint32_t> ranks(values.size());
   for (size_t position = 0; position < order.size(); ++position) {
     ranks[order[position]] = static_cast<uint32_t>(position);

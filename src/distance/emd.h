@@ -18,18 +18,19 @@ namespace tcm {
 //
 //  * Record-level (EmdCalculator): the reference distribution places mass
 //    1/n on each record of the data set in confidential-attribute order
-//    (each record is its own bin, ties resolved by stable sort); a cluster
-//    of c records places mass 1/c on its members' bins. This is the
-//    formulation the paper's bounds assume.
+//    (each record is its own bin; tied values take ascending bins in row
+//    order, the stable SortOrder of data/stats.h); a cluster of c records
+//    places mass 1/c on its members' bins. This is the formulation the
+//    paper's bounds assume.
 
 // Distribution-level ordered EMD; `p` and `q` must have equal size >= 1 and
 // each should sum to ~1 (not enforced; the formula is linear in the bins).
 double OrderedEmd(const std::vector<double>& p, const std::vector<double>& q);
 
 // Record-level ordered EMD for one data set's confidential attribute.
-// Construction is O(n log n); cluster evaluations are O(c) after an O(c log c)
-// sort of member ranks, independent of n, via the closed-form piecewise
-// evaluation of the cumulative difference.
+// Construction is one radix SortOrder, O(n); cluster evaluations are O(c)
+// after an O(c log c) sort of member ranks, independent of n, via the
+// closed-form piecewise evaluation of the cumulative difference.
 class EmdCalculator {
  public:
   // `data` must have at least one confidential attribute;

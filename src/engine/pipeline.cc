@@ -12,8 +12,8 @@ namespace tcm {
 Result<ReleaseVerification> CheckRelease(const Dataset& release, size_t k,
                                          double t, ThreadPool* pool) {
   ReleaseVerification verification;
-  // One grouping pass feeds both checks — grouping dominates verify cost,
-  // and the k and t evaluators need the same equivalence classes.
+  // One grouping pass feeds both checks: the k and t evaluators need the
+  // same equivalence classes.
   TCM_ASSIGN_OR_RETURN(auto classes, EquivalenceClasses(release, pool));
   verification.k_anonymous = IsKAnonymous(classes, k);
   TCM_ASSIGN_OR_RETURN(verification.t_close,

@@ -12,7 +12,7 @@ namespace tcm {
 // Optimal univariate microaggregation (Hansen & Mukherjee 2003): for a
 // totally ordered attribute, the SSE-minimal partition into groups of
 // consecutive sorted values with sizes in [k, 2k-1] can be found exactly
-// by dynamic programming in O(n k) time after an O(n log n) sort. This is
+// by dynamic programming in O(n k) time after an O(n) radix sort. This is
 // the one case where microaggregation is solvable to optimality (the
 // multivariate problem is NP-hard, paper Sec. 2.3).
 //

@@ -1,50 +1,40 @@
 #include "privacy/equivalence.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
-#include <iterator>
-#include <unordered_map>
+#include <limits>
 
+#include "common/check.h"
 #include "engine/thread_pool.h"
 
 namespace tcm {
 namespace {
 
-// Hash of one row of the flattened QI matrix: the q doubles starting at
-// `keys + row * q`. -0.0 is folded into 0.0 before hashing so the two zero
-// encodings land in one class, matching the ordered-map grouping this
-// replaces (where -0.0 < 0.0 is false both ways).
-size_t HashQiRow(const double* key, size_t q) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (size_t j = 0; j < q; ++j) {
-    double v = key[j];
-    if (v == 0.0) v = 0.0;
-    h ^= std::hash<double>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+// Hash of one row's QI values, each folded in through the splitmix64
+// finalizer. -0.0 is folded into 0.0 before hashing so the two zero
+// encodings, which compare equal, land in one class.
+uint64_t HashQiRow(const Dataset& data, size_t row,
+                   const std::vector<size_t>& qi) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t col : qi) {
+    const double v = data.cell(row, col).AsDouble();
+    h ^= std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
   }
   return h;
 }
 
-// Map hash/equality over row ids, reading the precomputed row hashes and
-// the flattened keys.
-struct RowHash {
-  const std::vector<size_t>* hashes;
-  size_t operator()(size_t row) const { return (*hashes)[row]; }
+// One open-addressing slot: the low 32 bits of a class's row hash and its
+// class id + 1 (0 marks an empty slot).
+struct Slot {
+  uint32_t hash = 0;
+  uint32_t id = 0;
 };
-
-struct RowEqual {
-  const std::vector<double>* keys;
-  size_t q;
-  bool operator()(size_t a, size_t b) const {
-    for (size_t j = 0; j < q; ++j) {
-      if ((*keys)[a * q + j] != (*keys)[b * q + j]) return false;
-    }
-    return true;
-  }
-};
-
-// Buckets per pool thread: a few more than threads, for balance.
-constexpr size_t kBucketsPerThread = 4;
 
 }  // namespace
 
@@ -55,54 +45,57 @@ Result<std::vector<std::vector<size_t>>> EquivalenceClasses(
     return Status::InvalidArgument("dataset has no quasi-identifiers");
   }
   const size_t n = data.NumRecords();
-  const size_t q = qi.size();
-  // Flatten the QI tuples once so grouping compares a contiguous array
-  // instead of re-reading variant cells per probe. Exact-match grouping
-  // on doubles is correct here: aggregation writes identical centroid
-  // values into every member of a cluster.
-  std::vector<double> keys(n * q);
-  std::vector<size_t> hashes(n);
+  TCM_CHECK_LT(n, size_t{std::numeric_limits<uint32_t>::max()});
+  std::vector<uint64_t> hashes(n);
   ParallelForRanges(pool, n, [&](size_t begin, size_t end) {
     for (size_t row = begin; row < end; ++row) {
-      for (size_t j = 0; j < q; ++j) {
-        keys[row * q + j] = data.cell(row, qi[j]).AsDouble();
+      hashes[row] = HashQiRow(data, row, qi);
+    }
+  });
+  // Exact-match grouping on doubles is correct here: aggregation writes
+  // identical centroid values into every member of a cluster.
+  auto same_key = [&](size_t a, size_t b) {
+    for (size_t col : qi) {
+      if (data.cell(a, col).AsDouble() != data.cell(b, col).AsDouble()) {
+        return false;
       }
-      hashes[row] = HashQiRow(&keys[row * q], q);
     }
-  });
+    return true;
+  };
 
-  // Equal rows hash equally, so every class falls in exactly one bucket
-  // and the buckets group independently. Each bucket scans rows
-  // ascending, so its classes have ascending members and appear in
-  // first-occurrence order.
-  const size_t buckets =
-      pool == nullptr ? 1 : kBucketsPerThread * pool->num_threads();
-  std::vector<std::vector<std::vector<size_t>>> grouped(buckets);
-  ParallelFor(pool, buckets, [&](size_t b) {
-    std::vector<std::vector<size_t>>& out = grouped[b];
-    std::unordered_map<size_t, size_t, RowHash, RowEqual> group_of(
-        /*bucket_count=*/n / buckets + 1, RowHash{&hashes},
-        RowEqual{&keys, q});
-    for (size_t row = 0; row < n; ++row) {
-      if ((hashes[row] >> 32) % buckets != b) continue;
-      auto [it, inserted] = group_of.try_emplace(row, out.size());
-      if (inserted) out.emplace_back();
-      out[it->second].push_back(row);
+  // One pass over the rows in order hands out class ids by first
+  // occurrence: a linear-probing table at load <= 1/2 maps a row to the
+  // class of the first earlier row with an equal key.
+  const size_t capacity = std::bit_ceil(std::max<size_t>(2 * n, 2));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<Slot> table(capacity);
+  std::vector<uint32_t> class_of(n);
+  std::vector<uint32_t> first_row;  // class id -> its first row
+  std::vector<uint32_t> sizes;      // class id -> member count
+  for (size_t row = 0; row < n; ++row) {
+    const uint64_t h = hashes[row];
+    const uint32_t tag = static_cast<uint32_t>(h);
+    size_t slot = static_cast<size_t>(h >> shift);
+    while (true) {
+      Slot& s = table[slot];
+      if (s.id == 0) {
+        s = {tag, static_cast<uint32_t>(first_row.size() + 1)};
+        first_row.push_back(static_cast<uint32_t>(row));
+        sizes.push_back(0);
+        break;
+      }
+      if (s.hash == tag && same_key(row, first_row[s.id - 1])) break;
+      slot = (slot + 1) & (capacity - 1);
     }
-  });
-  std::vector<std::vector<size_t>> classes = std::move(grouped[0]);
-  for (size_t b = 1; b < buckets; ++b) {
-    classes.insert(classes.end(), std::make_move_iterator(grouped[b].begin()),
-                   std::make_move_iterator(grouped[b].end()));
+    const uint32_t id = table[slot].id - 1;
+    class_of[row] = id;
+    ++sizes[id];
   }
-  // Interleave the buckets back into first-occurrence order —
-  // deterministic no matter how the hash scatters the rows.
-  if (buckets > 1) {
-    std::sort(classes.begin(), classes.end(),
-              [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
-                return a.front() < b.front();
-              });
-  }
+
+  // A counting pass fills each class, sized once, with ascending members.
+  std::vector<std::vector<size_t>> classes(first_row.size());
+  for (size_t c = 0; c < classes.size(); ++c) classes[c].reserve(sizes[c]);
+  for (size_t row = 0; row < n; ++row) classes[class_of[row]].push_back(row);
   return classes;
 }
 

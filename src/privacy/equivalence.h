@@ -15,9 +15,11 @@ class ThreadPool;
 // every record exactly once. The equivalence classes of a released
 // dataset are the unit all syntactic privacy checks operate on.
 //
-// Classes come in first-occurrence order with ascending members. With a
-// `pool`, rows are hash-partitioned into buckets grouped concurrently (a
-// class never spans buckets); the output is the same.
+// Classes come in first-occurrence order with ascending members; -0.0
+// and 0.0 group together. Rows are hashed (on `pool` when given), then
+// one serial pass over an open-addressing table assigns class ids and a
+// counting pass fills the classes: O(n) expected, and the output does
+// not depend on the pool.
 //
 // InvalidArgument if the dataset has no quasi-identifiers.
 Result<std::vector<std::vector<size_t>>> EquivalenceClasses(

@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -10,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "data/attribute.h"
 #include "data/csv.h"
@@ -19,6 +23,7 @@
 #include "data/stats.h"
 #include "data/summary.h"
 #include "data/value.h"
+#include "distance/emd.h"
 #include "microagg/aggregate.h"
 
 // Counts every heap allocation of this binary, so tests can pin how many
@@ -384,6 +389,61 @@ TEST(StatsTest, AverageRanksHandleTies) {
 TEST(StatsTest, SortOrderIsStable) {
   std::vector<double> xs = {2, 1, 2, 0};
   EXPECT_EQ(SortOrder(xs), (std::vector<size_t>{3, 1, 0, 2}));
+}
+
+// The order the radix SortOrder must reproduce: a stable comparison sort.
+std::vector<size_t> ReferenceSortOrder(const std::vector<double>& xs) {
+  std::vector<size_t> order(xs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&xs](size_t a, size_t b) { return xs[a] < xs[b]; });
+  return order;
+}
+
+// Finite and infinite inputs that stress the radix keys: heavy ties, both
+// zeros side by side, negatives, subnormals, +-inf and the extremes, and
+// random bit patterns (every byte of the key varies).
+std::vector<std::vector<double>> SortOrderInputs(size_t n, uint64_t seed) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  const std::vector<double> ties = {-1.0, -0.0, 0.0, 1.0, 2.0};
+  const std::vector<double> specials = {
+      -0.0,  0.0,  -1.5, 1.5,        kTiny,       -kTiny, 3 * kTiny, kInf,
+      -kInf, kMax, -kMax, kMinNormal, -kMinNormal, 1e-300, -1e300};
+  Rng rng(seed);
+  std::vector<double> tied(n), special(n), bits(n);
+  for (size_t i = 0; i < n; ++i) {
+    tied[i] = ties[rng.NextBounded(ties.size())];
+    special[i] = specials[rng.NextBounded(specials.size())];
+    do {
+      bits[i] = std::bit_cast<double>(rng.Next());
+    } while (std::isnan(bits[i]));
+  }
+  return {tied, special, bits};
+}
+
+TEST(StatsTest, SortOrderMatchesStableComparisonSort) {
+  for (size_t n : {0, 1, 2, 4096, 50000}) {
+    for (const std::vector<double>& xs : SortOrderInputs(n, 17 + n)) {
+      const std::vector<size_t> expected = ReferenceSortOrder(xs);
+      ASSERT_EQ(SortOrder(xs), expected) << "n=" << n;
+      if (n < 2) continue;  // EmdCalculator needs two records
+      EmdCalculator emd(xs);
+      for (size_t position = 0; position < n; ++position) {
+        ASSERT_EQ(emd.RankOf(expected[position]), position) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(StatsTest, SortOrderPlacesNanBySign) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {std::copysign(nan, 1.0), inf,
+                            std::copysign(nan, -1.0), -inf, 0.0};
+  EXPECT_EQ(SortOrder(xs), (std::vector<size_t>{2, 3, 4, 1, 0}));
 }
 
 TEST(StatsTest, QiConfidentialCorrelationPerfectLinear) {

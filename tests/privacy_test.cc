@@ -1,9 +1,12 @@
+#include <map>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/generator.h"
+#include "engine/thread_pool.h"
 #include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
@@ -28,22 +31,67 @@ Dataset MakeGroupedDataset() {
 
 // ----------------------------------------------------------- Equivalence
 
+// The grouping EquivalenceClasses must reproduce: an ordered map over the
+// QI tuples (where -0.0 and 0.0 are one key), classes in first-occurrence
+// order with ascending members.
+std::vector<std::vector<size_t>> ReferenceClasses(const Dataset& data) {
+  const std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
+  std::map<std::vector<double>, size_t> class_of;
+  std::vector<std::vector<size_t>> classes;
+  for (size_t row = 0; row < data.NumRecords(); ++row) {
+    std::vector<double> key;
+    for (size_t col : qi) key.push_back(data.cell(row, col).AsDouble());
+    auto [it, inserted] = class_of.try_emplace(key, classes.size());
+    if (inserted) classes.emplace_back();
+    classes[it->second].push_back(row);
+  }
+  return classes;
+}
+
+// Matches the reference serially and on pools of 1, 2 and 4 threads.
+void ExpectClassesMatchReference(const Dataset& data) {
+  const std::vector<std::vector<size_t>> expected = ReferenceClasses(data);
+  auto serial = EquivalenceClasses(data);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(*serial, expected);
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    auto pooled = EquivalenceClasses(data, &pool);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_EQ(*pooled, expected) << threads << " threads";
+  }
+}
+
+Dataset TwoQiDataset(std::vector<double> q1, std::vector<double> q2) {
+  std::vector<double> conf(q1.size());
+  std::iota(conf.begin(), conf.end(), 0.0);
+  auto data = DatasetFromColumns(
+      {"q1", "q2", "c"}, {std::move(q1), std::move(q2), std::move(conf)},
+      {AttributeRole::kQuasiIdentifier, AttributeRole::kQuasiIdentifier,
+       AttributeRole::kConfidential});
+  return std::move(data).value();
+}
+
 TEST(EquivalenceTest, GroupsByExactQiMatch) {
   auto classes = EquivalenceClasses(MakeGroupedDataset());
   ASSERT_TRUE(classes.ok());
   ASSERT_EQ(classes->size(), 2u);
   EXPECT_EQ((*classes)[0], (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ((*classes)[1], (std::vector<size_t>{3, 4}));
+  ExpectClassesMatchReference(MakeGroupedDataset());
 }
 
 TEST(EquivalenceTest, AllDistinctGivesSingletons) {
-  auto data = DatasetFromColumns(
-      {"qi", "conf"}, {{1, 2, 3}, {1, 1, 1}},
-      {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
-  ASSERT_TRUE(data.ok());
-  auto classes = EquivalenceClasses(*data);
+  std::vector<double> q1(1000), q2(1000);
+  for (size_t i = 0; i < q1.size(); ++i) {
+    q1[i] = static_cast<double>(i % 10);
+    q2[i] = static_cast<double>(i / 10) * 0.1;
+  }
+  Dataset data = TwoQiDataset(std::move(q1), std::move(q2));
+  auto classes = EquivalenceClasses(data);
   ASSERT_TRUE(classes.ok());
-  EXPECT_EQ(classes->size(), 3u);
+  EXPECT_EQ(classes->size(), 1000u);
+  ExpectClassesMatchReference(data);
 }
 
 TEST(EquivalenceTest, RequiresQuasiIdentifiers) {
@@ -61,6 +109,50 @@ TEST(EquivalenceTest, MultiAttributeKeys) {
   auto classes = EquivalenceClasses(*data);
   ASSERT_TRUE(classes.ok());
   EXPECT_EQ(classes->size(), 2u);  // (1,5) x2 and (1,6) x1
+}
+
+TEST(EquivalenceTest, NegativeZeroGroupsWithZero) {
+  Dataset data = TwoQiDataset({-0.0, 0.0, 1, -0.0, 0.0}, {5, 5, 5, 5, 6});
+  auto classes = EquivalenceClasses(data);
+  ASSERT_TRUE(classes.ok());
+  EXPECT_EQ(*classes,
+            (std::vector<std::vector<size_t>>{{0, 1, 3}, {2}, {4}}));
+  ExpectClassesMatchReference(data);
+}
+
+TEST(EquivalenceTest, AllEqualRowsFormOneClass) {
+  Dataset data = TwoQiDataset(std::vector<double>(1000, 2.5),
+                              std::vector<double>(1000, -0.0));
+  auto classes = EquivalenceClasses(data);
+  ASSERT_TRUE(classes.ok());
+  ASSERT_EQ(classes->size(), 1u);
+  EXPECT_EQ(classes->front().size(), 1000u);
+  ExpectClassesMatchReference(data);
+}
+
+// A 50k-row release: 10k classes of five members scattered over the
+// rows, with integer and fractional centroids; the zero centroids are
+// written as 0.0 in some members and -0.0 in others.
+TEST(EquivalenceTest, LargeScatteredReleaseMatchesReference) {
+  constexpr size_t kClasses = 10000;
+  constexpr size_t kMembers = 5;
+  std::vector<size_t> class_of_row(kClasses * kMembers);
+  for (size_t row = 0; row < class_of_row.size(); ++row) {
+    class_of_row[row] = row % kClasses;
+  }
+  Rng rng(5);
+  rng.Shuffle(class_of_row);
+  std::vector<double> q1, q2;
+  for (size_t c : class_of_row) {
+    q1.push_back(static_cast<double>(c % 100));
+    const double fraction = static_cast<double>(c / 100) * 0.37;
+    q2.push_back(fraction == 0.0 && q1.size() % 2 == 0 ? -0.0 : fraction);
+  }
+  Dataset data = TwoQiDataset(std::move(q1), std::move(q2));
+  auto classes = EquivalenceClasses(data);
+  ASSERT_TRUE(classes.ok());
+  EXPECT_EQ(classes->size(), kClasses);
+  ExpectClassesMatchReference(data);
 }
 
 // ------------------------------------------------------------ kAnonymity
