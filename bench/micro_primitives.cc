@@ -3,12 +3,18 @@
 // O(n k) times per cluster, so the O(c) fast path vs the O(n) reference
 // is the difference between seconds and hours at paper scale.
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "data/csv.h"
+#include "data/csv_stream.h"
 #include "data/generator.h"
 #include "data/stats.h"
 #include "distance/emd.h"
@@ -127,6 +133,25 @@ void BM_EquivalenceClasses(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EquivalenceClasses)->Arg(50000);
+
+// The streamed job's read stage: one 50k-row window of 3 QIs + 1
+// confidential column at full precision, scanned and parsed from an
+// in-memory stream (the istringstream copy of the text is included).
+void BM_CsvReadInto(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const std::string text =
+      tcm::WriteCsvString(tcm::MakeUniformDataset(rows, 3, 13));
+  for (auto _ : state) {
+    auto reader = tcm::StreamingCsvReader::FromStreamNumeric(
+        std::make_unique<std::istringstream>(text));
+    tcm::Dataset window((*reader)->schema());
+    auto got = (*reader)->ReadInto(&window, rows);
+    benchmark::DoNotOptimize(got.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_CsvReadInto)->Arg(50000);
 
 }  // namespace
 

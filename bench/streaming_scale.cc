@@ -100,14 +100,16 @@ tcm::JobSpec StreamSpec(const RunConfig& config, size_t resident,
 
 // One BENCH_streaming.json row. `input` names the record source
 // (synthetic | csv | tcmb); mapped/copied bytes are the report's input
-// accounting (zero for synthetic rows).
+// accounting (zero for synthetic rows). "stages" holds the report's
+// per-stage seconds; with overlap_io, verify and write overlap the next
+// window's anonymize, so they can sum past "seconds".
 std::string FormatRow(const RunConfig& config, const char* input, size_t n,
                       size_t resident, size_t shard_size,
                       const tcm::RunReport& report, double seconds,
                       double speedup, double sse_ratio) {
   const bool bounded = report.peak_resident_rows <= resident;
   const bool verified = report.k_verified && report.t_verified;
-  char line[768];
+  char line[1024];
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"streaming_scale\",\"input\":\"%s\",\"algorithm\":\"%s\","
@@ -117,7 +119,9 @@ std::string FormatRow(const RunConfig& config, const char* input, size_t n,
       "\"seconds\":%.3f,\"rows_per_sec\":%.0f,\"speedup\":%.2f,"
       "\"verified\":%s,\"final_merges\":%zu,\"pruned_checks\":%zu,"
       "\"input_mapped_bytes\":%zu,\"input_copied_bytes\":%zu,"
-      "\"sse\":%.6f,\"sse_ratio\":%.3f,\"max_emd\":%.4f}",
+      "\"sse\":%.6f,\"sse_ratio\":%.3f,\"max_emd\":%.4f,"
+      "\"stages\":{\"load\":%.3f,\"anonymize\":%.3f,\"verify\":%.3f,"
+      "\"write\":%.3f}}",
       input, config.algorithm.c_str(),
       tcm::MergeStrategyName(config.merge_strategy),
       config.overlap_io ? "true" : "false", RoleName(config.role), n,
@@ -127,7 +131,9 @@ std::string FormatRow(const RunConfig& config, const char* input, size_t n,
       verified ? "true" : "false", report.stats.final_merges,
       report.stats.pruned_checks, report.input_mapped_bytes,
       report.input_copied_bytes,
-      report.normalized_sse, sse_ratio, report.max_cluster_emd);
+      report.normalized_sse, sse_ratio, report.max_cluster_emd,
+      report.load_seconds, report.anonymize_seconds,
+      report.verify_seconds, report.write_seconds);
   return line;
 }
 

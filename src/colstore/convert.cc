@@ -21,7 +21,7 @@ constexpr size_t kChunkBytes = 1 << 16;
 
 using CsvFields = std::vector<std::string_view>;
 
-// Streams `path` through the shared tokenizer, invoking `fn` for every
+// Streams `path` through the shared scanner, invoking `fn` for every
 // non-blank record (header included). `fn` sees the raw fields plus the
 // 1-based line the record began on.
 Status ForEachCsvRecord(
@@ -31,30 +31,21 @@ Status ForEachCsvRecord(
   if (!input) {
     return Status::IoError("cannot open \"" + path + "\"");
   }
-  CsvTokenizer tokenizer;
-  std::vector<char> chunk(kChunkBytes);
+  CsvScanner scanner(
+      [&](char* dst, size_t size) -> Result<size_t> {
+        input.read(dst, static_cast<std::streamsize>(size));
+        if (input.bad()) {
+          return Status::IoError("read error on \"" + path + "\"");
+        }
+        return static_cast<size_t>(input.gcount());
+      },
+      kChunkBytes);
   CsvFields fields;
-  bool input_done = false;
   while (true) {
-    TCM_ASSIGN_OR_RETURN(bool have, tokenizer.Next(&fields));
-    if (have) {
-      if (IsBlankCsvRecord(fields)) continue;
-      TCM_RETURN_IF_ERROR(fn(fields, tokenizer.record_line()));
-      continue;
-    }
-    if (input_done) return Status::Ok();
-    input.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const std::streamsize got = input.gcount();
-    if (got > 0) {
-      tokenizer.Feed(std::string_view(chunk.data(), static_cast<size_t>(got)));
-    }
-    if (got < static_cast<std::streamsize>(chunk.size())) {
-      if (input.bad()) {
-        return Status::IoError("read error on \"" + path + "\"");
-      }
-      tokenizer.Finish();
-      input_done = true;
-    }
+    TCM_ASSIGN_OR_RETURN(bool have, scanner.Next(&fields));
+    if (!have) return Status::Ok();
+    if (IsBlankCsvRecord(fields)) continue;
+    TCM_RETURN_IF_ERROR(fn(fields, scanner.record_line()));
   }
 }
 
@@ -87,7 +78,8 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
         }
         for (size_t c = 0; c < fields.size(); ++c) {
           double parsed;
-          if (numeric[c] && !ParseDouble(StripWhitespace(fields[c]), &parsed)) {
+          if (numeric[c] &&
+              !ParseStrippedDouble(StripWhitespace(fields[c]), &parsed)) {
             numeric[c] = false;
           }
         }
@@ -126,7 +118,7 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
           const std::string_view stripped = StripWhitespace(fields[c]);
           if (numeric[c]) {
             double parsed = 0;
-            if (!ParseDouble(stripped, &parsed)) {
+            if (!ParseStrippedDouble(stripped, &parsed)) {
               return Status::IoError(
                   "\"" + csv_path + "\" line " + std::to_string(line) +
                   ": cannot parse \"" + std::string(stripped) +

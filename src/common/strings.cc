@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
 #include <charconv>
 #include <system_error>
 
@@ -31,36 +30,37 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return out;
 }
 
+namespace {
+
+// std::isspace would read the process locale.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  return ParseStrippedDouble(StripWhitespace(text), out);
 }
 
 // std::from_chars/std::to_chars instead of strtod/printf: the C calls
 // read LC_NUMERIC, so a host running under a comma-decimal locale (e.g.
 // de_DE) would misparse "3.5" and format 3.5 as "3,5" — numbers in CSV
 // cells and specs must not depend on the process's locale.
-bool ParseDouble(std::string_view text, double* out) {
-  std::string_view stripped = StripWhitespace(text);
-  if (stripped.empty()) return false;
+bool ParseStrippedDouble(std::string_view text, double* out) {
   // strtod accepted an explicit leading '+'; from_chars does not.
-  if (stripped.front() == '+') stripped.remove_prefix(1);
-  if (stripped.empty()) return false;
+  if (!text.empty() && text.front() == '+') text.remove_prefix(1);
+  if (text.empty()) return false;
   double value = 0.0;
-  auto result = std::from_chars(stripped.data(),
-                                stripped.data() + stripped.size(), value,
-                                std::chars_format::general);
-  if (result.ec != std::errc() ||
-      result.ptr != stripped.data() + stripped.size()) {
+  auto result = std::from_chars(text.data(), text.data() + text.size(),
+                                value, std::chars_format::general);
+  if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
     return false;
   }
   *out = value;

@@ -9,7 +9,7 @@
 #include "data/csv_stream.h"
 
 // The in-memory API is a thin wrapper over the incremental plumbing in
-// csv_stream.h: both this reader and StreamingCsvReader tokenize,
+// csv_stream.h: both this reader and StreamingCsvReader scan,
 // validate and convert with the same code, so any input — including
 // adversarial quoting — gets the same verdict from either path.
 
@@ -47,6 +47,9 @@ Status WriteCsv(const Dataset& data, const std::string& path) {
   std::ofstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open '" + path + "' for writing");
   WriteLines(data, file);
+  // Check after the flush: the stream buffers the tail, so only the flush
+  // reports a failed last write (e.g. a full disk).
+  file.flush();
   if (!file.good()) return Status::IoError("write to '" + path + "' failed");
   return Status::Ok();
 }

@@ -1,197 +1,218 @@
 #include "data/csv_stream.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <istream>
 #include <utility>
 
 #include "common/strings.h"
 #include "engine/thread_pool.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace tcm {
 
-// --- CsvTokenizer ---
+// --- CsvScanner ---
 
 namespace {
 
-// Bytes the per-byte state machine must see; every other byte inside an
-// unquoted field is plain data.
-bool IsCsvSpecial(char c) {
-  return c == ',' || c == '\n' || c == '\r' || c == '"';
+// The bytes an unquoted field ends at; the scan skips every other byte.
+constexpr std::array<bool, 256> kEndsUnquoted = [] {
+  std::array<bool, 256> table{};
+  for (unsigned char c : {',', '\n', '\r', '"'}) table[c] = true;
+  return table;
+}();
+
+// Returns the first index in [i, n) whose byte is in kEndsUnquoted, or
+// n. Where SSE2 is available (every x86-64) it tests 16 bytes a step.
+size_t SkipUnquoted(const char* p, size_t i, size_t n) {
+#if defined(__SSE2__)
+  const __m128i comma = _mm_set1_epi8(',');
+  const __m128i lf = _mm_set1_epi8('\n');
+  const __m128i cr = _mm_set1_epi8('\r');
+  const __m128i quote = _mm_set1_epi8('"');
+  for (; i + 16 <= n; i += 16) {
+    const __m128i bytes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
+    const __m128i hits = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(bytes, comma), _mm_cmpeq_epi8(bytes, lf)),
+        _mm_or_si128(_mm_cmpeq_epi8(bytes, cr),
+                     _mm_cmpeq_epi8(bytes, quote)));
+    const unsigned mask = static_cast<unsigned>(_mm_movemask_epi8(hits));
+    if (mask != 0) return i + std::countr_zero(mask);
+  }
+#endif
+  while (i < n && !kEndsUnquoted[static_cast<unsigned char>(p[i])]) ++i;
+  return i;
 }
 
 }  // namespace
 
-void CsvTokenizer::Feed(std::string_view chunk) {
-  if (finished_) return;
-  DropPulledRecords();
-  size_t i = 0;
-  while (i < chunk.size() && error_.ok()) {
-    if (state_ == State::kUnquoted && !pending_cr_) {
-      // Bulk-append the run of plain bytes up to the next special one;
-      // the state machine below only ever appends them one by one.
-      size_t run_end = i;
-      while (run_end < chunk.size() && !IsCsvSpecial(chunk[run_end])) {
-        ++run_end;
+CsvScanner::CsvScanner(CsvByteSource source, size_t chunk_bytes)
+    : source_(std::move(source)), chunk_bytes_(chunk_bytes) {}
+
+Result<bool> CsvScanner::Next(std::vector<std::string_view>* fields) {
+  while (error_.ok()) {
+    const char* const record = buffer_.data() + rec_;
+    switch (Scan()) {
+      case Step::kRecord:
+        fields->clear();
+        for (const auto& [begin, end] : spans_) {
+          fields->emplace_back(record + begin, end - begin);
+        }
+        spans_.clear();
+        return true;
+      case Step::kEnd:
+        return false;
+      case Step::kError:
+        break;
+      case Step::kNeedMore:
+        if (Status status = Refill(); !status.ok()) error_ = status;
+        break;
+    }
+  }
+  return error_;
+}
+
+// One pass per record: an unquoted field is skipped to the next byte of
+// kEndsUnquoted, a quoted one to its next quote. Where the decision
+// needs bytes not read yet (a CR's or a quote's successor), the scan
+// stops before the deciding byte and resumes there after the refill.
+CsvScanner::Step CsvScanner::Scan() {
+  char* const rec = buffer_.data() + rec_;
+  const size_t avail = end_ - rec_;
+  size_t i = pos_;
+  while (true) {
+    if (state_ == State::kFieldStart) {
+      if (i == avail) {
+        if (!input_done_) break;
+        if (spans_.empty()) return Step::kEnd;  // no record left
+        spans_.emplace_back(i, i);  // empty last field of "x,<EOF>"
+        return EndRecord(i);
       }
-      chars_.append(chunk.data() + i, run_end - i);
-      i = run_end;
-      if (i == chunk.size()) break;
-    }
-    Consume(chunk[i++]);
-  }
-}
-
-void CsvTokenizer::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  DropPulledRecords();
-  if (!error_.ok()) return;
-  if (pending_cr_) {
-    pending_cr_ = false;
-    if (state_ == State::kQuoteSeen) {
-      // "...x"\r<EOF>: accept the CR as the record terminator.
-      EndRecord();
-      return;
-    }
-    chars_.push_back('\r');
-    if (state_ != State::kQuoted) state_ = State::kUnquoted;
-  }
-  switch (state_) {
-    case State::kRecordStart:
-      break;  // input ended cleanly after a newline (or was empty)
-    case State::kFieldStart:
-    case State::kUnquoted:
-    case State::kQuoteSeen:
-      EndRecord();  // final record without a trailing newline
-      break;
-    case State::kQuoted:
-      Fail("unterminated quoted field at end of input");
-      break;
-  }
-}
-
-Result<bool> CsvTokenizer::Next(std::vector<std::string_view>* fields) {
-  if (next_ready_ < ready_.size()) {
-    const ReadyRecord& record = ready_[next_ready_];
-    size_t field = next_ready_ == 0 ? 0 : ready_[next_ready_ - 1].fields_end;
-    fields->clear();
-    for (; field < record.fields_end; ++field) {
-      const size_t begin = field == 0 ? 0 : field_ends_[field - 1];
-      fields->emplace_back(chars_.data() + begin, field_ends_[field] - begin);
-    }
-    last_record_line_ = record.line;
-    ++next_ready_;
-    return true;
-  }
-  if (!error_.ok()) return error_;
-  return false;
-}
-
-void CsvTokenizer::DropPulledRecords() {
-  if (next_ready_ == 0) return;
-  const size_t fields = ready_[next_ready_ - 1].fields_end;
-  const size_t bytes = field_ends_[fields - 1];
-  chars_.erase(0, bytes);
-  field_ends_.erase(field_ends_.begin(),
-                    field_ends_.begin() + static_cast<std::ptrdiff_t>(fields));
-  for (size_t& end : field_ends_) end -= bytes;
-  ready_.erase(ready_.begin(),
-               ready_.begin() + static_cast<std::ptrdiff_t>(next_ready_));
-  for (ReadyRecord& record : ready_) record.fields_end -= fields;
-  next_ready_ = 0;
-}
-
-void CsvTokenizer::Consume(char c) {
-  if (pending_cr_) {
-    pending_cr_ = false;
-    if (c == '\n') {
-      ++line_;
-      EndRecord();
-      return;
-    }
-    if (state_ == State::kQuoteSeen) {
-      Fail("unexpected character after closing quote");
-      return;
-    }
-    // A CR not followed by LF is field data, like any other byte.
-    chars_.push_back('\r');
-    if (state_ != State::kQuoted) state_ = State::kUnquoted;
-  }
-  switch (state_) {
-    case State::kRecordStart:
-    case State::kFieldStart:
-      if (c == '"') {
+      if (rec[i] == '"') {
         state_ = State::kQuoted;
-      } else if (c == ',') {
-        EndField();
-        state_ = State::kFieldStart;
-      } else if (c == '\n') {
-        ++line_;
-        EndRecord();
-      } else if (c == '\r') {
-        pending_cr_ = true;
-      } else {
-        chars_.push_back(c);
-        state_ = State::kUnquoted;
+        field_begin_ = write_ = ++i;
+        continue;
       }
-      break;
-    case State::kUnquoted:
+      state_ = State::kUnquoted;
+      field_begin_ = i;
+    }
+    if (state_ == State::kUnquoted) {
+      i = SkipUnquoted(rec, i, avail);
+      if (i == avail) {
+        if (!input_done_) break;
+        spans_.emplace_back(field_begin_, i);
+        return EndRecord(i);
+      }
+      const char c = rec[i];
+      if (c == '"') return Fail("quote character inside unquoted field");
       if (c == ',') {
-        EndField();
+        spans_.emplace_back(field_begin_, i);
         state_ = State::kFieldStart;
-      } else if (c == '\n') {
-        ++line_;
-        EndRecord();
-      } else if (c == '\r') {
-        pending_cr_ = true;
-      } else if (c == '"') {
-        Fail("quote character inside unquoted field");
-      } else {
-        chars_.push_back(c);
+        ++i;
+        continue;
       }
-      break;
-    case State::kQuoted:
-      if (c == '"') {
-        state_ = State::kQuoteSeen;
-      } else {
-        if (c == '\n') ++line_;
-        chars_.push_back(c);
+      // LF, or CR: the record end when LF follows, data otherwise.
+      const size_t terminator = c == '\n' ? 1 : 2;
+      if (c == '\r') {
+        if (i + 1 == avail && !input_done_) break;
+        if (i + 1 == avail || rec[i + 1] != '\n') {
+          ++i;
+          continue;
+        }
       }
-      break;
-    case State::kQuoteSeen:
-      if (c == '"') {
-        chars_.push_back('"');  // "" escape
-        state_ = State::kQuoted;
-      } else if (c == ',') {
-        EndField();
-        state_ = State::kFieldStart;
-      } else if (c == '\n') {
-        ++line_;
-        EndRecord();
-      } else if (c == '\r') {
-        pending_cr_ = true;
+      spans_.emplace_back(field_begin_, i);
+      ++line_;
+      return EndRecord(i + terminator);
+    }
+    // kQuoted: moves the field's bytes down over each "" escape.
+    const char* quote = static_cast<const char*>(
+        std::memchr(rec + i, '"', avail - i));
+    const size_t stop = quote == nullptr ? avail : quote - rec;
+    line_ += static_cast<size_t>(std::count(rec + i, rec + stop, '\n'));
+    if (write_ != i) std::memmove(rec + write_, rec + i, stop - i);
+    write_ += stop - i;
+    i = stop;
+    if (i == avail) {
+      if (!input_done_) break;
+      return Fail("unterminated quoted field at end of input");
+    }
+    // rec[i] is a quote: a "" escape, or the closing quote, which must
+    // be followed by a comma, LF, CRLF or the end of input (where a lone
+    // CR still ends the record).
+    const char* const after = rec + i + 1;
+    const size_t left = avail - i - 1;  // bytes read past the quote
+    if (left == 0 && !input_done_) break;
+    if (left > 0 && after[0] == '"') {
+      rec[write_++] = '"';
+      i += 2;
+      continue;
+    }
+    size_t terminator = 0;  // bytes after the quote that end the field
+    if (left > 0) {
+      if (after[0] == ',' || after[0] == '\n') {
+        terminator = 1;
+      } else if (after[0] != '\r') {
+        return Fail("unexpected character after closing quote");
+      } else if (left > 1) {
+        if (after[1] != '\n') {
+          return Fail("unexpected character after closing quote");
+        }
+        terminator = 2;
+      } else if (!input_done_) {
+        break;
       } else {
-        Fail("unexpected character after closing quote");
+        terminator = 1;
       }
-      break;
+    }
+    spans_.emplace_back(field_begin_, write_);
+    if (terminator == 1 && after[0] == ',') {
+      state_ = State::kFieldStart;
+      i += 2;
+      continue;
+    }
+    if (terminator > 0 && after[terminator - 1] == '\n') ++line_;
+    return EndRecord(i + 1 + terminator);
   }
+  pos_ = i;
+  return Step::kNeedMore;
 }
 
-void CsvTokenizer::EndField() { field_ends_.push_back(chars_.size()); }
-
-void CsvTokenizer::EndRecord() {
-  EndField();
-  ready_.push_back(ReadyRecord{field_ends_.size(), record_start_line_});
-  state_ = State::kRecordStart;
-  record_start_line_ = line_;
+CsvScanner::Step CsvScanner::EndRecord(size_t length) {
+  record_line_ = start_line_;
+  start_line_ = line_;
+  rec_ += length;
+  pos_ = 0;
+  state_ = State::kFieldStart;
+  return Step::kRecord;
 }
 
-void CsvTokenizer::Fail(const std::string& message) {
-  if (!error_.ok()) return;
+CsvScanner::Step CsvScanner::Fail(const char* message) {
   error_ = Status::IoError("line " + std::to_string(line_) + ": " + message);
+  return Step::kError;
+}
+
+Status CsvScanner::Refill() {
+  const size_t tail = end_ - rec_;
+  if (rec_ > 0) std::memmove(buffer_.data(), buffer_.data() + rec_, tail);
+  rec_ = 0;
+  end_ = tail;
+  if (buffer_.size() < tail + chunk_bytes_) {
+    buffer_.resize(2 * (tail + chunk_bytes_));
+  }
+  TCM_ASSIGN_OR_RETURN(size_t got,
+                       source_(buffer_.data() + end_, chunk_bytes_));
+  end_ += got;
+  input_done_ = got == 0;
+  return Status::Ok();
 }
 
 // --- Shared record-level helpers ---
@@ -200,6 +221,10 @@ bool IsBlankCsvRecord(std::span<const std::string_view> fields) {
   return fields.size() == 1 && StripWhitespace(fields[0]).empty();
 }
 
+namespace {
+
+// Validates a header record against `schema`: same column count, names
+// match in order after whitespace stripping.
 Status ValidateCsvHeader(std::span<const std::string_view> fields,
                          const Schema& schema) {
   if (fields.size() != schema.size()) {
@@ -217,6 +242,8 @@ Status ValidateCsvHeader(std::span<const std::string_view> fields,
   return Status::Ok();
 }
 
+// The all-numeric, role-kOther schema ReadNumericCsv infers from a
+// header record.
 Schema NumericSchemaFromHeader(std::span<const std::string_view> fields) {
   std::vector<Attribute> attrs;
   attrs.reserve(fields.size());
@@ -228,48 +255,62 @@ Schema NumericSchemaFromHeader(std::span<const std::string_view> fields) {
   return Schema(std::move(attrs));
 }
 
-Status CsvFieldsToRecord(std::span<const std::string_view> fields,
-                         const Schema& schema, size_t line, Record* record) {
+// Converts one CSV record into `cells`, one per attribute of `schema`.
+// `line` is the physical line the record began on, used in error
+// messages. Each field is stripped once; categorical fields must be
+// known labels, numeric fields must parse as finite doubles (nan and
+// inf are rejected: no release can be built from them).
+Status CsvFieldsToCells(std::span<const std::string_view> fields,
+                        const Schema& schema, size_t line,
+                        std::span<Value> cells) {
   if (fields.size() != schema.size()) {
     return Status::IoError("line " + std::to_string(line) + " has " +
                            std::to_string(fields.size()) + " fields");
   }
-  record->clear();
   for (size_t i = 0; i < fields.size(); ++i) {
     const std::string_view field = StripWhitespace(fields[i]);
     const Attribute& attr = schema.at(i);
     if (attr.is_categorical()) {
-      int32_t code = -1;
-      for (size_t c = 0; c < attr.categories.size(); ++c) {
-        if (attr.categories[c] == field) {
-          code = static_cast<int32_t>(c);
-          break;
-        }
-      }
-      if (code < 0) {
+      const auto& labels = attr.categories;
+      const auto it = std::find(labels.begin(), labels.end(), field);
+      if (it == labels.end()) {
         return Status::IoError("line " + std::to_string(line) +
                                ": unknown category '" + std::string(field) +
                                "' for attribute '" + attr.name + "'");
       }
-      record->push_back(Value::Categorical(code));
-    } else {
-      double value = 0.0;
-      if (!ParseDouble(field, &value)) {
-        return Status::IoError("line " + std::to_string(line) +
-                               ": cannot parse '" + std::string(field) +
-                               "' as a number for attribute '" + attr.name +
-                               "'");
-      }
-      if (!std::isfinite(value)) {
-        return Status::IoError("line " + std::to_string(line) +
-                               ": non-finite value '" + std::string(field) +
-                               "' for attribute '" + attr.name + "'");
-      }
-      record->push_back(Value::Numeric(value));
+      cells[i] = Value::Categorical(static_cast<int32_t>(it - labels.begin()));
+      continue;
     }
+    double value = 0.0;
+    if (!ParseStrippedDouble(field, &value)) {
+      return Status::IoError("line " + std::to_string(line) +
+                             ": cannot parse '" + std::string(field) +
+                             "' as a number for attribute '" + attr.name +
+                             "'");
+    }
+    if (!std::isfinite(value)) {
+      return Status::IoError("line " + std::to_string(line) +
+                             ": non-finite value '" + std::string(field) +
+                             "' for attribute '" + attr.name + "'");
+    }
+    cells[i] = Value::Numeric(value);
   }
   return Status::Ok();
 }
+
+// True when every cell CsvFieldsToCells makes for `from` has the kind
+// `to` expects, so rows can be filled in place.
+bool SameCellKinds(const Schema& from, const Schema& to) {
+  if (from.size() != to.size()) return false;
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (from.at(i).is_categorical() != to.at(i).is_categorical()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 // --- Shared formatting ---
 
@@ -353,6 +394,21 @@ void CsvRowWriter::Write(const Dataset& data, std::ostream& out,
 
 // --- StreamingCsvReader ---
 
+StreamingCsvReader::StreamingCsvReader(std::unique_ptr<std::istream> input,
+                                       Schema schema,
+                                       const StreamingCsvOptions& options)
+    : input_(std::move(input)),
+      schema_(std::move(schema)),
+      scanner_(
+          [stream = input_.get()](char* dst, size_t size) -> Result<size_t> {
+            stream->read(dst, static_cast<std::streamsize>(size));
+            if (stream->bad()) {
+              return Status::IoError("error reading CSV input");
+            }
+            return static_cast<size_t>(stream->gcount());
+          },
+          options.buffer_bytes) {}
+
 Result<std::unique_ptr<StreamingCsvReader>> StreamingCsvReader::Make(
     std::unique_ptr<std::istream> input, const Schema* schema,
     const StreamingCsvOptions& options) {
@@ -362,7 +418,7 @@ Result<std::unique_ptr<StreamingCsvReader>> StreamingCsvReader::Make(
   std::unique_ptr<StreamingCsvReader> reader(new StreamingCsvReader(
       std::move(input), schema != nullptr ? *schema : Schema(), options));
   std::vector<std::string_view> header;
-  TCM_ASSIGN_OR_RETURN(bool got_header, reader->NextRecord(&header));
+  TCM_ASSIGN_OR_RETURN(bool got_header, reader->scanner_.Next(&header));
   if (!got_header) {
     return Status::IoError("empty input: missing header row");
   }
@@ -424,38 +480,25 @@ Status StreamingCsvReader::ReplaceSchema(Schema schema) {
   return Status::Ok();
 }
 
-Result<bool> StreamingCsvReader::NextRecord(
-    std::vector<std::string_view>* fields) {
-  while (true) {
-    TCM_ASSIGN_OR_RETURN(bool got, tokenizer_.Next(fields));
-    if (got) return true;
-    if (input_done_) return false;
-    chunk_.resize(options_.buffer_bytes);
-    input_->read(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
-    std::streamsize n = input_->gcount();
-    if (n > 0) {
-      tokenizer_.Feed(
-          std::string_view(chunk_.data(), static_cast<size_t>(n)));
-    }
-    if (input_->bad()) {
-      return Status::IoError("error reading CSV input");
-    }
-    if (input_->eof()) {
-      tokenizer_.Finish();
-      input_done_ = true;
-    }
-  }
-}
-
 Result<size_t> StreamingCsvReader::ReadInto(Dataset* out, size_t max_rows) {
+  const bool in_place = SameCellKinds(schema_, out->schema());
   size_t appended = 0;
   while (appended < max_rows) {
-    TCM_ASSIGN_OR_RETURN(bool got, NextRecord(&fields_));
+    TCM_ASSIGN_OR_RETURN(bool got, scanner_.Next(&fields_));
     if (!got) break;
     if (IsBlankCsvRecord(fields_)) continue;
-    TCM_RETURN_IF_ERROR(CsvFieldsToRecord(fields_, schema_,
-                                          tokenizer_.record_line(), &record_));
-    TCM_RETURN_IF_ERROR(out->Append(record_));
+    const size_t line = scanner_.record_line();
+    if (in_place) {
+      TCM_RETURN_IF_ERROR(out->AppendInPlace([&](std::span<Value> row) {
+        return CsvFieldsToCells(fields_, schema_, line, row);
+      }));
+    } else {
+      // `out` cannot hold these cells: Append reports why, after any
+      // error of the record itself.
+      record_.resize(schema_.size());
+      TCM_RETURN_IF_ERROR(CsvFieldsToCells(fields_, schema_, line, record_));
+      TCM_RETURN_IF_ERROR(out->Append(record_));
+    }
     ++rows_read_;
     ++appended;
   }
@@ -491,10 +534,10 @@ Status StreamingCsvWriter::WriteRows(const Dataset& batch, ThreadPool* pool) {
 
 Status StreamingCsvWriter::Close() {
   file_.flush();
+  if (file_.good()) file_.close();
   if (!file_.good()) {
     return Status::IoError("write to '" + path_ + "' failed");
   }
-  file_.close();
   return Status::Ok();
 }
 

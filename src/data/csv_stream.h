@@ -1,13 +1,14 @@
 #ifndef TCM_DATA_CSV_STREAM_H_
 #define TCM_DATA_CSV_STREAM_H_
 
-#include <deque>
 #include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -19,11 +20,12 @@ namespace tcm {
 
 class ThreadPool;
 
-// Incremental CSV plumbing shared by the in-memory reader (csv.h) and
-// the streaming reader below. Both paths tokenize, validate and convert
-// with exactly this code, so every input — well-formed or adversarial —
-// receives the same verdict whether it is parsed from a string or
-// streamed from a file in fixed-size chunks.
+// Incremental CSV plumbing shared by the in-memory reader (csv.h), the
+// streaming reader below and the .tcmb converter, which all scan with
+// CsvScanner. The two readers also validate and convert with the same
+// code, so every input — well-formed or adversarial — receives the same
+// verdict whether it is parsed from a string or streamed from a file in
+// fixed-size chunks.
 //
 // Dialect: RFC 4180 with pragmatic relaxations.
 //   - Records end at LF or CRLF; the final record may omit the newline.
@@ -36,95 +38,75 @@ class ThreadPool;
 //     whitespace stripping later removes it at field edges).
 //   - Records consisting of a single whitespace-only field (blank lines)
 //     are skipped by the readers, matching the line-based parser.
+//   - Whitespace is the C locale's set, whatever the process locale:
+//     space and '\t' through '\r' (StripWhitespace in strings.h).
 
-// Push tokenizer: Feed() raw bytes in any chunking, call Finish() at end
-// of input, pull complete records with Next(). The chunking never
-// changes the token stream or the verdict (fuzzed in tests). Field bytes
-// live in one buffer owned by the tokenizer, so a record costs no heap
-// allocation once the buffers have grown to a chunk's worth of records.
-class CsvTokenizer {
+// Where a CsvScanner gets its bytes: writes up to `size` bytes at `dst`
+// and returns how many it wrote; 0 means end of input.
+using CsvByteSource = std::function<Result<size_t>(char* dst, size_t size)>;
+
+// Pull scanner: Next() yields one record at a time, asking `source` for
+// `chunk_bytes` more input whenever the record in progress runs past the
+// bytes buffered. It owns one contiguous buffer holding the unconsumed
+// tail plus the next chunk, which grows only when one record is longer
+// than a chunk. Records are scanned in place, each input byte once: a
+// field is a view into that buffer, and a quoted field's doubled quotes
+// are unescaped in place. The chunking never changes the records or the
+// verdict (fuzzed in tests).
+class CsvScanner {
  public:
-  // Feeds the next chunk. Complete records become available via Next();
-  // a malformed construct poisons the tokenizer after the records that
-  // precede it.
-  void Feed(std::string_view chunk);
+  CsvScanner(CsvByteSource source, size_t chunk_bytes);
 
-  // Marks end of input, flushing a trailing record without a newline.
-  // IoError if the input ends inside a quoted field.
-  void Finish();
-
-  // Pulls the next complete record into *fields. Returns true when one
-  // was produced, false when more input is needed (or, after Finish(),
-  // when the input is exhausted). Records queued before a malformed
-  // construct are returned first; then the error. The views point into
-  // the tokenizer and stay valid until the next Feed() or Finish().
+  // Pulls the next record into *fields. Returns true when one was
+  // produced, false at end of input. A malformed construct is an IoError
+  // naming its physical line, returned after every record before it and
+  // by every later call. The views stay valid until the next call.
   Result<bool> Next(std::vector<std::string_view>* fields);
 
   // 1-based physical line on which the record returned by the last
   // successful Next() began (quoted fields may span lines).
-  size_t record_line() const { return last_record_line_; }
+  size_t record_line() const { return record_line_; }
 
  private:
   enum class State {
-    kRecordStart,  // nothing of the current record seen yet
-    kFieldStart,   // just after a comma
-    kUnquoted,     // inside an unquoted field
-    kQuoted,       // inside a quoted field
-    kQuoteSeen,    // saw '"' inside a quoted field: escape or close
+    kFieldStart,  // at the first byte of a field
+    kUnquoted,    // inside an unquoted field
+    kQuoted,      // inside a quoted field
   };
+  enum class Step { kRecord, kNeedMore, kEnd, kError };
 
-  void Consume(char c);
-  void EndField();
-  void EndRecord();
-  void Fail(const std::string& message);
-  // Drops the records Next() has already returned from the buffers.
-  void DropPulledRecords();
+  // Scans from the resume point to the end of the current record, or to
+  // the end of the buffered bytes (kNeedMore; scanning resumes there).
+  Step Scan();
+  // Closes the record at buffer offset rec_ + `length`.
+  Step EndRecord(size_t length);
+  Step Fail(const char* message);
+  // Moves the unconsumed tail to the front and appends the next chunk.
+  Status Refill();
 
-  struct ReadyRecord {
-    size_t fields_end = 0;  // one past its last field in field_ends_
-    size_t line = 0;
-  };
-
-  State state_ = State::kRecordStart;
-  bool pending_cr_ = false;   // saw CR, waiting to see if LF follows
-  bool finished_ = false;
-  // Bytes of every buffered field, back to back: field i spans
-  // [field_ends_[i - 1], field_ends_[i]) (from 0 for the first); the
-  // in-progress field is the tail after the last end.
-  std::string chars_;
-  std::vector<size_t> field_ends_;
-  // Complete records in input order; record r owns the fields from
-  // ready_[r - 1].fields_end (0 for the first) to ready_[r].fields_end.
-  std::vector<ReadyRecord> ready_;
-  size_t next_ready_ = 0;  // first record Next() has not returned
+  CsvByteSource source_;
+  size_t chunk_bytes_;
+  std::vector<char> buffer_;
+  size_t rec_ = 0;  // buffer offset of the record in progress
+  size_t end_ = 0;  // buffer offset one past the last byte read
+  bool input_done_ = false;
+  // Scan state of the record in progress; offsets are relative to rec_,
+  // so they survive Refill moving the record to the front.
+  State state_ = State::kFieldStart;
+  size_t pos_ = 0;          // where scanning resumes
+  size_t field_begin_ = 0;  // first byte of the field in progress
+  size_t write_ = 0;        // unescape cursor of a quoted field
+  // Completed fields of the record in progress: [begin, end) pairs.
+  std::vector<std::pair<size_t, size_t>> spans_;
   Status error_ = Status::Ok();
-  size_t line_ = 1;               // current physical line
-  size_t record_start_line_ = 1;  // line the in-progress record began on
-  size_t last_record_line_ = 1;
+  size_t line_ = 1;        // physical line of the byte at pos_
+  size_t start_line_ = 1;  // line the record in progress began on
+  size_t record_line_ = 1;
 };
 
-// --- Shared record-level helpers (used by both readers) ---
-
 // True for a blank-line record: a single field that strips to empty.
+// The readers skip such records.
 bool IsBlankCsvRecord(std::span<const std::string_view> fields);
-
-// Validates a header record against `schema`: same column count, names
-// match in order after whitespace stripping.
-Status ValidateCsvHeader(std::span<const std::string_view> fields,
-                         const Schema& schema);
-
-// Builds the all-numeric, role-kOther schema ReadNumericCsv infers from
-// a header record.
-Schema NumericSchemaFromHeader(std::span<const std::string_view> fields);
-
-// Converts one CSV record into a schema-validated row, overwriting
-// *record (its capacity is reused). `line` is the physical line the
-// record began on, used in error messages. Fields are
-// whitespace-stripped before interpretation; categorical fields must be
-// known labels, numeric fields must parse as finite doubles (nan and
-// inf are rejected: no release can be built from them).
-Status CsvFieldsToRecord(std::span<const std::string_view> fields,
-                         const Schema& schema, size_t line, Record* record);
 
 // --- Shared formatting (used by WriteCsv and StreamingCsvWriter) ---
 
@@ -158,8 +140,8 @@ class CsvRowWriter {
 // --- Streaming reader / writer ---
 
 struct StreamingCsvOptions {
-  // Bytes read from the input per I/O call; the reader never holds more
-  // than one chunk plus the records of the batch being built.
+  // Bytes read from the input per I/O call; the reader holds one chunk
+  // plus at most one partial record (see CsvScanner).
   size_t buffer_bytes = 1 << 16;
 };
 
@@ -195,7 +177,9 @@ class StreamingCsvReader : public RecordSource {
   Status ReplaceSchema(Schema schema);
 
   // RecordSource: appends up to max_rows records; a short count means
-  // end of file. Parse errors carry the same messages as ReadCsv.
+  // end of file. Each field is stripped and converted once, straight
+  // into a new row of `out`. Parse errors carry the same messages as
+  // ReadCsv.
   Result<size_t> ReadInto(Dataset* out, size_t max_rows) override;
 
   // Records emitted so far (header excluded).
@@ -203,28 +187,18 @@ class StreamingCsvReader : public RecordSource {
 
  private:
   StreamingCsvReader(std::unique_ptr<std::istream> input, Schema schema,
-                     const StreamingCsvOptions& options)
-      : input_(std::move(input)),
-        schema_(std::move(schema)),
-        options_(options) {}
+                     const StreamingCsvOptions& options);
 
   static Result<std::unique_ptr<StreamingCsvReader>> Make(
       std::unique_ptr<std::istream> input, const Schema* schema,
       const StreamingCsvOptions& options);
 
-  // Pulls the next record from the tokenizer, feeding chunks as needed.
-  // Returns false at end of input. The views live until the next call.
-  Result<bool> NextRecord(std::vector<std::string_view>* fields);
-
   std::unique_ptr<std::istream> input_;
   Schema schema_;
-  StreamingCsvOptions options_;
-  CsvTokenizer tokenizer_;
-  std::vector<char> chunk_;
+  CsvScanner scanner_;
   // Per-record scratch, reused so a batch allocates nothing per row.
   std::vector<std::string_view> fields_;
   Record record_;
-  bool input_done_ = false;
   size_t rows_read_ = 0;
 };
 

@@ -39,6 +39,25 @@ class Dataset {
     return Append(std::span<const Value>(record));
   }
 
+  // Appends one row that `fill(std::span<Value>)` writes in place, for
+  // readers that convert each cell once: no copy and no per-cell kind
+  // check, so `fill` must give every cell its attribute's kind (cells
+  // start as numeric zero). If `fill` returns an error the row is
+  // dropped and the error returned.
+  template <typename Fill>
+  Status AppendInPlace(Fill&& fill) {
+    const size_t width = schema_.size();
+    const size_t old_size = values_.size();
+    values_.resize(old_size + width);
+    Status status = fill(std::span<Value>(values_.data() + old_size, width));
+    if (!status.ok()) {
+      values_.resize(old_size);
+      return status;
+    }
+    ++num_records_;
+    return status;
+  }
+
   // Makes room for `rows` records without reallocating.
   void Reserve(size_t rows) { values_.reserve(rows * schema_.size()); }
 

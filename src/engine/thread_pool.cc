@@ -1,7 +1,9 @@
 #include "engine/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace tcm {
 
@@ -54,23 +56,6 @@ void ThreadPool::WaitAll() {
   while (in_flight_ != 0) all_done_.Wait(lock);
 }
 
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  {
-    MutexLock lock(mutex_);
-    --in_flight_;
-    if (in_flight_ == 0) all_done_.NotifyAll();
-  }
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -90,24 +75,64 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+
+// The state of one ParallelFor call, shared with its helper tasks, which
+// may outlive the call: they hold it by shared_ptr, and touch `task`
+// only for an index they claimed, before the call can return.
+struct ForLoop {
+  ForLoop(size_t n, const std::function<void(size_t)>* task)
+      : n(n), task(task) {}
+
+  // Runs claimed indices until none are left.
+  void RunClaimed() TCM_EXCLUDES(mutex) {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      std::exception_ptr thrown;
+      try {
+        (*task)(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      MutexLock lock(mutex);
+      if (thrown && i < error_index) {
+        error_index = i;
+        error = thrown;
+      }
+      if (++finished == n) all_finished.NotifyAll();
+    }
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const task;
+  std::atomic<size_t> next{0};
+  Mutex mutex;
+  CondVar all_finished;
+  size_t finished TCM_GUARDED_BY(mutex) = 0;
+  size_t error_index TCM_GUARDED_BY(mutex) = n;
+  std::exception_ptr error TCM_GUARDED_BY(mutex);
+};
+
+}  // namespace
+
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& task) {
   if (pool == nullptr || n < 2) {
     for (size_t i = 0; i < n; ++i) task(i);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(pool->Submit([&task, i]() { task(i); }));
+  auto loop = std::make_shared<ForLoop>(n, &task);
+  const size_t helpers = std::min(n - 1, pool->num_threads());
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([loop]() { loop->RunClaimed(); });
   }
-  for (std::future<void>& future : futures) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!pool->TryRunOneTask()) future.wait();
-    }
+  loop->RunClaimed();
+  std::exception_ptr error;
+  {
+    MutexLock lock(loop->mutex);
+    while (loop->finished < n) loop->all_finished.Wait(lock);
+    error = loop->error;
   }
-  for (std::future<void>& future : futures) future.get();
+  if (error) std::rethrow_exception(error);
 }
 
 std::pair<size_t, size_t> SplitRange(size_t n, size_t parts, size_t part) {

@@ -66,15 +66,6 @@ class ThreadPool {
   // Tasks submitted while waiting are waited for too.
   void WaitAll() TCM_EXCLUDES(mutex_);
 
-  // Caller-assist: pops one queued task (if any) and runs it on the
-  // calling thread, returning true; returns false without blocking when
-  // the queue is empty. Lets a caller that is itself waiting on futures
-  // from this pool lend its thread instead of idling — a single-threaded
-  // pool plus an assisting caller makes progress on two tasks at once,
-  // and a fan-out can never deadlock behind its own waiter. Tasks must
-  // not assume which thread runs them (they already cannot, per Submit).
-  bool TryRunOneTask() TCM_EXCLUDES(mutex_);
-
   // Graceful stop, the pool's cancellation boundary: rejects every task
   // submitted from this point on, finishes the queued and running ones,
   // and joins the workers. Idempotent; safe to call concurrently with
@@ -103,10 +94,14 @@ class ThreadPool {
 };
 
 // Runs task(0), ..., task(n - 1) and returns once all have finished:
-// inline in index order when `pool` is null (or n < 2), otherwise as one
-// pool task per index while the calling thread lends itself to the pool
-// (TryRunOneTask), so a busy or single-threaded pool cannot stall the
-// join. A task must write only what its index owns; results then never
+// inline in index order when `pool` is null (or n < 2). Otherwise the
+// indices are handed out from one atomic counter, claimed by the caller
+// and by at most min(n - 1, num_threads) helper tasks on the pool. The
+// caller runs only indices of this call, never another queued task, and
+// waits only for indices a running helper has claimed: a busy or
+// single-threaded pool cannot stall the join, nor make it run foreign
+// work. A helper that starts after every index is claimed returns at
+// once. A task must write only what its index owns; results then never
 // depend on scheduling. The first exception a task throws (in index
 // order) propagates after every task has finished.
 void ParallelFor(ThreadPool* pool, size_t n,

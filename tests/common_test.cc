@@ -245,6 +245,10 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("\t\n"), "");
   EXPECT_EQ(StripWhitespace("abc"), "abc");
   EXPECT_EQ(StripWhitespace(""), "");
+  // Exactly the C locale's set: space and '\t' through '\r', never a
+  // locale's extra bytes such as Latin-1 NBSP.
+  EXPECT_EQ(StripWhitespace(" \t\n\v\f\rx\r\f\v\n\t "), "x");
+  EXPECT_EQ(StripWhitespace("\xa0x\x1c"), "\xa0x\x1c");
 }
 
 TEST(StringsTest, ParseDoubleAcceptsValidNumbers) {

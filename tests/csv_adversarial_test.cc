@@ -1,9 +1,10 @@
 // Adversarial and fuzz tests for the CSV layer. The contract under
 // test: the in-memory parser (ParseCsvString / ReadCsv) and the
-// streaming parser (StreamingCsvReader) share one tokenizer, so EVERY
+// streaming parser (StreamingCsvReader) share one scanner, so EVERY
 // input — well-formed, malformed, or random bytes — gets the identical
 // verdict from both paths, at every feed-chunk size.
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -176,44 +177,49 @@ TEST(CsvAdversarialTest, LoneCarriageReturnInsideFieldIsData) {
   EXPECT_FALSE(result.ok());
 }
 
-// ----------------------------------------------- tokenizer chunk edges
+// ------------------------------------------------- scanner chunk edges
 
-// Tokenizes `text` fed as two chunks split at `split`, pulling records
-// before every Feed as the readers do. Returns the records, each with
-// its start line, and the error message ("" when none).
-std::vector<std::string> TokenizeSplit(const std::string& text, size_t split,
-                                       std::string* error) {
-  CsvTokenizer tokenizer;
+// Scans `text` delivered by the byte source in two pieces split at
+// `split`, so the second refill lands at that byte. Returns the records,
+// each with its start line, and the error message ("" when none).
+std::vector<std::string> ScanSplit(const std::string& text, size_t split,
+                                   std::string* error) {
+  std::string_view pieces[2] = {std::string_view(text).substr(0, split),
+                                std::string_view(text).substr(split)};
+  size_t piece = 0;
+  CsvScanner scanner(
+      [&](char* dst, size_t size) -> Result<size_t> {
+        while (piece < 2 && pieces[piece].empty()) ++piece;
+        if (piece == 2) return size_t{0};
+        const size_t n = std::min(size, pieces[piece].size());
+        pieces[piece].copy(dst, n);
+        pieces[piece].remove_prefix(n);
+        if (pieces[piece].empty()) ++piece;
+        return n;
+      },
+      text.size() + 1);
   std::vector<std::string> out;
   std::vector<std::string_view> fields;
-  auto drain = [&]() {
-    while (true) {
-      Result<bool> got = tokenizer.Next(&fields);
-      if (!got.ok()) {
-        *error = got.status().message();
-        return;
-      }
-      if (!*got) return;
-      std::string record = std::to_string(tokenizer.record_line()) + ":";
-      for (std::string_view field : fields) {
-        record += "[" + std::string(field) + "]";
-      }
-      out.push_back(record);
-    }
-  };
   error->clear();
-  tokenizer.Feed(std::string_view(text).substr(0, split));
-  drain();
-  tokenizer.Feed(std::string_view(text).substr(split));
-  drain();
-  tokenizer.Finish();
-  drain();
+  while (true) {
+    Result<bool> got = scanner.Next(&fields);
+    if (!got.ok()) {
+      *error = got.status().message();
+      break;
+    }
+    if (!*got) break;
+    std::string record = std::to_string(scanner.record_line()) + ":";
+    for (std::string_view field : fields) {
+      record += "[" + std::string(field) + "]";
+    }
+    out.push_back(record);
+  }
   return out;
 }
 
-// The bulk-copied unquoted runs must tokenize exactly like the per-byte
-// state machine wherever a chunk boundary falls: inside a run, and right
-// before a quote or CR that ends one.
+// A scan resumed after a refill must yield exactly the records of an
+// unbroken scan wherever the boundary falls: inside a run, and right
+// before a quote or CR whose meaning depends on the byte after it.
 TEST(CsvAdversarialTest, ChunkBoundaryInsideAndAfterUnquotedRuns) {
   const std::vector<std::string> inputs = {
       "a,b\n123456789.25,987654321\n42,7",   // runs cut anywhere
@@ -223,14 +229,15 @@ TEST(CsvAdversarialTest, ChunkBoundaryInsideAndAfterUnquotedRuns) {
       "a,b\n12345\r",                        // CR at end of input
       "a,b\n\"q\"x,1\n",                   // garbage after a quote
       "a,b\n\"multi\nline\",22\n333,4444\n",
+      "a,b\n\"1\"\"2\",\"3\"\r\n\"4\"\r",   // escape, CRLF and CR
   };
   for (const std::string& text : inputs) {
     std::string expected_error;
     const std::vector<std::string> expected =
-        TokenizeSplit(text, text.size(), &expected_error);
+        ScanSplit(text, text.size(), &expected_error);
     for (size_t split = 0; split <= text.size(); ++split) {
       std::string error;
-      EXPECT_EQ(TokenizeSplit(text, split, &error), expected)
+      EXPECT_EQ(ScanSplit(text, split, &error), expected)
           << "split " << split << " of:\n" << text;
       EXPECT_EQ(error, expected_error) << "split " << split;
     }

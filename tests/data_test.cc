@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <new>
@@ -154,6 +155,30 @@ TEST(DatasetTest, AppendValidatesKinds) {
   Status status = data.Append(
       {Value::Numeric(1), Value::Numeric(30), Value::Numeric(0)});
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetTest, AppendInPlaceDropsTheRowOnError) {
+  Dataset data(MakeTestSchema());
+  ASSERT_TRUE(data.AppendInPlace([](std::span<Value> row) {
+                    row[0] = Value::Numeric(7);
+                    row[1] = Value::Numeric(35);
+                    row[2] = Value::Categorical(1);
+                    return Status::Ok();
+                  })
+                  .ok());
+  Status status = data.AppendInPlace([](std::span<Value> row) {
+    row[0] = Value::Numeric(8);
+    return Status::IoError("bad row");
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  ASSERT_EQ(data.NumRecords(), 1u);
+  EXPECT_EQ(data.cell(0, 0).numeric(), 7.0);
+  EXPECT_EQ(data.cell(0, 2).category(), 1);
+  // The dropped row leaves no cells behind: the next append is row 1.
+  ASSERT_TRUE(data.Append({Value::Numeric(9), Value::Numeric(40),
+                           Value::Categorical(0)})
+                  .ok());
+  EXPECT_EQ(data.cell(1, 0).numeric(), 9.0);
 }
 
 Dataset MakeSmallDataset() {
@@ -520,6 +545,21 @@ TEST(CsvTest, FileRoundTrip) {
   auto loaded = ReadCsv(path, data.schema());
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(*loaded == data);
+}
+
+// The stream buffers what WriteCsv writes, so a full disk surfaces only
+// when the tail is flushed: both writers must report it.
+TEST(CsvTest, FullDiskIsAWriteError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  Dataset data = MakeSmallDataset();
+  EXPECT_EQ(WriteCsv(data, "/dev/full").code(), StatusCode::kIoError);
+  auto writer = StreamingCsvWriter::Open("/dev/full", data.schema());
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  // The rows fit the stream's buffer; only Close can see the failure.
+  EXPECT_TRUE((*writer)->WriteRows(data).ok());
+  EXPECT_EQ((*writer)->Close().code(), StatusCode::kIoError);
 }
 
 TEST(CsvTest, MissingFileFails) {

@@ -259,14 +259,13 @@ TEST(ShardPlanTest, RoundsShardCountToNearest) {
   for (const auto& shard : clamped.shards) EXPECT_GE(shard.size(), 30u);
 }
 
-// TryRunOneTask lets a thread waiting on subtree futures steal queued
-// work instead of blocking — it must run exactly one task when one is
-// queued and report false on an empty queue without blocking.
-TEST(ThreadPoolTest, TryRunOneTaskDrainsQueuedWork) {
+// A fan-out's caller runs only its own indices. With the single worker
+// parked and a foreign task queued ahead of the helper, ParallelFor must
+// finish every index on the calling thread and leave the foreign task
+// queued, not run it there while it waits.
+TEST(ThreadPoolTest, ParallelForCallerNeverRunsForeignTasks) {
   ThreadPool pool(1);
-  // Park the single worker so submitted tasks stay queued. Wait until
-  // the worker actually holds the gate task — otherwise the stealing
-  // thread below could grab it and block on the gate itself.
+  // Park the single worker; wait until it actually holds the gate task.
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   std::atomic<bool> parked{false};
@@ -275,18 +274,43 @@ TEST(ThreadPoolTest, TryRunOneTaskDrainsQueuedWork) {
     gate.wait();
   });
   while (!parked.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 3; ++i) {
-    pool.Submit([&ran]() { ran.fetch_add(1); });
-  }
-  // The caller thread steals the queued tasks one at a time.
-  EXPECT_TRUE(pool.TryRunOneTask());
-  EXPECT_TRUE(pool.TryRunOneTask());
-  EXPECT_TRUE(pool.TryRunOneTask());
-  EXPECT_EQ(ran.load(), 3);
-  EXPECT_FALSE(pool.TryRunOneTask());  // queue empty: returns immediately
+  std::atomic<bool> foreign_ran{false};
+  pool.Submit([&foreign_ran]() { foreign_ran.store(true); });
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(4);
+  ParallelFor(&pool, ran_on.size(),
+              [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+  EXPECT_FALSE(foreign_ran.load());
+
   release.set_value();
   pool.WaitAll();
+  EXPECT_TRUE(foreign_ran.load());
+}
+
+// Every index runs exactly once, nested fan-outs on the pool's own
+// threads finish, and the lowest throwing index's exception surfaces
+// only after all indices are done.
+TEST(ThreadPoolTest, ParallelForRunsEachIndexOnceAndRethrowsLowest) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> runs(64);
+  ParallelFor(&pool, 8, [&](size_t outer) {
+    ParallelFor(&pool, 8, [&](size_t inner) { runs[outer * 8 + inner]++; });
+  });
+  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
+
+  std::atomic<int> finished{0};
+  try {
+    ParallelFor(&pool, 16, [&](size_t i) {
+      finished.fetch_add(1);
+      if (i == 5 || i == 11) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "5");
+  }
+  EXPECT_EQ(finished.load(), 16);
 }
 
 // ---------------------------------------------------------------- Sharded
