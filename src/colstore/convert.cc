@@ -32,13 +32,7 @@ Status ForEachCsvRecord(
     return Status::IoError("cannot open \"" + path + "\"");
   }
   CsvScanner scanner(
-      [&](char* dst, size_t size) -> Result<size_t> {
-        input.read(dst, static_cast<std::streamsize>(size));
-        if (input.bad()) {
-          return Status::IoError("read error on \"" + path + "\"");
-        }
-        return static_cast<size_t>(input.gcount());
-      },
+      IstreamByteSource(&input, "read error on \"" + path + "\""),
       kChunkBytes);
   CsvFields fields;
   while (true) {

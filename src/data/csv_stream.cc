@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
@@ -12,10 +11,6 @@
 
 #include "common/strings.h"
 #include "engine/thread_pool.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace tcm {
 
@@ -30,30 +25,22 @@ constexpr std::array<bool, 256> kEndsUnquoted = [] {
   return table;
 }();
 
-// Returns the first index in [i, n) whose byte is in kEndsUnquoted, or
-// n. Where SSE2 is available (every x86-64) it tests 16 bytes a step.
+// Returns the first index in [i, n) whose byte is in kEndsUnquoted, or n.
 size_t SkipUnquoted(const char* p, size_t i, size_t n) {
-#if defined(__SSE2__)
-  const __m128i comma = _mm_set1_epi8(',');
-  const __m128i lf = _mm_set1_epi8('\n');
-  const __m128i cr = _mm_set1_epi8('\r');
-  const __m128i quote = _mm_set1_epi8('"');
-  for (; i + 16 <= n; i += 16) {
-    const __m128i bytes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i hits = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi8(bytes, comma), _mm_cmpeq_epi8(bytes, lf)),
-        _mm_or_si128(_mm_cmpeq_epi8(bytes, cr),
-                     _mm_cmpeq_epi8(bytes, quote)));
-    const unsigned mask = static_cast<unsigned>(_mm_movemask_epi8(hits));
-    if (mask != 0) return i + std::countr_zero(mask);
-  }
-#endif
   while (i < n && !kEndsUnquoted[static_cast<unsigned char>(p[i])]) ++i;
   return i;
 }
 
 }  // namespace
+
+CsvByteSource IstreamByteSource(std::istream* input, std::string error) {
+  return [input, error = std::move(error)](char* dst,
+                                           size_t size) -> Result<size_t> {
+    input->read(dst, static_cast<std::streamsize>(size));
+    if (input->bad()) return Status::IoError(error);
+    return static_cast<size_t>(input->gcount());
+  };
+}
 
 CsvScanner::CsvScanner(CsvByteSource source, size_t chunk_bytes)
     : source_(std::move(source)), chunk_bytes_(chunk_bytes) {}
@@ -298,16 +285,22 @@ Status CsvFieldsToCells(std::span<const std::string_view> fields,
   return Status::Ok();
 }
 
-// True when every cell CsvFieldsToCells makes for `from` has the kind
-// `to` expects, so rows can be filled in place.
-bool SameCellKinds(const Schema& from, const Schema& to) {
-  if (from.size() != to.size()) return false;
+// The error Dataset::Append would give for every row of a reader with
+// schema `from` appended to a window with schema `to`: rows are filled
+// in place, so the cell kinds are checked once per batch instead.
+Status CheckCellKinds(const Schema& from, const Schema& to) {
+  if (from.size() != to.size()) {
+    return Status::InvalidArgument(
+        "record arity " + std::to_string(from.size()) +
+        " does not match schema arity " + std::to_string(to.size()));
+  }
   for (size_t i = 0; i < from.size(); ++i) {
     if (from.at(i).is_categorical() != to.at(i).is_categorical()) {
-      return false;
+      return Status::InvalidArgument("cell kind mismatch for attribute '" +
+                                     to.at(i).name + "'");
     }
   }
-  return true;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -399,15 +392,8 @@ StreamingCsvReader::StreamingCsvReader(std::unique_ptr<std::istream> input,
                                        const StreamingCsvOptions& options)
     : input_(std::move(input)),
       schema_(std::move(schema)),
-      scanner_(
-          [stream = input_.get()](char* dst, size_t size) -> Result<size_t> {
-            stream->read(dst, static_cast<std::streamsize>(size));
-            if (stream->bad()) {
-              return Status::IoError("error reading CSV input");
-            }
-            return static_cast<size_t>(stream->gcount());
-          },
-          options.buffer_bytes) {}
+      scanner_(IstreamByteSource(input_.get(), "error reading CSV input"),
+               options.buffer_bytes) {}
 
 Result<std::unique_ptr<StreamingCsvReader>> StreamingCsvReader::Make(
     std::unique_ptr<std::istream> input, const Schema* schema,
@@ -481,24 +467,16 @@ Status StreamingCsvReader::ReplaceSchema(Schema schema) {
 }
 
 Result<size_t> StreamingCsvReader::ReadInto(Dataset* out, size_t max_rows) {
-  const bool in_place = SameCellKinds(schema_, out->schema());
+  TCM_RETURN_IF_ERROR(CheckCellKinds(schema_, out->schema()));
   size_t appended = 0;
   while (appended < max_rows) {
     TCM_ASSIGN_OR_RETURN(bool got, scanner_.Next(&fields_));
     if (!got) break;
     if (IsBlankCsvRecord(fields_)) continue;
     const size_t line = scanner_.record_line();
-    if (in_place) {
-      TCM_RETURN_IF_ERROR(out->AppendInPlace([&](std::span<Value> row) {
-        return CsvFieldsToCells(fields_, schema_, line, row);
-      }));
-    } else {
-      // `out` cannot hold these cells: Append reports why, after any
-      // error of the record itself.
-      record_.resize(schema_.size());
-      TCM_RETURN_IF_ERROR(CsvFieldsToCells(fields_, schema_, line, record_));
-      TCM_RETURN_IF_ERROR(out->Append(record_));
-    }
+    TCM_RETURN_IF_ERROR(out->AppendInPlace([&](std::span<Value> row) {
+      return CsvFieldsToCells(fields_, schema_, line, row);
+    }));
     ++rows_read_;
     ++appended;
   }

@@ -45,6 +45,10 @@ class ThreadPool;
 // and returns how many it wrote; 0 means end of input.
 using CsvByteSource = std::function<Result<size_t>(char* dst, size_t size)>;
 
+// A CsvByteSource reading `input`, which must outlive it; a failed read
+// is an IoError with message `error`.
+CsvByteSource IstreamByteSource(std::istream* input, std::string error);
+
 // Pull scanner: Next() yields one record at a time, asking `source` for
 // `chunk_bytes` more input whenever the record in progress runs past the
 // bytes buffered. It owns one contiguous buffer holding the unconsumed
@@ -179,7 +183,8 @@ class StreamingCsvReader : public RecordSource {
   // RecordSource: appends up to max_rows records; a short count means
   // end of file. Each field is stripped and converted once, straight
   // into a new row of `out`. Parse errors carry the same messages as
-  // ReadCsv.
+  // ReadCsv; a window whose cell kinds differ from schema() is an
+  // InvalidArgument (Dataset::Append's message) before any row is read.
   Result<size_t> ReadInto(Dataset* out, size_t max_rows) override;
 
   // Records emitted so far (header excluded).
@@ -198,7 +203,6 @@ class StreamingCsvReader : public RecordSource {
   CsvScanner scanner_;
   // Per-record scratch, reused so a batch allocates nothing per row.
   std::vector<std::string_view> fields_;
-  Record record_;
   size_t rows_read_ = 0;
 };
 

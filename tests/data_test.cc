@@ -562,6 +562,40 @@ TEST(CsvTest, FullDiskIsAWriteError) {
   EXPECT_EQ((*writer)->Close().code(), StatusCode::kIoError);
 }
 
+// ReadInto fills rows in place, so a window that cannot hold the
+// reader's cells is refused up front, with Dataset::Append's message,
+// and the reader keeps its records.
+TEST(CsvTest, StreamedWindowOfOtherCellKindsIsRejected) {
+  Dataset data = MakeSmallDataset();
+  auto reader = StreamingCsvReader::FromStream(
+      std::make_unique<std::istringstream>("id,age,diagnosis\n1,30,flu\n"),
+      data.schema());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto numeric = [](std::vector<std::string> names) {
+    std::vector<Attribute> attrs;
+    for (std::string& name : names) {
+      attrs.push_back(Attribute{std::move(name), AttributeType::kNumeric,
+                                AttributeRole::kOther, {}});
+    }
+    return Schema(std::move(attrs));
+  };
+
+  Dataset all_numeric(numeric({"id", "age", "diagnosis"}));
+  Status kinds = (*reader)->ReadInto(&all_numeric, 1).status();
+  EXPECT_EQ(kinds.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(kinds.message(), "cell kind mismatch for attribute 'diagnosis'");
+  Dataset narrow(numeric({"id", "age"}));
+  Status arity = (*reader)->ReadInto(&narrow, 1).status();
+  EXPECT_EQ(arity.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(arity.message(), "record arity 3 does not match schema arity 2");
+  EXPECT_TRUE(all_numeric.empty());
+  EXPECT_TRUE(narrow.empty());
+
+  Dataset window(data.schema());
+  EXPECT_EQ((*reader)->ReadInto(&window, 5).value(), 1u);
+  EXPECT_EQ((*reader)->rows_read(), 1u);
+}
+
 TEST(CsvTest, MissingFileFails) {
   Dataset data = MakeSmallDataset();
   EXPECT_EQ(ReadCsv("/nonexistent/x.csv", data.schema()).status().code(),
