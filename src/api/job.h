@@ -20,8 +20,8 @@ class RecordSource;
 // JobSpec: the one versioned description of an anonymization job, the
 // public API boundary of this library. RunJob (api/runner.h) runs it
 // directly: every non-sweep job, in-memory or out-of-core, through one
-// window loop over ShardedAnonymize, and parameter sweeps through
-// RunBatch. A JobSpec round-trips through JSON
+// window loop over ShardedAnonymize, and parameter sweeps as one
+// RunAlgorithm call per cell. A JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
 // config-driven deployments, services and the CLI all speak the same
 // schema. See README.md ("API") for the documented job.json layout.

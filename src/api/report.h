@@ -16,10 +16,9 @@
 
 namespace tcm {
 
-// Outcome of one sweep cell (mirrors engine/batch.h's BatchOutcome with
-// the cell's coordinates attached). error_code/error are empty on
-// success; on failure error_code is the StatusCodeName of the cell's
-// status and the measurement fields stay zero.
+// Outcome of one sweep cell. error_code/error are empty on success; on
+// failure error_code is the StatusCodeName of the cell's status and the
+// measurement fields stay zero.
 struct SweepOutcome {
   std::string label;      // "algorithm/k=K/t=T"
   std::string algorithm;

@@ -1,9 +1,10 @@
 #include "api/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <future>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -18,8 +19,8 @@
 #include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
-#include "engine/batch.h"
 #include "engine/pipeline.h"
+#include "engine/registry.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
 #include "obs/trace.h"
@@ -226,6 +227,37 @@ Status OpenStreamingSource(const JobSpec& spec, JobSource* input) {
 // single-window release equal to one ShardedAnonymize call.
 constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
 
+// Runs one window step's stages, joins them all, and returns the first
+// failure in index order. A stage does not start once a lower-index
+// stage has failed, so a serial step stops at its first failure. With a
+// null pool the stages run inline in index order. With a pool they run
+// concurrently, and the calling thread runs `caller_stage` itself
+// (ParallelFor's caller runs its index 0, so the indices are rotated to
+// put that stage there). The window loop passes its anonymize stage:
+// its window-sized allocations then always come from the caller's
+// malloc arena, where spread over the workers' arenas they raised a
+// streamed job's peak RSS by about half.
+Status RunStages(ThreadPool* pool, size_t caller_stage,
+                 const std::vector<std::function<Status()>>& stages) {
+  const size_t n = stages.size();
+  const size_t rotation = pool == nullptr ? 0 : caller_stage;
+  std::vector<Status> statuses(n);
+  std::atomic<size_t> first_failed{n};
+  ParallelFor(pool, n, [&](size_t i) {
+    const size_t stage = (i + rotation) % n;
+    if (first_failed.load() < stage) return;
+    statuses[stage] = stages[stage]();
+    if (!statuses[stage].ok()) {
+      size_t seen = first_failed.load();
+      while (stage < seen &&
+             !first_failed.compare_exchange_weak(seen, stage)) {
+      }
+    }
+  });
+  for (const Status& status : statuses) TCM_RETURN_IF_ERROR(status);
+  return Status::Ok();
+}
+
 // The window loop behind every non-sweep job: consume `source` window by
 // window, run each window through ShardedAnonymize on `pool`, verify and
 // write it, and fold it into `report`. An in-memory job is one unbounded
@@ -240,24 +272,33 @@ constexpr uint64_t kWindowSeedStride = 0xC2B2AE3D27D4EB4FULL;
 // resident input rows never exceed max_resident_rows, whose floor
 // JobSpec::Validate checks.
 //
-// Overlapped I/O. With overlap_io the loop is a three-stage pipeline on
-// the job's one pool: while window N+1 is anonymized on the caller's
-// thread, window N+2 is read on the pool, and window N is verified and
-// then written as one pool task (a window that fails verification is
-// never written). Two input windows are resident at once, so the window
-// target is halved to fit both plus the read-ahead in the budget. They
-// live in two buffers, reserved once and reused: each read refills the
-// buffer of the window before last, which ShardedAnonymize is done with.
+// Lock-step loop. Step w runs up to three stages, in this order: verify
+// window w-1's release and then write it (a window that fails
+// verification is never written), anonymize window w, and read window
+// w+1. The step joins all of them before window w is folded into the
+// report, so no stage outlives its step, and the stages of one step
+// share no mutable state: the writer and the verdicts, the anonymize
+// result, and the reader state with the buffer being filled each belong
+// to one stage. Without overlap_io the stages run inline in order, so
+// the read refills the buffer window w was anonymized from. With
+// overlap_io they run concurrently on the job's pool and the read fills
+// the other of two buffers, reserved once and reused. Two input windows
+// are then resident at once, so the window target is halved to fit both
+// plus the read-ahead in the budget.
 //
 // Releases are outside the budget, which counts input rows only: the
 // anonymized copy of the window in flight, and under overlap_io also
-// window N's release while it is verified and written. Under overlap_io
-// the verify and write seconds overlap anonymize, so the stage sums can
-// exceed total_seconds.
+// window w-1's release while it is verified and written. Under
+// overlap_io the verify and write seconds overlap anonymize, so the
+// stage sums can exceed total_seconds.
+//
+// Errors. A failed read of window w+1 is held and surfaces as window
+// w+1's failure in step w+1, after window w is verified and written.
+// Stages are in window order and a step returns its first failure, so
+// when several windows fail, the earliest one's error is returned.
 //
 // Each released window is k-anonymous and t-close on its own, so their
-// concatenation is k-anonymous, and t-close per window. When several
-// windows fail, the earliest one's error is returned.
+// concatenation is k-anonymous, and t-close per window.
 //
 // Determinism. Window w runs with seed + kWindowSeedStride * w, and
 // ShardedAnonymize is byte-identical for any thread count, so releases
@@ -274,6 +315,7 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
       streaming ? (spec.execution.max_resident_rows - read_ahead) /
                       (overlap_io ? 2 : 1)
                 : std::numeric_limits<size_t>::max();
+  ThreadPool* const step_pool = overlap_io ? pool : nullptr;
 
   ShardedAnonymizeOptions options;
   options.algorithm = spec.algorithm.name;
@@ -282,14 +324,11 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
   options.shard_size = spec.execution.shard_size;
   options.merge_strategy = spec.execution.merge_strategy;
 
-  // Reader state. Exactly one read_window call runs at a time — inline,
-  // or as the single outstanding prefetch task under overlap_io — so
-  // carry, exhausted and report->load_seconds need no lock: the future's
-  // get() orders each prefetch before the next use.
+  // Reader state, touched only by the one read stage of a step.
   Dataset carry(schema);
   bool exhausted = false;
-  // The window buffers: overlap_io alternates between them, the serial
-  // paths only use the first.
+  // The window buffers: overlap_io alternates between them, without it
+  // only the first is used.
   Dataset buffers[2] = {Dataset(schema), Dataset()};
 
   // Refills `window` with the next window: carried read-ahead rows
@@ -338,9 +377,6 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
   };
 
   // Verify, then write: header once, then each window's release rows.
-  // Under overlap_io this runs as a pool task, and each one is collected
-  // before the next starts, so the writer and the report's verdicts and
-  // verify/write seconds are only ever touched by one thread at a time.
   std::unique_ptr<StreamingCsvWriter> writer;
   report->k_verified = spec.verify;  // stays true until a window fails
   report->t_verified = spec.verify;
@@ -369,134 +405,118 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
     return Status::Ok();
   };
 
-  // The pool tasks outstanding under overlap_io: the next window's read
-  // and the previous window's verify-and-write. Both reference this
-  // frame, so they are waited for on every return path, errors included.
-  struct InFlight {
-    std::future<WindowRead> read;
-    std::future<Status> output;
-    ~InFlight() {
-      if (read.valid()) read.wait();
-      if (output.valid()) output.wait();
-    }
-  } in_flight;
-  // The previous window's verify-and-write status. It is taken before
-  // any later window's error is returned, so the earliest error wins.
-  auto collect_output = [&in_flight]() {
-    return in_flight.output.valid() ? in_flight.output.get() : Status::Ok();
-  };
-  auto fail = [&collect_output](Status status) {
-    Status earlier = collect_output();
-    return earlier.ok() ? status : earlier;
-  };
-
   double weighted_sse = 0.0;
-  WindowRead current = read_window(&buffers[0], 0);
-  // Only the first window can be empty (a non-final window leaves k
-  // read-ahead rows for the next); ShardedAnonymize rejects it.
-  for (size_t w = 0;; ++w) {
-    if (!current.status.ok()) return fail(current.status);
-    if (streaming) {
-      report->peak_resident_rows =
-          std::max(report->peak_resident_rows, current.resident);
-    }
-    TraceSpan window_span("window");
-    const Dataset& window = *current.window;
-    const size_t rows = window.NumRecords();
-    const bool final_window = current.final_window;
-
-    // Overlap: start the next window's read/parse into the other buffer
-    // before this window's anonymize. The prefetch task exclusively owns
-    // the reader state and that buffer until its future is collected.
-    const bool overlapped = overlap_io && !final_window;
-    if (overlapped) {
-      if (w == 0) {
-        // The stream outlasts the first window: set up the second buffer
-        // and size both once.
-        buffers[1] = Dataset(schema);
-        for (Dataset& buffer : buffers) {
-          buffer.Reserve(window_target + read_ahead);
-        }
-      }
-      Dataset* next =
-          current.window == &buffers[0] ? &buffers[1] : &buffers[0];
-      in_flight.read = pool->Submit([&read_window, next, rows]() {
-        return read_window(next, rows);
+  // Window w's input, and window w-1's release awaiting verify and write.
+  std::optional<WindowRead> current = read_window(&buffers[0], 0);
+  std::optional<Dataset> release;
+  for (size_t w = 0; current || release; ++w) {
+    TraceSpan step_span("window");
+    std::vector<std::function<Status()>> stages;
+    if (release) {
+      stages.push_back([&]() {
+        Status status = verify_and_write(*release, w - 1);
+        if (!streaming) report->release = std::move(*release);
+        release.reset();
+        return status;
       });
-      ++report->overlapped_reads;
     }
 
-    // Anonymize: the window's shards fan out on the pool.
-    options.params.seed = spec.algorithm.seed + kWindowSeedStride * w;
+    // Anonymize: the window's shards fan out on the pool. Only the first
+    // window can be empty (a non-final window leaves k read-ahead rows
+    // for the next); ShardedAnonymize rejects it.
+    const size_t rows = current ? current->window->NumRecords() : 0;
+    std::optional<AnonymizationResult> result;
     ShardedAnonymizeStats stats;
-    WallTimer anonymize_timer;
-    auto result = ShardedAnonymize(window, options, pool, &stats);
-    if (!result.ok()) {
-      return fail(Status(result.status().code(),
-                         "window " + std::to_string(w) + ": " +
-                             result.status().message()));
-    }
-    const double anonymize_seconds = anonymize_timer.ElapsedSeconds();
-    report->anonymize_seconds += anonymize_seconds;
-    report->stats += stats;
-
-    // Verify and write, after the previous window's: under overlap as a
-    // pool task that runs while the next window anonymizes, inline for
-    // the final window and on the serial paths.
-    TCM_RETURN_IF_ERROR(collect_output());
-    if (overlapped) {
-      in_flight.output = pool->Submit(
-          [&verify_and_write, release = std::move(result->anonymized), w]() {
-            return verify_and_write(release, w);
-          });
-    } else {
-      TCM_RETURN_IF_ERROR(verify_and_write(result->anonymized, w));
+    double anonymize_seconds = 0.0;
+    const size_t anonymize_stage = current ? stages.size() : 0;
+    if (current) {
+      stages.push_back([&]() -> Status {
+        TCM_RETURN_IF_ERROR(current->status);
+        options.params.seed = spec.algorithm.seed + kWindowSeedStride * w;
+        WallTimer anonymize_timer;
+        auto anonymized =
+            ShardedAnonymize(*current->window, options, pool, &stats);
+        if (!anonymized.ok()) {
+          return Status(anonymized.status().code(),
+                        "window " + std::to_string(w) + ": " +
+                            anonymized.status().message());
+        }
+        anonymize_seconds = anonymize_timer.ElapsedSeconds();
+        result = std::move(anonymized).value();
+        return Status::Ok();
+      });
     }
 
-    // Fold the window in; normalized SSE is a row-weighted mean, and a
+    std::optional<WindowRead> next;
+    if (current && current->status.ok() && !current->final_window) {
+      Dataset* buffer = current->window;
+      if (overlap_io) {
+        if (w == 0) {
+          // The stream outlasts the first window: set up the second
+          // buffer and size both once.
+          buffers[1] = Dataset(schema);
+          for (Dataset& each : buffers) {
+            each.Reserve(window_target + read_ahead);
+          }
+        }
+        buffer = buffer == &buffers[0] ? &buffers[1] : &buffers[0];
+        ++report->overlapped_reads;
+      }
+      // Window w's input rows stay resident during the read unless the
+      // read refills their buffer.
+      const size_t processing_rows = buffer == current->window ? 0 : rows;
+      stages.push_back([&, buffer, processing_rows]() {
+        next = read_window(buffer, processing_rows);
+        return Status::Ok();
+      });
+    }
+
+    TCM_RETURN_IF_ERROR(RunStages(step_pool, anonymize_stage, stages));
+
+    // Fold window w in; normalized SSE is a row-weighted mean, and a
     // single window's is its own value, taken as is (scaling by the row
     // count and back can move the last bit).
-    const size_t clusters = result->partition.NumClusters();
-    report->rows += rows;
-    report->clusters += clusters;
-    report->min_cluster_size =
-        w == 0 ? result->min_cluster_size
-               : std::min(report->min_cluster_size, result->min_cluster_size);
-    report->max_cluster_size =
-        std::max(report->max_cluster_size, result->max_cluster_size);
-    report->max_cluster_emd =
-        std::max(report->max_cluster_emd, result->max_cluster_emd);
-    weighted_sse += result->normalized_sse * static_cast<double>(rows);
-    report->normalized_sse =
-        w == 0 ? result->normalized_sse
-               : weighted_sse / static_cast<double>(report->rows);
-    if (streaming) {
-      StreamingWindowSummary& summary = report->windows.emplace_back();
-      summary.rows = rows;
-      summary.clusters = clusters;
-      summary.num_shards = stats.num_shards;
-      summary.shard_size = spec.execution.shard_size;
-      summary.threads = pool->num_threads();
-      summary.final_merges = stats.final_merges;
-      summary.min_cluster_size = result->min_cluster_size;
-      summary.max_cluster_size = result->max_cluster_size;
-      summary.max_cluster_emd = result->max_cluster_emd;
-      summary.normalized_sse = result->normalized_sse;
-      summary.anonymize_seconds = anonymize_seconds;
-      report->num_windows = w + 1;
-    } else {
-      report->average_cluster_size =
-          static_cast<double>(rows) / static_cast<double>(clusters);
-      report->release = std::move(result->anonymized);
+    if (result) {
+      report->anonymize_seconds += anonymize_seconds;
+      report->stats += stats;
+      const size_t clusters = result->partition.NumClusters();
+      report->rows += rows;
+      report->clusters += clusters;
+      report->min_cluster_size =
+          w == 0 ? result->min_cluster_size
+                 : std::min(report->min_cluster_size,
+                            result->min_cluster_size);
+      report->max_cluster_size =
+          std::max(report->max_cluster_size, result->max_cluster_size);
+      report->max_cluster_emd =
+          std::max(report->max_cluster_emd, result->max_cluster_emd);
+      weighted_sse += result->normalized_sse * static_cast<double>(rows);
+      report->normalized_sse =
+          w == 0 ? result->normalized_sse
+                 : weighted_sse / static_cast<double>(report->rows);
+      if (streaming) {
+        report->peak_resident_rows =
+            std::max(report->peak_resident_rows, current->resident);
+        StreamingWindowSummary& summary = report->windows.emplace_back();
+        summary.rows = rows;
+        summary.clusters = clusters;
+        summary.num_shards = stats.num_shards;
+        summary.shard_size = spec.execution.shard_size;
+        summary.threads = pool->num_threads();
+        summary.final_merges = stats.final_merges;
+        summary.min_cluster_size = result->min_cluster_size;
+        summary.max_cluster_size = result->max_cluster_size;
+        summary.max_cluster_emd = result->max_cluster_emd;
+        summary.normalized_sse = result->normalized_sse;
+        summary.anonymize_seconds = anonymize_seconds;
+        report->num_windows = w + 1;
+      } else {
+        report->average_cluster_size =
+            static_cast<double>(rows) / static_cast<double>(clusters);
+      }
+      release = std::move(result->anonymized);
     }
-
-    if (overlapped) {
-      current = in_flight.read.get();
-    } else if (!final_window) {
-      current = read_window(&buffers[0], 0);
-    } else {
-      break;
-    }
+    current = std::move(next);
   }
 
   if (writer != nullptr) {
@@ -549,66 +569,46 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
   const std::vector<double> ts =
       sweep.ts.empty() ? std::vector<double>{spec.algorithm.t} : sweep.ts;
 
-  // One enumeration of the cross product: the coordinates drive both the
-  // batch jobs and the outcome rows, so they can never fall out of step.
-  struct SweepCell {
-    std::string algorithm;
-    size_t k;
-    double t;
-  };
-  std::vector<SweepCell> cells;
-  cells.reserve(algorithms.size() * ks.size() * ts.size());
+  // One enumeration of the cross product, in report order; each cell's
+  // task then fills only its own outcome.
   for (const std::string& algorithm : algorithms) {
     for (size_t k : ks) {
-      for (double t : ts) cells.push_back({algorithm, k, t});
+      for (double t : ts) {
+        SweepOutcome& cell = report->sweep.emplace_back();
+        cell.label = algorithm + "/k=" + std::to_string(k) +
+                     "/t=" + FormatDouble(t);
+        cell.algorithm = algorithm;
+        cell.k = k;
+        cell.t = t;
+      }
     }
-  }
-
-  std::vector<BatchJob> jobs;
-  jobs.reserve(cells.size());
-  for (const SweepCell& cell : cells) {
-    BatchJob job;
-    job.label = cell.algorithm + "/k=" + std::to_string(cell.k) +
-                "/t=" + FormatDouble(cell.t);
-    job.data = data;
-    job.algorithm = cell.algorithm;
-    job.params.k = cell.k;
-    job.params.t = cell.t;
-    job.params.seed = spec.algorithm.seed;
-    jobs.push_back(std::move(job));
   }
 
   ThreadPool pool(spec.execution.threads);
   report->threads = pool.num_threads();
-  std::vector<BatchOutcome> outcomes;
-  {
-    // Wall clock of the fan-out; each cell's own time is in its outcome
-    // (their sum exceeds this when cells run concurrently).
-    ScopedStage stage("anonymize", &report->anonymize_seconds);
-    outcomes = RunBatch(jobs, &pool);
-  }
-
-  report->sweep.reserve(outcomes.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const BatchOutcome& outcome = outcomes[i];
-    SweepOutcome out;
-    out.label = outcome.label;
-    out.algorithm = cells[i].algorithm;
-    out.k = cells[i].k;
-    out.t = cells[i].t;
-    if (!outcome.status.ok()) {
-      out.error_code = StatusCodeName(outcome.status.code());
-      out.error = outcome.status.message();
-    } else {
-      out.clusters = outcome.clusters;
-      out.min_cluster_size = outcome.min_cluster_size;
-      out.max_cluster_size = outcome.max_cluster_size;
-      out.max_cluster_emd = outcome.max_cluster_emd;
-      out.normalized_sse = outcome.normalized_sse;
-      out.elapsed_seconds = outcome.elapsed_seconds;
+  // Wall clock of the fan-out; each cell's own time is in its outcome
+  // (their sum exceeds this when cells run concurrently). A failed cell
+  // records its error without affecting the others.
+  ScopedStage stage("anonymize", &report->anonymize_seconds);
+  ParallelFor(&pool, report->sweep.size(), [&](size_t i) {
+    SweepOutcome& cell = report->sweep[i];
+    AlgorithmParams params;
+    params.k = cell.k;
+    params.t = cell.t;
+    params.seed = spec.algorithm.seed;
+    auto result = RunAlgorithm(*data, cell.algorithm, params);
+    if (!result.ok()) {
+      cell.error_code = StatusCodeName(result.status().code());
+      cell.error = result.status().message();
+      return;
     }
-    report->sweep.push_back(std::move(out));
-  }
+    cell.clusters = result->partition.NumClusters();
+    cell.min_cluster_size = result->min_cluster_size;
+    cell.max_cluster_size = result->max_cluster_size;
+    cell.max_cluster_emd = result->max_cluster_emd;
+    cell.normalized_sse = result->normalized_sse;
+    cell.elapsed_seconds = result->elapsed_seconds;
+  });
   return Status::Ok();
 }
 

@@ -14,7 +14,7 @@ namespace tcm {
 // against; internally it validates the spec (kInvalidSpec /
 // kUnknownAlgorithm), runs it window by window over ShardedAnonymize
 // (an in-memory job is one window over the loaded input) or, for
-// sweeps, through RunBatch, and — when the spec names a report_path —
+// sweeps, one RunAlgorithm call per cell, and — when the spec names a report_path —
 // writes the JSON report before returning. Failures carry the
 // structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.

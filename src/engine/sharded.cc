@@ -152,18 +152,15 @@ Result<AnonymizationResult> ShardedAnonymize(
   // Per-shard runs steer by their shard's confidential distribution; the
   // round-robin plan keeps those close to the global one, and this pass
   // deterministically repairs whatever residual violations remain.
+  // Built inside the merge stage, so its seconds count as merge time.
   std::optional<EmdCalculator> global_emd;
-  if (options.final_merge) {
+  {
     ScopedStage stage("merge", &out.merge_seconds);
     QiSpace space(data, params.normalization);
     global_emd.emplace(data, 0);
     MergeOptions merge_options;
     merge_options.strategy = options.merge_strategy;
     merge_options.pool = pool;
-    // The hierarchical engine's bytes differ from the sequential pin
-    // anyway, so it also takes the bound-pruning fast path.
-    merge_options.prune =
-        options.merge_strategy == MergeStrategy::kHierarchical;
     MergeStats merge_stats;
     TCM_ASSIGN_OR_RETURN(
         merged,
@@ -182,7 +179,7 @@ Result<AnonymizationResult> ShardedAnonymize(
   TCM_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       MeasurePartition(data, std::move(merged), timer.ElapsedSeconds(),
-                       global_emd ? &*global_emd : nullptr, pool));
+                       &*global_emd, pool));
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

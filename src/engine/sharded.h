@@ -38,18 +38,16 @@ struct ShardedAnonymizeOptions {
   AlgorithmParams params;
   // Target records per shard; 0 disables sharding (one shard).
   size_t shard_size = 4096;
-  // After concatenating the per-shard partitions, merge clusters whose
-  // EMD against the GLOBAL confidential distribution exceeds t (per-shard
-  // runs only see their shard's distribution, so a small residual can
-  // remain). The pass is deterministic; it only ever grows clusters, so
-  // k-anonymity is preserved.
-  bool final_merge = true;
-  // Engine for the final_merge pass. kSequential is the byte-stable
-  // legacy loop; kHierarchical repairs deterministic subtrees in
-  // parallel on the caller's pool (with emd_bounds pruning enabled) and
-  // finishes with a sequential global tail — reproducible at any thread
-  // count, but with legitimately different (still k-anonymous + t-close)
-  // release bytes than kSequential.
+  // Engine of the repair pass that runs after the per-shard partitions
+  // are concatenated: it merges clusters whose EMD against the GLOBAL
+  // confidential distribution exceeds t (per-shard runs only see their
+  // shard's distribution, so a small residual can remain). The pass is
+  // deterministic and only ever grows clusters, so k-anonymity is
+  // preserved. kSequential is the byte-stable legacy loop; kHierarchical
+  // repairs deterministic subtrees in parallel on the caller's pool (with
+  // emd_bounds pruning) and finishes with a sequential global tail —
+  // reproducible at any thread count, but with legitimately different
+  // (still k-anonymous + t-close) release bytes than kSequential.
   MergeStrategy merge_strategy = MergeStrategy::kSequential;
 };
 
@@ -84,8 +82,8 @@ struct ShardedAnonymizeStats {
 //      concurrently, with a per-shard seed derived from params.seed and
 //      the shard index,
 //   3. concatenate the per-shard clusters in shard order (deterministic),
-//   4. optionally merge until the global t-closeness bound holds (the
-//      hierarchical engine repairs its subtrees on the pool),
+//   4. merge until the global t-closeness bound holds (the hierarchical
+//      engine repairs its subtrees on the pool),
 //   5. aggregate and measure the release, clusters fanned out on the pool.
 // Results are collected in shard order, every per-shard computation
 // depends only on its shard's rows, and every parallel stage writes

@@ -37,23 +37,15 @@ void ThreadPool::Shutdown() {
   }
 }
 
-bool ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
-    // A task enqueued after the stop flag would sit in the queue forever
-    // (workers may already be gone), wedging WaitAll — reject instead so
-    // the caller's future reports broken_promise.
-    if (stopping_) return false;
+    // A task enqueued after the stop flag could sit in the queue forever
+    // (workers may already be gone): drop it instead.
+    if (stopping_) return;
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   task_available_.NotifyOne();
-  return true;
-}
-
-void ThreadPool::WaitAll() {
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(lock);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -67,11 +59,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
 }
 
@@ -84,9 +71,10 @@ struct ForLoop {
   ForLoop(size_t n, const std::function<void(size_t)>* task)
       : n(n), task(task) {}
 
-  // Runs claimed indices until none are left.
-  void RunClaimed() TCM_EXCLUDES(mutex) {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+  // Runs index `i`, already claimed, then claims and runs indices until
+  // none are left.
+  void RunClaimed(size_t i) TCM_EXCLUDES(mutex) {
+    for (; i < n; i = next.fetch_add(1)) {
       std::exception_ptr thrown;
       try {
         (*task)(i);
@@ -121,11 +109,12 @@ void ParallelFor(ThreadPool* pool, size_t n,
     return;
   }
   auto loop = std::make_shared<ForLoop>(n, &task);
+  const size_t first = loop->next.fetch_add(1);  // before any helper can
   const size_t helpers = std::min(n - 1, pool->num_threads());
   for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([loop]() { loop->RunClaimed(); });
+    pool->Submit([loop]() { loop->RunClaimed(loop->next.fetch_add(1)); });
   }
-  loop->RunClaimed();
+  loop->RunClaimed(first);
   std::exception_ptr error;
   {
     MutexLock lock(loop->mutex);

@@ -87,8 +87,7 @@ Result<uint64_t> JobQueue::Submit(JobSpec spec) {
     Metrics().SetGauge("serve.queue_depth",
                        static_cast<double>(active_ - running_));
   }
-  // The future is intentionally dropped: completion is observed through
-  // WaitForChange, and a packaged_task future does not block on destroy.
+  // Completion is observed through WaitForChange.
   pool_->Submit([this, record]() { Execute(record); });
   return record->id;
 }
@@ -121,10 +120,9 @@ void JobQueue::Execute(const std::shared_ptr<Record>& record) {
 
   // The library's public surface reports through Status, but a job can
   // still throw (std::bad_alloc on a huge input, a third-party
-  // registered algorithm). The pool's packaged_task would capture the
-  // exception into a future nobody holds — the record would stay
-  // kRunning forever and Drain() would never return — so convert to the
-  // taxonomy here instead.
+  // registered algorithm). Nothing on the pool worker catches it — an
+  // exception escaping the task would end the process — so convert to
+  // the taxonomy here.
   WallTimer job_timer;
   Result<RunReport> outcome = Status::Internal("unreachable");
   try {

@@ -62,14 +62,14 @@ double CentroidSquaredDistance(const std::vector<double>& a,
 }
 
 // Builds the engine's working set from an initial partition. With
-// `prune_init` (hierarchical engine only), a cluster small enough that
+// `prune` (hierarchical engine only), a cluster small enough that
 // even the best-placed cluster of its size violates t — MinClusterEmd,
 // Prop. 1 — is marked a proven violator without an exact evaluation.
 // Takes the clusters out of `clusters` (a slice of the initial partition,
 // so subtree tasks can each initialize their own).
 std::vector<ClusterState> InitStates(const QiSpace& space,
                                      const EmdCalculator& emd, double t,
-                                     bool prune_init,
+                                     bool prune,
                                      std::span<Cluster> clusters,
                                      EngineCounters* counters) {
   const size_t n = space.num_records();
@@ -83,7 +83,7 @@ std::vector<ClusterState> InitStates(const QiSpace& space,
     std::sort(state.ranks.begin(), state.ranks.end());
     ++counters->candidate_checks;
     double lower = n > 1 ? MinClusterEmd(n, cluster.size()) : 0.0;
-    if (prune_init && lower > t) {
+    if (prune && lower > t) {
       state.emd = lower;
       state.kind = ClusterState::Kind::kLower;
       ++counters->pruned_checks;
@@ -204,29 +204,24 @@ void AddCounters(const EngineCounters& from, MergeStats* into) {
 }
 
 // Number of hierarchical subtrees for `num_clusters` clusters over
-// `num_rows` rows. Deliberately a pure function of the data and options —
-// never of the pool's thread count — so a release is reproducible at any
+// `num_rows` rows. Deliberately a pure function of the data — never of
+// the pool's thread count — so a release is reproducible at any
 // parallelism. Each subtree must hold enough rows to form several t-close
 // clusters of the paper's minimum size (Eq. 3 RequiredClusterSize,
 // adjusted per Eq. 4), and enough clusters that the fan-out overhead is
 // worth paying.
-size_t PickSubtreeCount(size_t num_rows, size_t num_clusters, double t,
-                        const MergeOptions& options) {
+size_t PickSubtreeCount(size_t num_rows, size_t num_clusters, double t) {
   constexpr size_t kMinSubtreeClusters = 64;
-  constexpr size_t kDefaultMaxSubtrees = 16;
+  constexpr size_t kMaxSubtrees = 16;
   constexpr size_t kTargetClustersPerSubtree = 8;
   if (num_rows < 2 || num_clusters < 2 * kMinSubtreeClusters) return 1;
-  size_t min_rows = options.min_subtree_rows;
-  if (min_rows == 0) {
-    size_t k_star = AdjustClusterSizeForRemainder(
-        num_rows, RequiredClusterSize(num_rows, 1, t));
-    min_rows = kTargetClustersPerSubtree * std::max<size_t>(1, k_star);
-  }
-  size_t cap = options.max_subtrees == 0 ? kDefaultMaxSubtrees
-                                         : options.max_subtrees;
-  size_t by_rows = num_rows / std::max<size_t>(1, min_rows);
+  const size_t k_star = AdjustClusterSizeForRemainder(
+      num_rows, RequiredClusterSize(num_rows, 1, t));
+  const size_t min_rows =
+      kTargetClustersPerSubtree * std::max<size_t>(1, k_star);
+  size_t by_rows = num_rows / min_rows;
   size_t by_clusters = num_clusters / kMinSubtreeClusters;
-  size_t subtrees = std::min({by_rows, by_clusters, cap});
+  size_t subtrees = std::min({by_rows, by_clusters, kMaxSubtrees});
   return std::max<size_t>(1, subtrees);
 }
 
@@ -271,10 +266,11 @@ Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
       options.strategy == MergeStrategy::kHierarchical;
   const size_t subtrees =
       hierarchical ? PickSubtreeCount(space.num_records(),
-                                      initial.clusters.size(), t, options)
+                                      initial.clusters.size(), t)
                    : 1;
 
-  const bool prune_init = hierarchical && options.prune;
+  // Only the hierarchical engine answers checks from the EMD bounds.
+  const bool prune = hierarchical;
   std::vector<ClusterState> states;
   EngineCounters tail_counters;
   if (subtrees > 1) {
@@ -290,10 +286,10 @@ Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
     ParallelFor(options.pool, subtrees, [&](size_t s) {
       TraceSpan span("merge_subtree");
       auto [begin, end] = SplitRange(clusters.size(), subtrees, s);
-      slices[s] = InitStates(space, emd, t, prune_init,
+      slices[s] = InitStates(space, emd, t, prune,
                              clusters.subspan(begin, end - begin),
                              &slice_counters[s]);
-      RunEngine(emd, t, options.prune, &slices[s], &slice_counters[s]);
+      RunEngine(emd, t, prune, &slices[s], &slice_counters[s]);
     });
 
     // Stitch the surviving clusters back together in subtree order and
@@ -308,11 +304,11 @@ Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
       slices[s].clear();
     }
     TraceSpan tail_span("merge_tail");
-    RunEngine(emd, t, options.prune, &states, &tail_counters);
+    RunEngine(emd, t, prune, &states, &tail_counters);
   } else {
-    states = InitStates(space, emd, t, prune_init, initial.clusters,
+    states = InitStates(space, emd, t, prune, initial.clusters,
                         &tail_counters);
-    RunEngine(emd, t, options.prune, &states, &tail_counters);
+    RunEngine(emd, t, prune, &states, &tail_counters);
   }
 
   AddCounters(tail_counters, &local);

@@ -55,31 +55,19 @@ struct MergeStats {
 
 // Tuning for MergeUntilTCloseWith.
 struct MergeOptions {
+  // kHierarchical also answers per-cluster EMD checks from the paper's
+  // closed-form bounds when it can: a freshly merged cluster whose
+  // mixture upper bound (MixtureEmdUpperBound) already meets t is
+  // provably safe, and an initial cluster small enough that
+  // MinClusterEmd exceeds t is provably violating; neither needs an
+  // exact evaluation. Its final_max_emd may then be an upper bound.
+  // kSequential evaluates every check exactly, so its stats stay the
+  // byte-stable reference.
   MergeStrategy strategy = MergeStrategy::kSequential;
 
   // Subtree fan-out target for kHierarchical; ignored (may be null) for
   // kSequential. Null runs the subtrees inline on the caller.
   ThreadPool* pool = nullptr;
-
-  // Answer per-cluster EMD checks from the paper's closed-form bounds
-  // when possible: a freshly merged cluster whose mixture upper bound
-  // (MixtureEmdUpperBound) already meets t is provably safe, and — in
-  // the hierarchical engine only — an initial cluster small enough that
-  // MinClusterEmd exceeds t is provably violating; neither needs an
-  // exact evaluation. Safe-side pruning never changes which cluster the
-  // worst-first scan selects (only values above t compete), so the
-  // sequential partition bytes are unchanged; final_max_emd may become
-  // an upper bound. Off by default to keep legacy stats bit-stable.
-  bool prune = false;
-
-  // Minimum rows a hierarchical subtree must hold; 0 derives the floor
-  // from RequiredClusterSize/AdjustClusterSizeForRemainder so each
-  // subtree can form several t-close clusters of the paper's minimum
-  // size. Ignored by kSequential.
-  size_t min_subtree_rows = 0;
-
-  // Cap on concurrent subtrees; 0 = automatic. Ignored by kSequential.
-  size_t max_subtrees = 0;
 };
 
 // Algorithm 1 (paper Sec. 5), merging phase only: repeatedly merge the
@@ -94,9 +82,9 @@ Result<Partition> MergeUntilTClose(const QiSpace& space,
                                    Partition initial,
                                    MergeStats* stats = nullptr);
 
-// Full-control variant: everything above plus strategy selection, bound
-// pruning and the subtree fan-out. MergeUntilTClose delegates here with
-// default options (sequential, no pruning).
+// Full-control variant: everything above plus strategy selection and the
+// subtree fan-out. MergeUntilTClose delegates here with default options
+// (sequential).
 Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
                                        const EmdCalculator& emd, double t,
                                        Partition initial,

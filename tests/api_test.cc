@@ -589,6 +589,41 @@ TEST(RunJobTest, SweepFansOutTheCrossProduct) {
   EXPECT_EQ(json.Find("execution")->Find("shards")->number_value(), 0.0);
 }
 
+// Sweep cells run independently: a cell that fails records its error
+// in its own outcome, and the others still succeed, in cell order.
+TEST(RunJobTest, SweepOutcomesStayInCellOrderAndIsolateFailures) {
+  JobSpec spec;
+  spec.input.kind = InputKind::kSynthetic;
+  spec.input.generator = "uniform";
+  spec.input.rows = 60;
+  spec.input.quasi_identifiers = 2;
+  spec.input.seed = 89;
+  spec.execution.threads = 3;
+  spec.sweep.emplace();
+  spec.sweep->algorithms = {"tclose_first", "merge"};
+  spec.sweep->ks = {3, 1000};  // k = 1000 > 60 rows: must fail
+  spec.sweep->ts = {0.3};
+  auto report = RunJob(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->sweep.size(), 4u);
+  const char* labels[] = {"tclose_first/k=3/t=0.3",
+                          "tclose_first/k=1000/t=0.3", "merge/k=3/t=0.3",
+                          "merge/k=1000/t=0.3"};
+  for (size_t i = 0; i < report->sweep.size(); ++i) {
+    const SweepOutcome& outcome = report->sweep[i];
+    EXPECT_EQ(outcome.label, labels[i]);
+    if (outcome.k == 1000) {
+      EXPECT_EQ(outcome.error_code, "InvalidArgument") << outcome.label;
+      EXPECT_FALSE(outcome.error.empty()) << outcome.label;
+      EXPECT_EQ(outcome.clusters, 0u) << outcome.label;
+    } else {
+      EXPECT_TRUE(outcome.error_code.empty()) << outcome.error;
+      EXPECT_GE(outcome.min_cluster_size, 3u) << outcome.label;
+      EXPECT_LE(outcome.max_cluster_emd, 0.3 + 1e-9) << outcome.label;
+    }
+  }
+}
+
 TEST(RunJobTest, StreamedReportCarriesWindows) {
   JobSpec spec;
   spec.input.kind = InputKind::kSynthetic;

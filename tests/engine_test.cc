@@ -1,12 +1,12 @@
 // Tests for the parallel anonymization engine: thread pool, algorithm
-// registry, sharded pipeline runner and batch mode. The load-bearing
-// property is determinism — the release must be byte-identical for any
-// thread count.
+// registry and sharded pipeline runner. The load-bearing property is
+// determinism — the release must be byte-identical for any thread count.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -19,7 +19,6 @@
 #include "api/runner.h"
 #include "data/csv.h"
 #include "data/generator.h"
-#include "engine/batch.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
@@ -35,45 +34,32 @@ namespace {
 TEST(ThreadPoolTest, RunsEveryTaskAndReturnsResults) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
-  std::vector<std::future<int>> futures;
+  std::atomic<int> sum{0};
+  std::latch done(100);
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i]() { return i * i; }));
+    pool.Submit([&sum, &done, i]() {
+      sum.fetch_add(i * i);
+      done.count_down();
+    });
   }
-  int sum = 0;
-  for (auto& future : futures) sum += future.get();
-  EXPECT_EQ(sum, 328350);  // sum of squares 0..99
-}
-
-TEST(ThreadPoolTest, WaitAllBlocksUntilQueueDrains) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&done]() { done.fetch_add(1); });
-  }
-  pool.WaitAll();
-  EXPECT_EQ(done.load(), 50);
+  done.wait();
+  EXPECT_EQ(sum.load(), 328350);  // sum of squares 0..99
 }
 
 TEST(ThreadPoolTest, SingleThreadExecutesInFifoOrder) {
   ThreadPool pool(1);
   std::vector<int> order;
-  std::vector<std::future<void>> futures;
+  std::latch done(20);
   for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.Submit([&order, i]() { order.push_back(i); }));
+    pool.Submit([&order, &done, i]() {
+      order.push_back(i);
+      done.count_down();
+    });
   }
-  for (auto& future : futures) future.get();
+  done.wait();
   std::vector<int> expected(20);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, WaitAllWithZeroTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.WaitAll();  // nothing submitted: must not block
-  auto future = pool.Submit([]() { return 1; });
-  EXPECT_EQ(future.get(), 1);
-  pool.WaitAll();
-  pool.WaitAll();  // and again after the queue drained
 }
 
 TEST(ThreadPoolTest, ShutdownFinishesQueuedTasksThenRejectsNewOnes) {
@@ -88,32 +74,13 @@ TEST(ThreadPoolTest, ShutdownFinishesQueuedTasksThenRejectsNewOnes) {
   pool.Shutdown();
   EXPECT_EQ(ran.load(), 32);  // graceful: queued work still ran
 
-  // After shutdown a submission is rejected: the task never runs and the
-  // future reports a broken promise instead of hanging.
+  // After shutdown a submission is rejected: the task never runs.
   std::atomic<bool> leaked{false};
-  auto rejected = pool.Submit([&leaked]() { leaked = true; });
-  try {
-    rejected.get();
-    FAIL() << "future from a rejected task did not throw";
-  } catch (const std::future_error& error) {
-    EXPECT_EQ(error.code(), std::future_errc::broken_promise);
-  }
+  pool.Submit([&leaked]() { leaked = true; });
   EXPECT_FALSE(leaked.load());
 
   EXPECT_EQ(pool.num_threads(), 2u);  // stable for reporting
-  pool.WaitAll();   // queue is empty: returns immediately
   pool.Shutdown();  // idempotent
-}
-
-TEST(ThreadPoolTest, TaskExceptionPropagatesWithoutPoisoningThePool) {
-  ThreadPool pool(2);
-  auto bad = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  auto good = pool.Submit([]() { return 7; });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  EXPECT_EQ(good.get(), 7);
-  pool.WaitAll();  // the throwing task still counted down in_flight
-  auto after = pool.Submit([]() { return 8; });
-  EXPECT_EQ(after.get(), 8);
 }
 
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
@@ -285,20 +252,28 @@ TEST(ThreadPoolTest, ParallelForCallerNeverRunsForeignTasks) {
   EXPECT_FALSE(foreign_ran.load());
 
   release.set_value();
-  pool.WaitAll();
+  pool.Shutdown();  // finishes the queued foreign task first
   EXPECT_TRUE(foreign_ran.load());
 }
 
 // Every index runs exactly once, nested fan-outs on the pool's own
-// threads finish, and the lowest throwing index's exception surfaces
-// only after all indices are done.
+// threads finish, each call's caller runs its index 0, and the lowest
+// throwing index's exception surfaces only after all indices are done.
 TEST(ThreadPoolTest, ParallelForRunsEachIndexOnceAndRethrowsLowest) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> runs(64);
+  std::atomic<int> index0_not_on_caller{0};
   ParallelFor(&pool, 8, [&](size_t outer) {
-    ParallelFor(&pool, 8, [&](size_t inner) { runs[outer * 8 + inner]++; });
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelFor(&pool, 8, [&](size_t inner) {
+      runs[outer * 8 + inner]++;
+      if (inner == 0 && std::this_thread::get_id() != caller) {
+        ++index0_not_on_caller;
+      }
+    });
   });
   for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
+  EXPECT_EQ(index0_not_on_caller.load(), 0);
 
   std::atomic<int> finished{0};
   try {
@@ -529,47 +504,6 @@ TEST(PipelineTest, UndersizedInputKeepsItsErrorCode) {
   EXPECT_NE(report.status().message().find("k must be in [1, n]"),
             std::string::npos)
       << report.status().ToString();
-}
-
-// ------------------------------------------------------------------- Batch
-
-TEST(BatchTest, OutcomesStayInJobOrderAndIsolateFailures) {
-  Dataset small = MakeUniformDataset(60, 2, 89);
-  Dataset medium = MakeUniformDataset(200, 2, 91);
-  std::vector<BatchJob> jobs(3);
-  jobs[0].label = "ok-small";
-  jobs[0].data = &small;
-  jobs[0].params.k = 3;
-  jobs[0].params.t = 0.3;
-  jobs[1].label = "bad-k";
-  jobs[1].data = &small;
-  jobs[1].params.k = 1000;  // > n: must fail
-  jobs[2].label = "ok-medium";
-  jobs[2].data = &medium;
-  jobs[2].algorithm = "merge";
-  jobs[2].params.k = 4;
-  jobs[2].params.t = 0.3;
-
-  ThreadPool pool(3);
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, &pool);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].label, "ok-small");
-  EXPECT_TRUE(outcomes[0].status.ok());
-  EXPECT_GE(outcomes[0].min_cluster_size, 3u);
-  EXPECT_EQ(outcomes[1].label, "bad-k");
-  EXPECT_FALSE(outcomes[1].status.ok());
-  EXPECT_EQ(outcomes[2].label, "ok-medium");
-  EXPECT_TRUE(outcomes[2].status.ok());
-  EXPECT_LE(outcomes[2].max_cluster_emd, 0.3 + 1e-9);
-}
-
-TEST(BatchTest, NullDatasetAndNullPoolAreHandled) {
-  std::vector<BatchJob> jobs(1);
-  jobs[0].label = "no-data";
-  std::vector<BatchOutcome> outcomes = RunBatch(jobs, nullptr);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].status.ok());
-  EXPECT_TRUE(RunBatch({}, nullptr).empty());
 }
 
 }  // namespace

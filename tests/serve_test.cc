@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -245,7 +246,9 @@ TEST(JobQueueTest, DrainOutlastsCancelledQueuedTasks) {
     EXPECT_EQ(queue.Status(*job_b)->state, JobState::kCancelled);
     EXPECT_EQ(queue.pending(), 0u);
   }  // queue destroyed while the pool is still alive
-  pool.Submit([]() {}).get();  // pool is healthy and past B's task
+  std::latch ran(1);  // the pool is healthy and past B's task
+  pool.Submit([&ran]() { ran.count_down(); });
+  ran.wait();
   pool.Shutdown();
 }
 

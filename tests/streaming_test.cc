@@ -743,26 +743,82 @@ TEST(StreamingJobTest, OverlappedVerifyFailureStopsBeforeTheWindowIsWritten) {
   }
 }
 
-// Window 0's write fails (the release directory does not exist) and
-// window 1's anonymize fails too; under overlap_io they can fail in
-// either order, and the earlier window's error is the one returned.
+// Clusters of two consecutive rows: never 4-anonymous.
+Result<Partition> PairsPartition(const Dataset& data,
+                                 const AlgorithmParams&) {
+  Partition partition;
+  for (size_t row = 0; row < data.NumRecords(); row += 2) {
+    Cluster cluster;
+    cluster.push_back(row);
+    if (row + 1 < data.NumRecords()) cluster.push_back(row + 1);
+    partition.clusters.push_back(std::move(cluster));
+  }
+  return partition;
+}
+
+// A uniform stream whose fifth ReadInto call and every later one fail
+// with IoError. Each window is one fill and one read-ahead call, so in
+// both modes the read of window 2 is the first to fail.
+class FailingThirdWindowSource : public RecordSource {
+ public:
+  FailingThirdWindowSource() : inner_(MakeUniformSource(1000, 2, 5)) {}
+
+  const Schema& schema() const override { return inner_->schema(); }
+
+  Result<size_t> ReadInto(Dataset* out, size_t max_rows) override {
+    if (calls_++ >= 4) return Status::IoError("window 2 cannot be read");
+    return inner_->ReadInto(out, max_rows);
+  }
+
+ private:
+  std::unique_ptr<SyntheticSource> inner_;
+  int calls_ = 0;
+};
+
+// Two windows fail in each case, and the earlier window's error is the
+// one returned, with overlap_io (where they can fail in either order)
+// and without it:
+//   - window 0's write fails (the release directory does not exist) and
+//     window 1's anonymize fails;
+//   - window 1's release fails verification and the read of window 2
+//     fails, which surfaces only as window 2's failure.
 TEST(StreamingJobTest, EarliestWindowErrorWins) {
-  for (size_t threads : {1u, 2u, 4u}) {
-    g_algorithm_calls = 0;
-    auto source = MakeUniformSource(400, 2, 5);
-    JobSpec spec = StreamSpec(204, threads);
-    spec.algorithm.name = RegisterFromSecondCall(
-        "test.fails_from_second_call",
-        [](const Dataset&, const AlgorithmParams&) -> Result<Partition> {
-          return Status::Internal("window 1 fails to anonymize");
-        });
-    spec.execution.shard_size = 0;
-    spec.execution.overlap_io = true;
-    spec.output.release_path = TempPath("no_such_directory/release.csv");
-    auto report = RunJob(source.get(), spec);
-    ASSERT_FALSE(report.ok()) << threads << " threads";
-    EXPECT_EQ(report.status().code(), StatusCode::kIoError)
-        << threads << " threads: " << report.status().ToString();
+  for (bool overlap_io : {false, true}) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      const std::string label = std::to_string(threads) + " threads, " +
+                                (overlap_io ? "overlapped" : "serial");
+      g_algorithm_calls = 0;
+      auto source = MakeUniformSource(400, 2, 5);
+      JobSpec spec = StreamSpec(204, threads);
+      spec.algorithm.name = RegisterFromSecondCall(
+          "test.fails_from_second_call",
+          [](const Dataset&, const AlgorithmParams&) -> Result<Partition> {
+            return Status::Internal("window 1 fails to anonymize");
+          });
+      spec.execution.shard_size = 0;
+      spec.execution.overlap_io = overlap_io;
+      spec.output.release_path = TempPath("no_such_directory/release.csv");
+      auto report = RunJob(source.get(), spec);
+      ASSERT_FALSE(report.ok()) << label;
+      EXPECT_EQ(report.status().code(), StatusCode::kIoError)
+          << label << ": " << report.status().ToString();
+
+      g_algorithm_calls = 0;
+      FailingThirdWindowSource failing_source;
+      spec = StreamSpec(204, threads);
+      spec.algorithm.name = RegisterFromSecondCall(
+          "test.pairs_from_second_call", PairsPartition);
+      spec.algorithm.t = 10.0;  // never triggers the t repair pass
+      spec.execution.shard_size = 0;
+      spec.execution.overlap_io = overlap_io;
+      report = RunJob(&failing_source, spec);
+      ASSERT_FALSE(report.ok()) << label;
+      EXPECT_EQ(report.status().code(), StatusCode::kPrivacyViolation)
+          << label << ": " << report.status().ToString();
+      EXPECT_NE(report.status().message().find("window 1: "),
+                std::string::npos)
+          << label << ": " << report.status().ToString();
+    }
   }
 }
 

@@ -146,7 +146,6 @@ TEST(MergeTest, HierarchicalMatchesSequentialGuarantees) {
 
   MergeOptions options;
   options.strategy = MergeStrategy::kHierarchical;
-  options.prune = true;
   ThreadPool pool(4);
   options.pool = &pool;
   MergeStats pooled_stats;
