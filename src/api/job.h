@@ -93,7 +93,10 @@ struct JobAlgorithm {
 // Execution shape: mode, parallelism and memory budget.
 struct JobExecution {
   ExecutionMode mode = ExecutionMode::kInMemory;
-  size_t threads = 1;        // 0 = one per hardware thread
+  // Width of the pool RunJob builds for this job, 0 = one per hardware
+  // thread. Unused when the caller brings its own pool: a job served by
+  // tcm_serve runs on the daemon's --threads workers instead.
+  size_t threads = 1;
   size_t shard_size = 4096;  // rows per shard; 0 disables sharding
   // Streaming only: resident input rows (window + k-row read-ahead);
   // at least k + max(k, 2), or k + 2 * max(k, 2) with overlap_io.

@@ -88,7 +88,8 @@ struct RunReport {
   double max_cluster_emd = 0.0;
   double normalized_sse = 0.0;
 
-  // Execution shape.
+  // Execution shape. `threads` is the width of the pool the job ran on:
+  // tcm_serve's, for a served job, not the spec's execution.threads.
   size_t threads = 1;
   size_t num_windows = 0;        // streaming only
   size_t peak_resident_rows = 0; // streaming only

@@ -528,16 +528,15 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
 
 // Both execution modes run the window loop: an in-memory job loads its
 // input once and runs it as a single window.
-Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
+Status RunPipelineJob(const JobSpec& spec, ThreadPool* pool,
+                      RunReport* report) {
   JobSource input;
   if (spec.execution.mode == ExecutionMode::kInMemory) {
     TCM_RETURN_IF_ERROR(OpenInMemorySource(spec, &input, report));
   } else {
     TCM_RETURN_IF_ERROR(OpenStreamingSource(spec, &input));
   }
-  ThreadPool pool(spec.execution.threads);
-  report->threads = pool.num_threads();
-  TCM_RETURN_IF_ERROR(RunWindows(spec, input.source, &pool, report));
+  TCM_RETURN_IF_ERROR(RunWindows(spec, input.source, pool, report));
   if (input.columnar != nullptr) {
     report->input_mapped_bytes = input.columnar->mapped_bytes();
     report->input_copied_bytes = input.columnar->copied_bytes();
@@ -547,7 +546,8 @@ Status RunPipelineJob(const JobSpec& spec, RunReport* report) {
   return Status::Ok();
 }
 
-Status RunSweepJob(const JobSpec& spec, RunReport* report) {
+Status RunSweepJob(const JobSpec& spec, ThreadPool* pool,
+                   RunReport* report) {
   Dataset storage;
   InputBytes bytes;
   const Dataset* data = nullptr;
@@ -584,13 +584,11 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
     }
   }
 
-  ThreadPool pool(spec.execution.threads);
-  report->threads = pool.num_threads();
   // Wall clock of the fan-out; each cell's own time is in its outcome
   // (their sum exceeds this when cells run concurrently). A failed cell
   // records its error without affecting the others.
   ScopedStage stage("anonymize", &report->anonymize_seconds);
-  ParallelFor(&pool, report->sweep.size(), [&](size_t i) {
+  ParallelFor(pool, report->sweep.size(), [&](size_t i) {
     SweepOutcome& cell = report->sweep[i];
     AlgorithmParams params;
     params.k = cell.k;
@@ -612,11 +610,8 @@ Status RunSweepJob(const JobSpec& spec, RunReport* report) {
   return Status::Ok();
 }
 
-}  // namespace
-
-Result<RunReport> RunJob(const JobSpec& spec) {
-  TCM_RETURN_IF_ERROR(spec.Validate());
-
+// RunJob after validation, on a caller's or RunJob's own pool.
+Result<RunReport> RunValidJob(const JobSpec& spec, ThreadPool* pool) {
   // Trace sink: collect spans for the duration of this job and export
   // them as Chrome trace-event JSON. The recorder is process-global, so
   // concurrent jobs (the serve daemon) share one trace when any of them
@@ -635,6 +630,7 @@ Result<RunReport> RunJob(const JobSpec& spec) {
   report.seed = spec.algorithm.seed;
   report.merge_strategy = spec.execution.merge_strategy;
   report.overlap_io = spec.execution.overlap_io;
+  report.threads = pool->num_threads();
   report.input_format = spec.input.kind == InputKind::kCsvPath
                             ? InputFormatName(spec.input.format)
                             : InputKindName(spec.input.kind);
@@ -644,9 +640,9 @@ Result<RunReport> RunJob(const JobSpec& spec) {
   {
     ScopedStage job_stage("job", &report.total_seconds);
     if (report.swept) {
-      TCM_RETURN_IF_ERROR(RunSweepJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunSweepJob(spec, pool, &report));
     } else {
-      TCM_RETURN_IF_ERROR(RunPipelineJob(spec, &report));
+      TCM_RETURN_IF_ERROR(RunPipelineJob(spec, pool, &report));
     }
   }
 
@@ -658,6 +654,17 @@ Result<RunReport> RunJob(const JobSpec& spec) {
     TCM_RETURN_IF_ERROR(trace_sink->Finish());
   }
   return report;
+}
+
+}  // namespace
+
+Result<RunReport> RunJob(const JobSpec& spec, ThreadPool* pool) {
+  TCM_RETURN_IF_ERROR(spec.Validate());
+  if (pool != nullptr) return RunValidJob(spec, pool);
+  // A caller without a pool gets one of execution.threads workers, for
+  // this job alone.
+  ThreadPool own_pool(spec.execution.threads);
+  return RunValidJob(spec, &own_pool);
 }
 
 Result<RunReport> RunJob(const Dataset& data, JobSpec spec) {

@@ -9,20 +9,29 @@
 
 namespace tcm {
 
+class ThreadPool;
+
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
 // kUnknownAlgorithm), runs it window by window over ShardedAnonymize
 // (an in-memory job is one window over the loaded input) or, for
-// sweeps, one RunAlgorithm call per cell, and — when the spec names a report_path —
-// writes the JSON report before returning. Failures carry the
-// structured taxonomy: kIoError for unreadable inputs/sinks,
+// sweeps, one RunAlgorithm call per cell, and — when the spec names a
+// report_path — writes the JSON report before returning. Failures carry
+// the structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.
+//
+// Width. The job's fan-outs run on `pool` when the caller brings one
+// (tcm_serve's JobQueue passes the daemon's pool, so a served job never
+// spawns threads and its spec's execution.threads is not used; the
+// calling thread may itself be one of the pool's workers). Without one,
+// RunJob builds a pool of execution.threads workers for this job alone.
+// report.threads is the width of the pool the job ran on.
 //
 // Determinism: release bytes are the same for any thread count, and a
 // streamed job whose input fits in one window releases the in-memory
 // job's bytes (pinned by tests/golden/).
-Result<RunReport> RunJob(const JobSpec& spec);
+Result<RunReport> RunJob(const JobSpec& spec, ThreadPool* pool = nullptr);
 
 // Sugar for in-process callers: runs `spec` against a live dataset or
 // record source (overriding spec.input). Non-owning; the object must

@@ -71,25 +71,6 @@ std::vector<double> Dataset::ColumnAsDouble(size_t col) const {
   return out;
 }
 
-Result<Dataset> Dataset::Project(const std::vector<size_t>& columns) const {
-  std::vector<Attribute> attrs;
-  attrs.reserve(columns.size());
-  for (size_t col : columns) {
-    if (col >= schema_.size()) {
-      return Status::OutOfRange("column " + std::to_string(col) +
-                                " out of range");
-    }
-    attrs.push_back(schema_.at(col));
-  }
-  Dataset out{Schema(std::move(attrs))};
-  out.values_.reserve(num_records_ * columns.size());
-  for (size_t row = 0; row < num_records_; ++row) {
-    for (size_t col : columns) out.values_.push_back(cell(row, col));
-  }
-  out.num_records_ = num_records_;
-  return out;
-}
-
 Result<Dataset> Dataset::Select(const std::vector<size_t>& rows) const {
   for (size_t row : rows) {
     if (row >= num_records_) {

@@ -88,10 +88,6 @@ class Dataset {
   // and distance computations.
   std::vector<double> ColumnAsDouble(size_t col) const;
 
-  // New dataset containing only the given attribute columns (in the given
-  // order); OutOfRange on a bad index.
-  Result<Dataset> Project(const std::vector<size_t>& columns) const;
-
   // New dataset containing only the given rows; OutOfRange on a bad index.
   Result<Dataset> Select(const std::vector<size_t>& rows) const;
 

@@ -10,12 +10,6 @@
 
 namespace tcm {
 
-Result<Dataset> RecordSource::NextBatch(size_t max_rows) {
-  Dataset batch(schema());
-  TCM_RETURN_IF_ERROR(ReadInto(&batch, max_rows).status());
-  return batch;
-}
-
 Result<size_t> DatasetSource::ReadInto(Dataset* out, size_t max_rows) {
   size_t appended = 0;
   while (appended < max_rows && next_row_ < data_->NumRecords()) {

@@ -27,10 +27,6 @@ class RecordSource {
   // end of the stream, so a return value smaller than `max_rows` means
   // the stream is exhausted; 0 means it already was.
   virtual Result<size_t> ReadInto(Dataset* out, size_t max_rows) = 0;
-
-  // Convenience wrapper: the next batch as its own dataset (empty when
-  // the stream is exhausted).
-  Result<Dataset> NextBatch(size_t max_rows);
 };
 
 // Streams an in-memory dataset. Non-owning: the dataset must outlive the

@@ -90,11 +90,6 @@ std::vector<double> AverageRanks(const std::vector<double>& xs) {
   return ranks;
 }
 
-double SpearmanCorrelation(const std::vector<double>& xs,
-                           const std::vector<double>& ys) {
-  return PearsonCorrelation(AverageRanks(xs), AverageRanks(ys));
-}
-
 namespace {
 
 // Unsigned image of a double that orders like `<`: a non-negative value

@@ -33,10 +33,6 @@ double Median(std::vector<double> xs);
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys);
 
-// Spearman rank correlation (average ranks for ties).
-double SpearmanCorrelation(const std::vector<double>& xs,
-                           const std::vector<double>& ys);
-
 // Average ranks in [1, n] with ties sharing their mean rank.
 std::vector<double> AverageRanks(const std::vector<double>& xs);
 

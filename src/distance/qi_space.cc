@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "data/stats.h"
@@ -80,12 +78,6 @@ std::vector<double> QiSpace::Centroid(const std::vector<size_t>& rows) const {
   return centroid;
 }
 
-std::vector<double> QiSpace::GlobalCentroid() const {
-  std::vector<size_t> all(num_records_);
-  std::iota(all.begin(), all.end(), 0);
-  return Centroid(all);
-}
-
 size_t QiSpace::FarthestFromPoint(const std::vector<size_t>& candidates,
                                   const std::vector<double>& p) const {
   TCM_DCHECK(!candidates.empty());
@@ -98,23 +90,6 @@ size_t QiSpace::FarthestFromPoint(const std::vector<size_t>& candidates,
       best = row;
     }
   }
-  return best;
-}
-
-size_t QiSpace::ClosestToRecord(const std::vector<size_t>& candidates,
-                                size_t row) const {
-  size_t best = std::numeric_limits<size_t>::max();
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t candidate : candidates) {
-    if (candidate == row) continue;
-    double dist = SquaredDistance(candidate, row);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = candidate;
-    }
-  }
-  TCM_DCHECK(best != std::numeric_limits<size_t>::max())
-      << "no candidate other than the record itself";
   return best;
 }
 

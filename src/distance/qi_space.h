@@ -47,18 +47,10 @@ class QiSpace {
   // Mean point of the given rows; requires a non-empty set.
   std::vector<double> Centroid(const std::vector<size_t>& rows) const;
 
-  // Mean point of every record.
-  std::vector<double> GlobalCentroid() const;
-
   // Among `candidates`, the row farthest from `point` (ties -> lowest row).
   // Requires non-empty candidates.
   size_t FarthestFromPoint(const std::vector<size_t>& candidates,
                            const std::vector<double>& point) const;
-
-  // Among `candidates`, the row closest to record `row` (`row` itself is
-  // skipped if present). Requires at least one other candidate.
-  size_t ClosestToRecord(const std::vector<size_t>& candidates,
-                         size_t row) const;
 
   // The `count` rows among `candidates` closest to record `row`, including
   // `row` itself if present; ordered by increasing distance.

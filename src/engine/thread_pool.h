@@ -75,9 +75,11 @@ class ThreadPool {
 // caller always runs index 0 itself. The caller runs only indices of
 // this call, never another queued task, and waits only for indices a
 // running helper has claimed: a busy or single-threaded pool cannot
-// stall the join, nor make it run foreign work. A helper that starts after every index is claimed returns at
-// once. A task must write only what its index owns; results then never
-// depend on scheduling. The first exception a task throws (in index
+// stall the join, nor make it run foreign work. So the caller may be one
+// of the pool's own workers (a served job fans out on the daemon's pool
+// it runs on). A helper that starts after every index is claimed returns
+// at once. A task must write only what its index owns; results then
+// never depend on scheduling. The first exception a task throws (in index
 // order) propagates after every task has finished.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& task);

@@ -55,11 +55,4 @@ Result<Partition> MicroaggregateRows(const QiSpace& space,
   return Status::InvalidArgument("unknown microaggregation method");
 }
 
-Result<Dataset> MicroaggregateDataset(const Dataset& data, size_t k,
-                                      const MicroaggOptions& options) {
-  QiSpace space(data);
-  TCM_ASSIGN_OR_RETURN(Partition partition, Microaggregate(space, k, options));
-  return AggregatePartition(data, partition);
-}
-
 }  // namespace tcm

@@ -40,11 +40,6 @@ Result<Partition> MicroaggregateRows(const QiSpace& space,
                                      size_t k,
                                      const MicroaggOptions& options = {});
 
-// End-to-end helper: microaggregates the quasi-identifiers of `data` and
-// returns the k-anonymous dataset produced by the aggregation step.
-Result<Dataset> MicroaggregateDataset(const Dataset& data, size_t k,
-                                      const MicroaggOptions& options = {});
-
 }  // namespace tcm
 
 #endif  // TCM_MICROAGG_MICROAGG_H_

@@ -92,12 +92,4 @@ Result<NTClosenessReport> EvaluateNTCloseness(const Dataset& data,
   return report;
 }
 
-Result<bool> IsNTClose(const Dataset& data, size_t min_superset_size,
-                       double t, size_t confidential_offset) {
-  TCM_ASSIGN_OR_RETURN(
-      NTClosenessReport report,
-      EvaluateNTCloseness(data, min_superset_size, confidential_offset));
-  return report.max_emd <= t + 1e-9;
-}
-
 }  // namespace tcm

@@ -32,10 +32,6 @@ Result<NTClosenessReport> EvaluateNTCloseness(const Dataset& data,
                                               size_t min_superset_size,
                                               size_t confidential_offset = 0);
 
-// True iff every class is within t of its natural superset.
-Result<bool> IsNTClose(const Dataset& data, size_t min_superset_size,
-                       double t, size_t confidential_offset = 0);
-
 }  // namespace tcm
 
 #endif  // TCM_PRIVACY_NTCLOSENESS_H_

@@ -1,18 +1,8 @@
 #include "privacy/psensitive.h"
 
-#include "privacy/kanonymity.h"
 #include "privacy/ldiversity.h"
 
 namespace tcm {
-
-Result<bool> IsPSensitiveKAnonymous(const Dataset& data, size_t p, size_t k,
-                                    size_t confidential_offset) {
-  TCM_ASSIGN_OR_RETURN(bool k_anonymous, IsKAnonymous(data, k));
-  if (!k_anonymous) return false;
-  // p distinct confidential values per class is exactly distinct
-  // p-diversity.
-  return IsLDiverse(data, p, confidential_offset);
-}
 
 Result<size_t> MaxSensitiveP(const Dataset& data,
                              size_t confidential_offset) {

@@ -11,11 +11,11 @@ namespace tcm {
 // least p distinct values of the confidential attribute. Referenced by
 // the paper as the one k-anonymity refinement microaggregation had been
 // applied to before this work.
-Result<bool> IsPSensitiveKAnonymous(const Dataset& data, size_t p, size_t k,
-                                    size_t confidential_offset = 0);
-
-// The largest p for which the release is p-sensitive (0 when some class
-// is empty of confidential values — cannot happen for valid data).
+//
+// The largest p for which the release's classes are p-sensitive: the
+// fewest distinct confidential values in any class (0 when some class is
+// empty of confidential values — cannot happen for valid data). Whether
+// it is k-anonymous too is IsKAnonymous's to say.
 Result<size_t> MaxSensitiveP(const Dataset& data,
                              size_t confidential_offset = 0);
 

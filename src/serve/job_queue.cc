@@ -126,7 +126,7 @@ void JobQueue::Execute(const std::shared_ptr<Record>& record) {
   WallTimer job_timer;
   Result<RunReport> outcome = Status::Internal("unreachable");
   try {
-    outcome = RunJob(spec);
+    outcome = RunJob(spec, pool_);
   } catch (const std::exception& error) {
     outcome = Status::Internal(std::string("job threw: ") + error.what());
   } catch (...) {

@@ -60,6 +60,11 @@ struct JobStateCounts {
 // pool; jobs run through the public RunJob facade, so every execution
 // mode and error-taxonomy code behaves exactly as it does in-process.
 //
+// Width: a job runs on one pool worker and fans out on the same pool
+// (RunJob(spec, pool)), so the pool's size bounds the threads of every
+// job together. A spec's execution.threads is not used here, and a job's
+// report says the pool's width.
+//
 // Backpressure: at most `max_pending` jobs may be queued or running at
 // once; Submit past the bound fails with kFailedPrecondition instead of
 // buffering without limit.

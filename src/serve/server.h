@@ -24,6 +24,8 @@ struct ServeOptions {
   uint16_t port = 0;  // 0 binds an ephemeral port (read it from port())
 
   // Workers in the shared job pool; 0 means one per hardware thread.
+  // Every job runs and fans out on this pool, so it is also each served
+  // job's width: a spec's execution.threads is not used by the daemon.
   size_t threads = 0;
 
   // Backpressure bound: queued + running jobs before submits are

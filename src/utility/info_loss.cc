@@ -80,28 +80,4 @@ Result<StatisticsPreservation> EvaluateStatisticsPreservation(
   return out;
 }
 
-Result<double> Il1sInformationLoss(const Dataset& original,
-                                   const Dataset& anonymized) {
-  TCM_RETURN_IF_ERROR(CheckShapes(original, anonymized));
-  std::vector<size_t> qi = original.schema().QuasiIdentifierIndices();
-  if (qi.empty()) {
-    return Status::InvalidArgument("dataset has no quasi-identifiers");
-  }
-  double total = 0.0;
-  size_t cells = 0;
-  for (size_t col : qi) {
-    std::vector<double> orig_col = original.ColumnAsDouble(col);
-    double sd = StdDev(orig_col);
-    if (sd <= 0.0) continue;  // constant column: no loss possible
-    double denom = std::sqrt(2.0) * sd;
-    std::vector<double> anon_col = anonymized.ColumnAsDouble(col);
-    for (size_t row = 0; row < orig_col.size(); ++row) {
-      total += std::fabs(orig_col[row] - anon_col[row]) / denom;
-      ++cells;
-    }
-  }
-  if (cells == 0) return 0.0;
-  return total / static_cast<double>(cells);
-}
-
 }  // namespace tcm

@@ -32,12 +32,6 @@ struct StatisticsPreservation {
 Result<StatisticsPreservation> EvaluateStatisticsPreservation(
     const Dataset& original, const Dataset& anonymized);
 
-// IL1s-style information loss (Yancey/Winkler/Creecy): mean over cells of
-// |a - a'| / (sqrt(2) * stddev of the original attribute). Standard in the
-// SDC literature; lower is better.
-Result<double> Il1sInformationLoss(const Dataset& original,
-                                   const Dataset& anonymized);
-
 }  // namespace tcm
 
 #endif  // TCM_UTILITY_INFO_LOSS_H_

@@ -63,21 +63,4 @@ Result<double> NormalizedSse(const Dataset& original,
   return NormalizedSseOverAttributes(original, anonymized, qi);
 }
 
-Result<double> RawSse(const Dataset& original, const Dataset& anonymized) {
-  TCM_RETURN_IF_ERROR(CheckShapes(original, anonymized));
-  std::vector<size_t> qi = original.schema().QuasiIdentifierIndices();
-  if (qi.empty()) {
-    return Status::InvalidArgument("dataset has no quasi-identifiers");
-  }
-  double total = 0.0;
-  for (size_t row = 0; row < original.NumRecords(); ++row) {
-    for (size_t col : qi) {
-      double diff = original.cell(row, col).AsDouble() -
-                    anonymized.cell(row, col).AsDouble();
-      total += diff * diff;
-    }
-  }
-  return total;
-}
-
 }  // namespace tcm

@@ -25,10 +25,6 @@ Result<double> NormalizedSseOverAttributes(const Dataset& original,
                                            const Dataset& anonymized,
                                            const std::vector<size_t>& attrs);
 
-// Classic (un-normalized) SSE over the quasi-identifiers: sum of squared
-// raw attribute differences. Reported by some microaggregation papers.
-Result<double> RawSse(const Dataset& original, const Dataset& anonymized);
-
 }  // namespace tcm
 
 #endif  // TCM_UTILITY_SSE_H_

@@ -221,16 +221,6 @@ TEST(DatasetTest, ColumnAsDoubleCastsCategories) {
   EXPECT_EQ(data.ColumnAsDouble(2), (std::vector<double>{0, 2, 1}));
 }
 
-TEST(DatasetTest, ProjectSelectsColumns) {
-  Dataset data = MakeSmallDataset();
-  auto projected = data.Project({1, 2});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected->NumAttributes(), 2u);
-  EXPECT_EQ(projected->schema().at(0).name, "age");
-  EXPECT_DOUBLE_EQ(projected->cell(2, 0).numeric(), 50.0);
-  EXPECT_EQ(data.Project({5}).status().code(), StatusCode::kOutOfRange);
-}
-
 TEST(DatasetTest, SelectPicksRows) {
   Dataset data = MakeSmallDataset();
   auto selected = data.Select({2, 0});
@@ -395,15 +385,6 @@ TEST(StatsTest, PearsonCorrelationKnownCases) {
   EXPECT_NEAR(PearsonCorrelation(xs, neg), -1.0, 1e-12);
   std::vector<double> constant = {3, 3, 3, 3, 3};
   EXPECT_DOUBLE_EQ(PearsonCorrelation(xs, constant), 0.0);
-}
-
-TEST(StatsTest, SpearmanIsRankBased) {
-  // A monotone nonlinear map preserves Spearman but not Pearson.
-  std::vector<double> xs = {1, 2, 3, 4, 5};
-  std::vector<double> ys;
-  for (double x : xs) ys.push_back(std::exp(x));
-  EXPECT_NEAR(SpearmanCorrelation(xs, ys), 1.0, 1e-12);
-  EXPECT_LT(PearsonCorrelation(xs, ys), 1.0);
 }
 
 TEST(StatsTest, AverageRanksHandleTies) {

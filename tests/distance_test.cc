@@ -62,17 +62,13 @@ TEST(QiSpaceTest, CentroidIsMean) {
   EXPECT_DOUBLE_EQ(centroid[1], 1500.0);
 }
 
-TEST(QiSpaceTest, GlobalCentroid) {
-  QiSpace space(MakeGrid(), QiNormalization::kNone);
-  EXPECT_DOUBLE_EQ(space.GlobalCentroid()[0], 15.0);
-}
-
 TEST(QiSpaceTest, FarthestAndClosestQueries) {
   QiSpace space(MakeGrid(), QiNormalization::kRange);
   std::vector<size_t> all = {0, 1, 2, 3};
   EXPECT_EQ(space.FarthestFromPoint(all, space.Centroid({0})), 3u);
-  EXPECT_EQ(space.ClosestToRecord(all, 0), 1u);
-  EXPECT_EQ(space.ClosestToRecord({0, 2, 3}, 0), 2u);
+  // Closest to record 0 other than itself: the second-nearest.
+  EXPECT_EQ(space.NearestToRecord(all, 0, 2)[1], 1u);
+  EXPECT_EQ(space.NearestToRecord({0, 2, 3}, 0, 2)[1], 2u);
 }
 
 TEST(QiSpaceTest, NearestToRecordOrdersByDistance) {

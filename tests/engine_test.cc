@@ -381,12 +381,15 @@ TEST(ShardedTest, MultiShardPathValidatesRolesAndParams) {
   // the multi-shard path too (not abort inside a pool worker), and a
   // negative t must be rejected before any shard runs.
   Dataset data = MakeUniformDataset(800, 2, 95);
-  Dataset no_conf = *data.Project({0, 1});  // QIs only
+  auto no_conf = DatasetFromColumns(
+      {"QI0", "QI1"}, {data.ColumnAsDouble(0), data.ColumnAsDouble(1)},
+      {AttributeRole::kQuasiIdentifier, AttributeRole::kQuasiIdentifier});
+  ASSERT_TRUE(no_conf.ok()) << no_conf.status().ToString();
   ShardedAnonymizeOptions options;
   options.params.k = 4;
   options.params.t = 0.2;
   options.shard_size = 150;
-  auto result = ShardedAnonymize(no_conf, options, nullptr);
+  auto result = ShardedAnonymize(*no_conf, options, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 

@@ -53,19 +53,6 @@ TEST(NTClosenessTest, RelaxationIsMonotoneInN) {
   EXPECT_LE(local->mean_emd, global->mean_emd + 1e-9);
 }
 
-TEST(NTClosenessTest, IsNTCloseThresholds) {
-  Dataset data = MakeMcdDataset();
-  QiSpace space(data);
-  auto partition = Mdav(space, 3);
-  ASSERT_TRUE(partition.ok());
-  auto release = AggregatePartition(data, *partition);
-  ASSERT_TRUE(release.ok());
-  EXPECT_TRUE(IsNTClose(*release, 50, 1.0).value());
-  auto report = EvaluateNTCloseness(*release, 50);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(IsNTClose(*release, 50, report->max_emd / 2).value());
-}
-
 TEST(NTClosenessTest, RequiresConfidentialAttribute) {
   auto data = DatasetFromColumns(
       {"qi", "x"}, {{1, 2}, {3, 4}},

@@ -324,14 +324,5 @@ TEST(MicroaggTest, MethodNames) {
   EXPECT_STREQ(MicroaggMethodName(MicroaggMethod::kVMdav), "V-MDAV");
 }
 
-TEST(MicroaggTest, DatasetHelperProducesKAnonymousRelease) {
-  Dataset data = MakeUniformDataset(90, 2, 13);
-  auto anonymized = MicroaggregateDataset(data, 6);
-  ASSERT_TRUE(anonymized.ok());
-  auto k_anon = IsKAnonymous(*anonymized, 6);
-  ASSERT_TRUE(k_anon.ok());
-  EXPECT_TRUE(*k_anon);
-}
-
 }  // namespace
 }  // namespace tcm

@@ -266,13 +266,6 @@ TEST(LDiversityTest, ConstantConfidentialClassIsOneDiverse) {
 
 // ------------------------------------------------------------ pSensitive
 
-TEST(PSensitiveTest, CombinesKAnonymityAndDiversity) {
-  Dataset data = MakeGroupedDataset();
-  EXPECT_TRUE(IsPSensitiveKAnonymous(data, 2, 2).value());
-  EXPECT_FALSE(IsPSensitiveKAnonymous(data, 3, 2).value());  // p fails
-  EXPECT_FALSE(IsPSensitiveKAnonymous(data, 2, 3).value());  // k fails
-}
-
 TEST(PSensitiveTest, MaxPEqualsMinDistinct) {
   EXPECT_EQ(MaxSensitiveP(MakeGroupedDataset()).value(), 2u);
 }

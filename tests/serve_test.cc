@@ -410,45 +410,97 @@ TEST(ServeSubmitTest, WaitedSubmitStreamsToSuccess) {
                   .value());
 }
 
-// The served release must be byte-identical to what the same JobSpec
-// produces through RunJob directly — for six concurrent clients at once,
-// each on its own connection with its own spec.
-TEST(ServeSubmitTest, ConcurrentSubmissionsAreIsolatedAndByteIdentical) {
+// A served job runs and fans out on the daemon's pool, so the daemon's
+// --threads sets its width: the spec's execution.threads spawns nothing,
+// and the report says the width the job actually ran on.
+TEST(ServeSubmitTest, DaemonNotClientSetsServedJobWidth) {
   ServeOptions options;
-  options.threads = 4;
-  options.max_pending = 16;
+  options.threads = 2;
   JobServer server(options);
   ASSERT_TRUE(server.Start().ok());
+  ServeClient client = ConnectOrDie(server);
 
+  JobSpec spec = UniformSpec(/*seed=*/5, /*rows=*/200);
+  spec.execution.threads = 16;
+  auto terminal = client.SubmitAndWait(spec.ToJson());
+  ASSERT_TRUE(terminal.ok()) << terminal.status().ToString();
+  ASSERT_EQ(EventState(*terminal), "succeeded") << terminal->Write(2);
+  const JsonValue* report = terminal->Find("report");
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->Find("execution")->Find("threads")->GetUint().value(),
+            2u);
+}
+
+// Odd-numbered clients of the concurrency test send this: a streamed,
+// overlapped, hierarchical job of three or more windows, whose window
+// steps, shards and merge subtrees all fan out on the daemon's pool from
+// inside one of its workers.
+JobSpec StreamedSpec(uint64_t seed, size_t rows) {
+  JobSpec spec = UniformSpec(seed, rows);
+  spec.execution.mode = ExecutionMode::kStreaming;
+  spec.execution.overlap_io = true;
+  spec.execution.merge_strategy = MergeStrategy::kHierarchical;
+  // overlap_io holds two windows plus the k-row read-ahead: 100-row
+  // windows.
+  spec.execution.max_resident_rows = 2 * 100 + spec.algorithm.k;
+  return spec;
+}
+
+// The served release must be byte-identical to what the same JobSpec
+// produces through RunJob directly — for six concurrent clients at once,
+// each on its own connection with its own spec, on a one-worker daemon
+// (every fan-out of every job queues behind the others) and on a
+// four-worker one.
+TEST(ServeSubmitTest, ConcurrentSubmissionsAreIsolatedAndByteIdentical) {
   constexpr int kClients = 6;
-  std::vector<std::string> served(kClients), direct(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
+  auto make_spec = [](int i) {
+    const uint64_t seed = 100 + i;
+    const size_t rows = 300 + 40 * i;
+    return i % 2 == 1 ? StreamedSpec(seed, rows) : UniformSpec(seed, rows);
+  };
+  std::vector<std::string> direct(kClients);
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i]() {
-      JobSpec spec = UniformSpec(/*seed=*/100 + i, /*rows=*/300 + 40 * i);
-      spec.output.release_path =
-          TempPath("concurrent_" + std::to_string(i) + ".csv");
-      auto client = ServeClient::Connect("127.0.0.1", server.port());
-      ASSERT_TRUE(client.ok()) << client.status().ToString();
-      auto terminal = client->SubmitAndWait(spec.ToJson());
-      ASSERT_TRUE(terminal.ok()) << terminal.status().ToString();
-      ASSERT_EQ(EventState(*terminal), "succeeded")
-          << terminal->Write(2);
-      served[i] = ReadFileOrDie(spec.output.release_path);
-    });
-  }
-  for (std::thread& thread : clients) thread.join();
-
-  for (int i = 0; i < kClients; ++i) {
-    JobSpec spec = UniformSpec(/*seed=*/100 + i, /*rows=*/300 + 40 * i);
+    JobSpec spec = make_spec(i);
     spec.output.release_path =
         TempPath("direct_" + std::to_string(i) + ".csv");
     auto report = RunJob(spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (i % 2 == 1) {
+      EXPECT_GE(report->num_windows, 3u) << "client " << i;
+    }
     direct[i] = ReadFileOrDie(spec.output.release_path);
     EXPECT_FALSE(direct[i].empty());
-    EXPECT_EQ(served[i], direct[i]) << "client " << i;
+  }
+
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("daemon threads = " + std::to_string(threads));
+    ServeOptions options;
+    options.threads = threads;
+    options.max_pending = 16;
+    JobServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+
+    std::vector<std::string> served(kClients);
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i]() {
+        JobSpec spec = make_spec(i);
+        spec.output.release_path =
+            TempPath("concurrent_" + std::to_string(i) + ".csv");
+        auto client = ServeClient::Connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        auto terminal = client->SubmitAndWait(spec.ToJson());
+        ASSERT_TRUE(terminal.ok()) << terminal.status().ToString();
+        ASSERT_EQ(EventState(*terminal), "succeeded")
+            << terminal->Write(2);
+        served[i] = ReadFileOrDie(spec.output.release_path);
+      });
+    }
+    for (std::thread& thread : clients) thread.join();
+    for (int i = 0; i < kClients; ++i) {
+      EXPECT_EQ(served[i], direct[i]) << "client " << i;
+    }
   }
 }
 

@@ -69,20 +69,6 @@ TEST(RecordSourceTest, DatasetSourceStreamsEveryRowInOrder) {
   EXPECT_TRUE(drained == data);
 }
 
-TEST(RecordSourceTest, NextBatchReturnsBoundedBatches) {
-  Dataset data = MakeUniformDataset(10, 2, 3);
-  DatasetSource source(&data);
-  auto batch = source.NextBatch(4);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->NumRecords(), 4u);
-  batch = source.NextBatch(100);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->NumRecords(), 6u);
-  batch = source.NextBatch(1);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_TRUE(batch->empty());
-}
-
 TEST(RecordSourceTest, UniformSourceMatchesBatchGeneratorRowForRow) {
   Dataset batch = MakeUniformDataset(503, 4, 77);
   auto source = MakeUniformSource(503, 4, 77);
@@ -198,11 +184,13 @@ TEST(StreamingCsvWriterTest, WindowedWritesMatchWriteCsvBytes) {
   auto writer = StreamingCsvWriter::Open(windowed_path, data.schema());
   ASSERT_TRUE(writer.ok());
   DatasetSource source(&data);
+  Dataset batch(data.schema());
   while (true) {
-    auto batch = source.NextBatch(40);
-    ASSERT_TRUE(batch.ok());
-    if (batch->empty()) break;
-    ASSERT_TRUE((*writer)->WriteRows(*batch).ok());
+    batch.Clear();
+    auto got = source.ReadInto(&batch, 40);
+    ASSERT_TRUE(got.ok());
+    if (*got == 0) break;
+    ASSERT_TRUE((*writer)->WriteRows(batch).ok());
   }
   ASSERT_TRUE((*writer)->Close().ok());
   EXPECT_EQ((*writer)->rows_written(), 123u);
