@@ -617,14 +617,6 @@ Status JobSpec::Validate() const {
                        "\" cannot stream; streaming-capable generators: "
                        "uniform, clustered");
     }
-    if ((input.kind == InputKind::kSynthetic ||
-         input.kind == InputKind::kRecordSource) &&
-        (!roles.quasi_identifiers.empty() || !roles.confidential.empty())) {
-      return SpecError(
-          "synthetic and record-source streaming inputs carry their own "
-          "roles (their schemas cannot be rewritten mid-stream); leave "
-          "the roles section empty");
-    }
     // A window needs max(k, 2) rows plus the k-row read-ahead; with
     // overlap_io two windows are resident at once (the one being
     // processed and the one being prefetched).

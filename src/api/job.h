@@ -73,10 +73,11 @@ struct JobInput {
   RecordSource* source = nullptr;
 };
 
-// Column roles, assigned by name against the input's schema. May stay
-// empty for inputs whose schema already carries roles (datasets, record
-// sources, every synthetic generator); must name real columns for CSV
-// inputs.
+// Column roles, assigned by name against the input's schema. They apply
+// the same way to every input kind in either mode, on top of any roles
+// the input carries. May stay empty for inputs whose schema already has
+// both role kinds (a .tcmb file written with roles, datasets, record
+// sources, every synthetic generator); required for CSV inputs.
 struct JobRoles {
   std::vector<std::string> quasi_identifiers;
   std::string confidential;

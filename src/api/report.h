@@ -109,10 +109,11 @@ struct RunReport {
   bool k_verified = false;
   bool t_verified = false;
 
-  // Per-stage wall clock. load_seconds covers loading the input (plus its
-  // copy into the single window) in-memory and stream reads when
-  // streaming. With overlap_io, reads, verifies and writes run while
-  // windows anonymize, so the stage sums can exceed total_seconds.
+  // Per-stage wall clock. load_seconds covers opening the input (a .tcmb
+  // open checksums the file) and every read of its record stream, in
+  // either mode and for sweeps. With overlap_io, reads, verifies and
+  // writes run while windows anonymize, so the stage sums can exceed
+  // total_seconds.
   double load_seconds = 0.0;
   double anonymize_seconds = 0.0;
   double verify_seconds = 0.0;

@@ -11,14 +11,12 @@
 #include <utility>
 #include <vector>
 
-#include "colstore/column_table.h"
 #include "colstore/columnar_source.h"
-#include "colstore/tcmb.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "data/csv.h"
 #include "data/csv_stream.h"
 #include "data/generator.h"
+#include "data/record_source.h"
 #include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
@@ -28,15 +26,8 @@
 namespace tcm {
 namespace {
 
+// The generators that cannot stream build their whole dataset at once.
 Dataset MakeSyntheticDataset(const JobInput& input) {
-  if (input.generator == "uniform") {
-    return MakeUniformDataset(input.rows, input.quasi_identifiers,
-                              input.seed);
-  }
-  if (input.generator == "clustered") {
-    return MakeClusteredDataset(input.rows, input.quasi_identifiers,
-                                input.modes, input.seed);
-  }
   if (input.generator == "mcd") {
     return MakeMcdDataset({.num_records = input.rows, .seed = input.seed});
   }
@@ -49,32 +40,6 @@ Dataset MakeSyntheticDataset(const JobInput& input) {
   // Validate() restricted the name, so this is the only one left.
   return MakePatientDischargeLike(
       {.num_records = input.rows, .seed = input.seed});
-}
-
-Result<Dataset> DrainSource(RecordSource* source) {
-  constexpr size_t kBatch = 65536;
-  Dataset out(source->schema());
-  while (true) {
-    TCM_ASSIGN_OR_RETURN(size_t got, source->ReadInto(&out, kBatch));
-    if (got < kBatch) break;
-  }
-  return out;
-}
-
-// Zero-copy accounting carried up into RunReport's "input" object.
-struct InputBytes {
-  size_t mapped = 0;
-  size_t copied = 0;
-};
-
-// Logical payload bytes of one materialized row (8 per numeric cell, 4
-// per dictionary code): the copy cost of turning columns into Records.
-size_t RowPayloadBytes(const Schema& schema) {
-  size_t width = 0;
-  for (const Attribute& attr : schema.attributes()) {
-    width += attr.is_categorical() ? sizeof(int32_t) : sizeof(double);
-  }
-  return width;
 }
 
 // Size of a CSV input, the bytes its load copies (0 when unreadable).
@@ -98,127 +63,59 @@ Status CheckRoles(const Schema& schema) {
   return Status::Ok();
 }
 
-// Materializes the job's input as an in-memory dataset with the spec's
-// roles applied. To avoid copying a caller-provided dataset whose roles
-// are already set (the common programmatic path), the result is a
-// pointer: either into the spec or into *storage. `bytes` receives the
-// input's map/copy accounting.
-Result<const Dataset*> MaterializeDataset(const JobSpec& spec,
-                                          Dataset* storage,
-                                          InputBytes* bytes) {
-  switch (spec.input.kind) {
-    case InputKind::kCsvPath: {
-      if (spec.input.format == InputFormat::kTcmb) {
-        TCM_ASSIGN_OR_RETURN(ColumnTable table, ReadTcmb(spec.input.path));
-        bytes->mapped = table.mapped_bytes();
-        bytes->copied = table.copied_bytes() +
-                        table.num_rows() * RowPayloadBytes(table.schema());
-        *storage = table.ToDataset();
-      } else {
-        TCM_ASSIGN_OR_RETURN(*storage, ReadNumericCsv(spec.input.path));
-        bytes->copied = CsvFileBytes(spec.input.path);
-      }
-      break;
-    }
-    case InputKind::kSynthetic:
-      *storage = MakeSyntheticDataset(spec.input);
-      break;
-    case InputKind::kDataset:
-      if (spec.roles.quasi_identifiers.empty() &&
-          spec.roles.confidential.empty()) {
-        return spec.input.dataset;  // roles kept: no copy needed
-      }
-      *storage = *spec.input.dataset;
-      break;
-    case InputKind::kRecordSource: {
-      TCM_ASSIGN_OR_RETURN(*storage, DrainSource(spec.input.source));
-      break;
-    }
-  }
-  if (!spec.roles.quasi_identifiers.empty() ||
-      !spec.roles.confidential.empty()) {
-    TCM_RETURN_IF_ERROR(AssignRoles(storage, spec.roles.quasi_identifiers,
-                                    spec.roles.confidential));
-  }
-  return storage;
-}
-
-// The record stream a non-sweep job runs over, plus whatever owns it.
+// A job's input: the record stream it reads, whatever owns that stream,
+// and the schema its rows are read into — the stream's own schema with
+// the spec's roles applied. Roles live only on that schema: a source's
+// ReadInto checks cell kinds, never roles, so no source is rewritten.
 struct JobSource {
   RecordSource* source = nullptr;
-  std::unique_ptr<StreamingCsvReader> reader;
-  std::unique_ptr<ColumnarSource> columnar;
-  std::unique_ptr<SyntheticSource> synthetic;
-  // In-memory jobs: the materialized input and its adapter.
-  Dataset storage;
-  std::optional<DatasetSource> dataset;
+  std::unique_ptr<RecordSource> owned;
+  ColumnarSource* columnar = nullptr;  // .tcmb input, for byte accounting
+  Dataset generated;  // the rows of a generator that cannot stream
+  Schema schema;
 };
 
-// In-memory input: the whole dataset, loaded once, as one stream.
-Status OpenInMemorySource(const JobSpec& spec, JobSource* input,
-                          RunReport* report) {
-  ScopedStage stage("load", &report->load_seconds);
-  InputBytes bytes;
-  TCM_ASSIGN_OR_RETURN(const Dataset* data,
-                       MaterializeDataset(spec, &input->storage, &bytes));
-  report->input_mapped_bytes = bytes.mapped;
-  report->input_copied_bytes = bytes.copied;
-  input->dataset.emplace(data);
-  input->source = &*input->dataset;
-  return Status::Ok();
-}
-
-// Streaming input: a reader over the file, a generator or the caller's
-// source, never materialized.
-Status OpenStreamingSource(const JobSpec& spec, JobSource* input) {
+// Opens any input kind as one record stream and applies the spec's roles:
+// the one place either happens, for both modes and for sweeps.
+Status OpenSource(const JobSpec& spec, JobSource* input) {
   switch (spec.input.kind) {
-    case InputKind::kCsvPath: {
+    case InputKind::kCsvPath:
       if (spec.input.format == InputFormat::kTcmb) {
-        TCM_ASSIGN_OR_RETURN(input->columnar,
+        TCM_ASSIGN_OR_RETURN(std::unique_ptr<ColumnarSource> columnar,
                              ColumnarSource::Open(spec.input.path));
-        if (!spec.roles.quasi_identifiers.empty() ||
-            !spec.roles.confidential.empty()) {
-          TCM_ASSIGN_OR_RETURN(
-              Schema schema,
-              SchemaWithRoles(input->columnar->schema(),
-                              spec.roles.quasi_identifiers,
-                              spec.roles.confidential));
-          TCM_RETURN_IF_ERROR(
-              input->columnar->ReplaceSchema(std::move(schema)));
-        }
-        input->source = input->columnar.get();
-        break;
+        input->columnar = columnar.get();
+        input->owned = std::move(columnar);
+      } else {
+        TCM_ASSIGN_OR_RETURN(input->owned,
+                             StreamingCsvReader::OpenNumeric(spec.input.path));
       }
-      TCM_ASSIGN_OR_RETURN(input->reader,
-                           StreamingCsvReader::OpenNumeric(spec.input.path));
-      TCM_ASSIGN_OR_RETURN(
-          Schema schema,
-          SchemaWithRoles(input->reader->schema(),
-                          spec.roles.quasi_identifiers,
-                          spec.roles.confidential));
-      TCM_RETURN_IF_ERROR(input->reader->ReplaceSchema(std::move(schema)));
-      input->source = input->reader.get();
       break;
-    }
     case InputKind::kSynthetic:
       if (spec.input.generator == "uniform") {
-        input->synthetic = MakeUniformSource(
+        input->owned = MakeUniformSource(
             spec.input.rows, spec.input.quasi_identifiers, spec.input.seed);
-      } else {
-        input->synthetic = MakeClusteredSource(
+      } else if (spec.input.generator == "clustered") {
+        input->owned = MakeClusteredSource(
             spec.input.rows, spec.input.quasi_identifiers, spec.input.modes,
             spec.input.seed);
+      } else {
+        input->generated = MakeSyntheticDataset(spec.input);
+        input->owned = std::make_unique<DatasetSource>(&input->generated);
       }
-      input->source = input->synthetic.get();
+      break;
+    case InputKind::kDataset:
+      input->owned = std::make_unique<DatasetSource>(spec.input.dataset);
       break;
     case InputKind::kRecordSource:
       input->source = spec.input.source;
       break;
-    case InputKind::kDataset:
-      return Status::InvalidSpec(
-          "streaming execution cannot read an in-memory dataset");
   }
-  return Status::Ok();
+  if (input->owned != nullptr) input->source = input->owned.get();
+  TCM_ASSIGN_OR_RETURN(input->schema,
+                       SchemaWithRoles(input->source->schema(),
+                                       spec.roles.quasi_identifiers,
+                                       spec.roles.confidential));
+  return CheckRoles(input->schema);
 }
 
 // Seed stride between windows; deliberately different from the per-shard
@@ -258,10 +155,11 @@ Status RunStages(ThreadPool* pool, size_t caller_stage,
   return Status::Ok();
 }
 
-// The window loop behind every non-sweep job: consume `source` window by
-// window, run each window through ShardedAnonymize on `pool`, verify and
-// write it, and fold it into `report`. An in-memory job is one unbounded
-// window whose release stays in report->release.
+// The window loop behind every non-sweep job: consume the input's stream
+// window by window, run each window through ShardedAnonymize on `pool`,
+// verify and write it, and fold it into `report`. An in-memory job is one
+// unbounded window, read straight from the stream, whose release stays in
+// report->release.
 //
 // Memory model (streaming). The budget governs input rows:
 //   - a window is filled to max_resident_rows - k input rows;
@@ -304,10 +202,10 @@ Status RunStages(ThreadPool* pool, size_t caller_stage,
 // ShardedAnonymize is byte-identical for any thread count, so releases
 // are too. A stream that fits in one window releases the in-memory
 // job's bytes; the tests pin it.
-Status RunWindows(const JobSpec& spec, RecordSource* source,
+Status RunWindows(const JobSpec& spec, const JobSource& input,
                   ThreadPool* pool, RunReport* report) {
-  const Schema& schema = source->schema();
-  TCM_RETURN_IF_ERROR(CheckRoles(schema));
+  RecordSource* const source = input.source;
+  const Schema& schema = input.schema;
   const bool streaming = spec.execution.mode == ExecutionMode::kStreaming;
   const bool overlap_io = spec.execution.overlap_io;
   const size_t read_ahead = spec.algorithm.k;
@@ -526,38 +424,22 @@ Status RunWindows(const JobSpec& spec, RecordSource* source,
   return Status::Ok();
 }
 
-// Both execution modes run the window loop: an in-memory job loads its
-// input once and runs it as a single window.
-Status RunPipelineJob(const JobSpec& spec, ThreadPool* pool,
-                      RunReport* report) {
-  JobSource input;
-  if (spec.execution.mode == ExecutionMode::kInMemory) {
-    TCM_RETURN_IF_ERROR(OpenInMemorySource(spec, &input, report));
-  } else {
-    TCM_RETURN_IF_ERROR(OpenStreamingSource(spec, &input));
-  }
-  TCM_RETURN_IF_ERROR(RunWindows(spec, input.source, pool, report));
-  if (input.columnar != nullptr) {
-    report->input_mapped_bytes = input.columnar->mapped_bytes();
-    report->input_copied_bytes = input.columnar->copied_bytes();
-  } else if (input.reader != nullptr) {
-    report->input_copied_bytes = CsvFileBytes(spec.input.path);
-  }
-  return Status::Ok();
-}
-
-Status RunSweepJob(const JobSpec& spec, ThreadPool* pool,
-                   RunReport* report) {
+// A sweep reads the whole stream into one dataset, except a caller's
+// dataset whose roles the spec leaves alone: that one is swept uncopied.
+Status RunSweepJob(const JobSpec& spec, const JobSource& input,
+                   ThreadPool* pool, RunReport* report) {
+  const Dataset* data = spec.input.dataset;
   Dataset storage;
-  InputBytes bytes;
-  const Dataset* data = nullptr;
-  {
-    ScopedStage stage("load", &report->load_seconds);
-    TCM_ASSIGN_OR_RETURN(data, MaterializeDataset(spec, &storage, &bytes));
+  if (spec.input.kind != InputKind::kDataset ||
+      !spec.roles.quasi_identifiers.empty() ||
+      !spec.roles.confidential.empty()) {
+    ScopedStage stage("read", &report->load_seconds);
+    storage = Dataset(input.schema);
+    TCM_RETURN_IF_ERROR(
+        input.source->ReadInto(&storage, std::numeric_limits<size_t>::max())
+            .status());
+    data = &storage;
   }
-  TCM_RETURN_IF_ERROR(CheckRoles(data->schema()));
-  report->input_mapped_bytes = bytes.mapped;
-  report->input_copied_bytes = bytes.copied;
   report->rows = data->NumRecords();
 
   const JobSweep& sweep = *spec.sweep;
@@ -639,10 +521,24 @@ Result<RunReport> RunValidJob(const JobSpec& spec, ThreadPool* pool) {
 
   {
     ScopedStage job_stage("job", &report.total_seconds);
+    JobSource input;
+    {
+      ScopedStage stage("load", &report.load_seconds);
+      TCM_RETURN_IF_ERROR(OpenSource(spec, &input));
+    }
     if (report.swept) {
-      TCM_RETURN_IF_ERROR(RunSweepJob(spec, pool, &report));
+      TCM_RETURN_IF_ERROR(RunSweepJob(spec, input, pool, &report));
     } else {
-      TCM_RETURN_IF_ERROR(RunPipelineJob(spec, pool, &report));
+      TCM_RETURN_IF_ERROR(RunWindows(spec, input, pool, &report));
+    }
+    // Zero-copy accounting, read once the job has consumed its input: a
+    // .tcmb source counts the bytes its mapping served and the row bytes
+    // it materialized; a CSV input copies its whole file.
+    if (input.columnar != nullptr) {
+      report.input_mapped_bytes = input.columnar->mapped_bytes();
+      report.input_copied_bytes = input.columnar->copied_bytes();
+    } else if (spec.input.kind == InputKind::kCsvPath) {
+      report.input_copied_bytes = CsvFileBytes(spec.input.path);
     }
   }
 

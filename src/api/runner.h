@@ -14,10 +14,12 @@ class ThreadPool;
 // Executes one JobSpec end to end and returns its RunReport. This is the
 // public entry point the CLI, the examples and external services program
 // against; internally it validates the spec (kInvalidSpec /
-// kUnknownAlgorithm), runs it window by window over ShardedAnonymize
-// (an in-memory job is one window over the loaded input) or, for
-// sweeps, one RunAlgorithm call per cell, and — when the spec names a
-// report_path — writes the JSON report before returning. Failures carry
+// kUnknownAlgorithm), opens its input as one record stream with the
+// spec's roles applied, and runs it window by window over
+// ShardedAnonymize (an in-memory job is one unbounded window over the
+// same record stream) or, for sweeps, reads the stream into one dataset
+// and makes one RunAlgorithm call per cell; when the spec names a
+// report_path, it writes the JSON report before returning. Failures carry
 // the structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.
 //

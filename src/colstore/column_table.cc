@@ -114,22 +114,4 @@ std::string_view ColumnTable::Label(size_t col, int32_t code) const {
   return attr.categories[static_cast<size_t>(code)];
 }
 
-Status ColumnTable::ReplaceSchema(Schema schema) {
-  if (schema.size() != schema_.size()) {
-    return Status::InvalidArgument("ReplaceSchema: attribute count differs");
-  }
-  for (size_t c = 0; c < schema.size(); ++c) {
-    const Attribute& old_attr = schema_.at(c);
-    const Attribute& new_attr = schema.at(c);
-    if (old_attr.name != new_attr.name || old_attr.type != new_attr.type ||
-        old_attr.categories != new_attr.categories) {
-      return Status::InvalidArgument(
-          "ReplaceSchema: attribute \"" + old_attr.name +
-          "\" differs in more than role");
-    }
-  }
-  schema_ = std::move(schema);
-  return Status::Ok();
-}
-
 }  // namespace tcm

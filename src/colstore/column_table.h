@@ -76,10 +76,6 @@ class ColumnTable {
   // out-of-range code aborts (TCM_CHECK), never reads past the dictionary.
   std::string_view Label(size_t col, int32_t code) const;
 
-  // Replaces attribute roles; names, types and category dictionaries must
-  // be otherwise identical, or InvalidArgument. Mirrors Dataset's contract.
-  Status ReplaceSchema(Schema schema);
-
   // Shared keep-alive for zero-copy column storage (the mmap). Consumers
   // that stash spans/labels beyond the table's lifetime must hold a copy.
   const std::shared_ptr<const void>& owner() const { return owner_; }

@@ -27,12 +27,6 @@ class ColumnarSource : public RecordSource {
 
   const Schema& schema() const override { return table_.schema(); }
 
-  // Replaces attribute roles (e.g. from JobSpec roles); names, types and
-  // dictionaries must be unchanged.
-  Status ReplaceSchema(Schema schema) {
-    return table_.ReplaceSchema(std::move(schema));
-  }
-
   Result<size_t> ReadInto(Dataset* out, size_t max_rows) override;
 
   const ColumnTable& table() const { return table_; }

@@ -74,22 +74,6 @@ double PearsonCorrelation(const std::vector<double>& xs,
   return sxy / std::sqrt(sxx * syy);
 }
 
-std::vector<double> AverageRanks(const std::vector<double>& xs) {
-  const size_t n = xs.size();
-  std::vector<size_t> order = SortOrder(xs);
-  std::vector<double> ranks(n, 0.0);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // positions i..j (0-based) tie; average 1-based rank.
-    double rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1;
-    for (size_t p = i; p <= j; ++p) ranks[order[p]] = rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
 namespace {
 
 // Unsigned image of a double that orders like `<`: a non-negative value

@@ -33,9 +33,6 @@ double Median(std::vector<double> xs);
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys);
 
-// Average ranks in [1, n] with ties sharing their mean rank.
-std::vector<double> AverageRanks(const std::vector<double>& xs);
-
 // Positions 0..n-1 such that xs[order[0]] <= xs[order[1]] <= ...; ties
 // broken by original index (stable), giving each record a distinct rank.
 // -0.0 ties with 0.0. A stable LSD radix sort on order-preserving 64-bit

@@ -40,8 +40,9 @@ Status PrivacyViolationError(const ReleaseVerification& verification,
 
 // Returns a copy of `schema` with kQuasiIdentifier / kConfidential roles
 // assigned to the named columns, validating every name: unknown names
-// fail with a message listing the available columns. Exposed for the
-// streaming path (roles on a reader's schema, no dataset).
+// fail with a message listing the available columns. The Job API puts
+// the spec's roles on the schema a job reads rows into this way, leaving
+// its record source's own schema alone.
 Result<Schema> SchemaWithRoles(
     const Schema& schema, const std::vector<std::string>& quasi_identifiers,
     const std::string& confidential);

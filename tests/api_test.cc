@@ -235,17 +235,53 @@ TEST(ErrorTaxonomyTest, UnknownAlgorithm) {
   EXPECT_EQ(report.status().code(), StatusCode::kUnknownAlgorithm);
 }
 
-TEST(JobSpecJsonTest, StreamingRecordSourceRejectsRoles) {
-  // A record source's schema cannot be rewritten mid-stream, so roles on
-  // a streaming record-source job are an error, not a silent no-op.
-  auto source = MakeUniformSource(100, 2, 3);
-  JobSpec spec;
-  spec.input.kind = InputKind::kRecordSource;
-  spec.input.source = source.get();
-  spec.execution.mode = ExecutionMode::kStreaming;
-  EXPECT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
-  spec.roles.confidential = "c";
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidSpec);
+TEST(JobSpecJsonTest, StreamedSyntheticAndRecordSourceJobsApplyRoles) {
+  // Roles apply the same way to every input kind in either mode: they
+  // live on the schema the job reads rows into, never on the source.
+  auto parsed = JobSpec::FromJsonText(R"({
+    "input": {"kind": "synthetic", "generator": "uniform", "rows": 120,
+              "quasi_identifiers": 2, "seed": 3},
+    "roles": {"quasi_identifiers": ["QI1", "CONF"], "confidential": "QI0"},
+    "algorithm": {"name": "merge", "k": 4, "t": 0.3},
+    "execution": {"mode": "streaming"}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto release = [](JobSpec spec, const std::string& name) {
+    spec.output.release_path = TempPath(name);
+    auto report = RunJob(spec);
+    EXPECT_TRUE(report.ok()) << name << ": " << report.status().ToString();
+    return ReadFileBytes(spec.output.release_path);
+  };
+
+  // One window: the streamed release is the in-memory one, byte for byte.
+  const std::string streamed = release(*parsed, "roles_streamed.csv");
+  JobSpec in_memory = *parsed;
+  in_memory.execution.mode = ExecutionMode::kInMemory;
+  EXPECT_EQ(streamed, release(in_memory, "roles_in_memory.csv"));
+  JobSpec roleless = *parsed;
+  roleless.roles = JobRoles{};
+  EXPECT_NE(streamed, release(roleless, "roles_none.csv"));
+
+  // The generator's rows through a caller's record source re-role alike.
+  auto source = MakeUniformSource(120, 2, 3);
+  JobSpec from_source = *parsed;
+  from_source.input = JobInput{};
+  from_source.input.kind = InputKind::kRecordSource;
+  from_source.input.source = source.get();
+  EXPECT_EQ(streamed, release(from_source, "roles_source.csv"));
+
+  // A role naming a missing column fails the same way in both modes.
+  std::vector<StatusCode> codes;
+  for (ExecutionMode mode :
+       {ExecutionMode::kInMemory, ExecutionMode::kStreaming}) {
+    auto rows = MakeUniformSource(120, 2, 3);
+    JobSpec missing = from_source;
+    missing.input.source = rows.get();
+    missing.execution.mode = mode;
+    missing.roles.confidential = "missing";
+    codes.push_back(RunJob(missing).status().code());
+  }
+  EXPECT_EQ(codes[0], StatusCode::kInvalidArgument);
+  EXPECT_EQ(codes[1], codes[0]);
 }
 
 TEST(JobSpecJsonTest, NonFiniteTIsRejected) {

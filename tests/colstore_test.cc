@@ -134,17 +134,6 @@ TEST(ColumnTableTest, AppendRowsMaterializesTheRequestedSlice) {
   EXPECT_EQ(out.cell(1, 1).category(), 1);
 }
 
-TEST(ColumnTableTest, ReplaceSchemaSwapsRolesOnly) {
-  ColumnTable table = ColumnTable::FromDataset(MixedDataset());
-  std::vector<Attribute> attrs = table.schema().attributes();
-  attrs[0].role = AttributeRole::kOther;
-  EXPECT_TRUE(table.ReplaceSchema(Schema{attrs}).ok());
-  EXPECT_EQ(table.schema().at(0).role, AttributeRole::kOther);
-
-  attrs[0].name = "different";
-  EXPECT_FALSE(table.ReplaceSchema(Schema{std::move(attrs)}).ok());
-}
-
 // ----------------------------------------------------------------- .tcmb
 
 TEST(TcmbTest, SerializeParseIsTheIdentity) {

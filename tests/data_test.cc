@@ -387,11 +387,6 @@ TEST(StatsTest, PearsonCorrelationKnownCases) {
   EXPECT_DOUBLE_EQ(PearsonCorrelation(xs, constant), 0.0);
 }
 
-TEST(StatsTest, AverageRanksHandleTies) {
-  std::vector<double> xs = {10, 20, 20, 30};
-  EXPECT_EQ(AverageRanks(xs), (std::vector<double>{1.0, 2.5, 2.5, 4.0}));
-}
-
 TEST(StatsTest, SortOrderIsStable) {
   std::vector<double> xs = {2, 1, 2, 0};
   EXPECT_EQ(SortOrder(xs), (std::vector<size_t>{3, 1, 0, 2}));
