@@ -10,7 +10,7 @@ namespace {
 
 struct SplitContext {
   const QiSpace* space = nullptr;
-  const EmdCalculator* emd = nullptr;  // null: no t-closeness constraint
+  const EmdCalculator* emd = nullptr;
   size_t k = 0;
   double t = 0.0;
   Partition* out = nullptr;
@@ -33,7 +33,6 @@ bool HalvesSatisfyConstraint(const SplitContext& ctx,
                              const std::vector<size_t>& left,
                              const std::vector<size_t>& right) {
   if (left.size() < ctx.k || right.size() < ctx.k) return false;
-  if (ctx.emd == nullptr) return true;
   return ctx.emd->ClusterEmd(left) <= ctx.t &&
          ctx.emd->ClusterEmd(right) <= ctx.t;
 }
@@ -69,8 +68,11 @@ void Split(const SplitContext& ctx, std::vector<size_t> rows) {
   ctx.out->clusters.push_back(std::move(rows));  // leaf
 }
 
-Result<Partition> RunMondrian(const QiSpace& space, const EmdCalculator* emd,
-                              size_t k, double t) {
+}  // namespace
+
+Result<Partition> MondrianTClosePartition(const QiSpace& space,
+                                          const EmdCalculator& emd, size_t k,
+                                          double t) {
   const size_t n = space.num_records();
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (k > n) {
@@ -78,27 +80,15 @@ Result<Partition> RunMondrian(const QiSpace& space, const EmdCalculator* emd,
                                    " exceeds number of records " +
                                    std::to_string(n));
   }
-  if (emd != nullptr && t < 0.0) {
+  if (t < 0.0) {
     return Status::InvalidArgument("t must be non-negative");
   }
   Partition partition;
-  SplitContext ctx{&space, emd, k, t, &partition};
+  SplitContext ctx{&space, &emd, k, t, &partition};
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), 0);
   Split(ctx, std::move(all));
   return partition;
-}
-
-}  // namespace
-
-Result<Partition> MondrianPartition(const QiSpace& space, size_t k) {
-  return RunMondrian(space, nullptr, k, 0.0);
-}
-
-Result<Partition> MondrianTClosePartition(const QiSpace& space,
-                                          const EmdCalculator& emd, size_t k,
-                                          double t) {
-  return RunMondrian(space, &emd, k, t);
 }
 
 }  // namespace tcm

@@ -63,6 +63,7 @@ ColumnTable ColumnTable::FromDataset(const Dataset& data) {
 
 Dataset ColumnTable::ToDataset() const {
   Dataset out(schema_);
+  out.Reserve(num_rows_);
   Result<size_t> appended = AppendRows(&out, 0, num_rows_);
   TCM_CHECK(appended.ok()) << appended.status().ToString();
   return out;
@@ -73,19 +74,19 @@ Result<size_t> ColumnTable::AppendRows(Dataset* out, size_t begin,
   TCM_CHECK(out != nullptr);
   TCM_CHECK_LE(begin, num_rows_);
   TCM_CHECK_LE(count, num_rows_ - begin);
-  size_t cells = 0;
-  Record record(schema_.size());
+  TCM_RETURN_IF_ERROR(CheckCellKinds(schema_, out->schema()));
   for (size_t r = begin; r < begin + count; ++r) {
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      const ColumnData& col = columns_[c];
-      record[c] = schema_.at(c).is_categorical()
-                      ? Value::Categorical(col.codes[r])
-                      : Value::Numeric(col.numeric[r]);
-    }
-    TCM_RETURN_IF_ERROR(out->Append(record));
-    cells += schema_.size();
+    TCM_RETURN_IF_ERROR(out->AppendInPlace([&](std::span<Value> row) {
+      for (size_t c = 0; c < columns_.size(); ++c) {
+        const ColumnData& col = columns_[c];
+        row[c] = schema_.at(c).is_categorical()
+                     ? Value::Categorical(col.codes[r])
+                     : Value::Numeric(col.numeric[r]);
+      }
+      return Status::Ok();
+    }));
   }
-  return cells;
+  return count * schema_.size();
 }
 
 std::span<const double> ColumnTable::NumericColumn(size_t col) const {
@@ -101,17 +102,6 @@ std::span<const int32_t> ColumnTable::CodeColumn(size_t col) const {
   TCM_CHECK(schema_.at(col).is_categorical())
       << "CodeColumn on numeric attribute \"" << schema_.at(col).name << "\"";
   return {columns_[col].codes, num_rows_};
-}
-
-std::string_view ColumnTable::Label(size_t col, int32_t code) const {
-  TCM_CHECK_LT(col, columns_.size());
-  const Attribute& attr = schema_.at(col);
-  TCM_CHECK(attr.is_categorical())
-      << "Label on numeric attribute \"" << attr.name << "\"";
-  TCM_CHECK(code >= 0 && static_cast<size_t>(code) < attr.categories.size())
-      << "dictionary code " << code << " out of range for \"" << attr.name
-      << "\" (" << attr.categories.size() << " categories)";
-  return attr.categories[static_cast<size_t>(code)];
 }
 
 }  // namespace tcm

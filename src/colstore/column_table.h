@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,9 +20,9 @@ namespace tcm {
 // dictionary codes indexing Attribute::categories (the per-column interned
 // dictionary). Move-only. Column pointers may alias a memory-mapped .tcmb
 // file; the table keeps that mapping alive through a shared owner, so all
-// spans and dictionary labels handed out stay valid while the table — or a
-// keep-alive copy of owner() — exists. TCM_CHECKs guard every column/code
-// access so a stale or out-of-range index aborts instead of mis-reading.
+// spans handed out stay valid while the table — or a keep-alive copy of
+// owner() — exists. TCM_CHECKs guard every column access so a stale or
+// out-of-range index aborts instead of mis-reading.
 class ColumnTable {
  public:
   // Storage for one column. Exactly one of numeric/codes is set (matching
@@ -71,13 +70,8 @@ class ColumnTable {
   std::span<const double> NumericColumn(size_t col) const;
   std::span<const int32_t> CodeColumn(size_t col) const;
 
-  // Dictionary label for `code` in categorical column `col`. The returned
-  // view aliases the schema and is valid for the table's lifetime; an
-  // out-of-range code aborts (TCM_CHECK), never reads past the dictionary.
-  std::string_view Label(size_t col, int32_t code) const;
-
   // Shared keep-alive for zero-copy column storage (the mmap). Consumers
-  // that stash spans/labels beyond the table's lifetime must hold a copy.
+  // that stash spans beyond the table's lifetime must hold a copy.
   const std::shared_ptr<const void>& owner() const { return owner_; }
 
   // Byte accounting for RunReport: bytes served by the mapping vs bytes

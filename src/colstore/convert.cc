@@ -50,103 +50,130 @@ Status FieldCountError(const std::string& path, size_t line, size_t expected,
                          " fields, got " + std::to_string(got));
 }
 
+// One column as the scan fills it. A column holds numbers until a field
+// does not parse as one; from then on it is nominal, and its labels are
+// interned in first-appearance order.
+struct ColumnBuilder {
+  bool numeric = true;
+  // Met a label after it had stored numbers: the first scan stops
+  // filling it, and a second scan interns every one of its fields.
+  bool relabel = false;
+  std::vector<double> values;
+  std::vector<int32_t> codes;
+  std::vector<std::string> dictionary;
+  std::unordered_map<std::string, int32_t> interned;
+  // The first non-finite number: an error only if the column ends numeric.
+  size_t non_finite_row = std::numeric_limits<size_t>::max();
+  Status non_finite = Status::Ok();
+
+  Status Intern(std::string_view field, const std::string& path,
+                const std::string& name) {
+    std::string label(field);
+    auto it = interned.find(label);
+    if (it == interned.end()) {
+      if (dictionary.size() >
+          static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+        return Status::IoError("\"" + path + "\": column \"" + name +
+                               "\" has too many distinct labels");
+      }
+      const int32_t code = static_cast<int32_t>(dictionary.size());
+      dictionary.push_back(label);
+      it = interned.emplace(std::move(label), code).first;
+    }
+    codes.push_back(it->second);
+    return Status::Ok();
+  }
+};
+
 }  // namespace
 
 Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
-  // Pass 1: header names, per-column numeric-ness, row count.
   std::vector<std::string> names;
-  std::vector<bool> numeric;
+  std::vector<ColumnBuilder> builders;
   size_t rows = 0;
-  Status pass1 = ForEachCsvRecord(
+  bool any_relabel = false;
+  Status scan = ForEachCsvRecord(
       csv_path,
       [&](const CsvFields& fields, size_t line) -> Status {
         if (names.empty()) {
           for (std::string_view field : fields) {
             names.emplace_back(StripWhitespace(field));
           }
-          numeric.assign(names.size(), true);
+          builders.resize(names.size());
           return Status::Ok();
         }
         if (fields.size() != names.size()) {
           return FieldCountError(csv_path, line, names.size(), fields.size());
         }
         for (size_t c = 0; c < fields.size(); ++c) {
-          double parsed;
-          if (numeric[c] &&
-              !ParseStrippedDouble(StripWhitespace(fields[c]), &parsed)) {
-            numeric[c] = false;
+          ColumnBuilder& col = builders[c];
+          if (col.relabel) continue;
+          const std::string_view stripped = StripWhitespace(fields[c]);
+          if (col.numeric) {
+            double parsed = 0;
+            if (ParseStrippedDouble(stripped, &parsed)) {
+              if (!std::isfinite(parsed) && col.non_finite.ok()) {
+                col.non_finite_row = rows;
+                col.non_finite = Status::IoError(
+                    "\"" + csv_path + "\" line " + std::to_string(line) +
+                    ": non-finite value \"" + std::string(stripped) +
+                    "\" in column \"" + names[c] + "\"");
+              }
+              col.values.push_back(parsed);
+              continue;
+            }
+            col.numeric = false;
+            if (rows > 0) {
+              col.relabel = any_relabel = true;
+              col.values = {};
+              continue;
+            }
           }
+          TCM_RETURN_IF_ERROR(col.Intern(stripped, csv_path, names[c]));
         }
         ++rows;
         return Status::Ok();
       });
-  TCM_RETURN_IF_ERROR(pass1);
+  TCM_RETURN_IF_ERROR(scan);
   if (names.empty()) {
     return Status::IoError("\"" + csv_path + "\": no header record");
   }
-
-  // Pass 2: fill columns, interning nominal labels in appearance order.
-  std::vector<std::vector<double>> numeric_cols(names.size());
-  std::vector<std::vector<int32_t>> code_cols(names.size());
-  std::vector<std::vector<std::string>> dictionaries(names.size());
-  std::vector<std::unordered_map<std::string, int32_t>> interned(names.size());
-  for (size_t c = 0; c < names.size(); ++c) {
-    if (numeric[c]) {
-      numeric_cols[c].reserve(rows);
-    } else {
-      code_cols[c].reserve(rows);
+  // The error is the first non-finite cell, in row-major order, of the
+  // columns that end numeric.
+  const ColumnBuilder* first_non_finite = nullptr;
+  for (const ColumnBuilder& col : builders) {
+    if (col.numeric &&
+        (first_non_finite == nullptr ||
+         col.non_finite_row < first_non_finite->non_finite_row)) {
+      first_non_finite = &col;
     }
   }
-  bool seen_header = false;
-  Status pass2 = ForEachCsvRecord(
-      csv_path,
-      [&](const CsvFields& fields, size_t line) -> Status {
-        if (!seen_header) {
-          seen_header = true;
-          return Status::Ok();
-        }
-        if (fields.size() != names.size()) {
-          return FieldCountError(csv_path, line, names.size(), fields.size());
-        }
-        for (size_t c = 0; c < fields.size(); ++c) {
-          const std::string_view stripped = StripWhitespace(fields[c]);
-          if (numeric[c]) {
-            double parsed = 0;
-            if (!ParseStrippedDouble(stripped, &parsed)) {
-              return Status::IoError(
-                  "\"" + csv_path + "\" line " + std::to_string(line) +
-                  ": cannot parse \"" + std::string(stripped) +
-                  "\" as a number in column \"" + names[c] + "\"");
-            }
-            if (!std::isfinite(parsed)) {
-              return Status::IoError(
-                  "\"" + csv_path + "\" line " + std::to_string(line) +
-                  ": non-finite value \"" + std::string(stripped) +
-                  "\" in column \"" + names[c] + "\"");
-            }
-            numeric_cols[c].push_back(parsed);
-          } else {
-            std::string label(stripped);
-            auto it = interned[c].find(label);
-            if (it == interned[c].end()) {
-              if (dictionaries[c].size() >
-                  static_cast<size_t>(
-                      std::numeric_limits<int32_t>::max())) {
-                return Status::IoError("\"" + csv_path + "\": column \"" +
-                                       names[c] +
-                                       "\" has too many distinct labels");
-              }
-              const int32_t code =
-                  static_cast<int32_t>(dictionaries[c].size());
-              dictionaries[c].push_back(label);
-              it = interned[c].emplace(std::move(label), code).first;
-            }
-            code_cols[c].push_back(it->second);
+  if (first_non_finite != nullptr) {
+    TCM_RETURN_IF_ERROR(first_non_finite->non_finite);
+  }
+
+  if (any_relabel) {
+    bool seen_header = false;
+    Status rescan = ForEachCsvRecord(
+        csv_path,
+        [&](const CsvFields& fields, size_t line) -> Status {
+          if (!seen_header) {
+            seen_header = true;
+            return Status::Ok();
           }
-        }
-        return Status::Ok();
-      });
-  TCM_RETURN_IF_ERROR(pass2);
+          if (fields.size() != names.size()) {
+            return FieldCountError(csv_path, line, names.size(),
+                                   fields.size());
+          }
+          for (size_t c = 0; c < fields.size(); ++c) {
+            if (!builders[c].relabel) continue;
+            TCM_RETURN_IF_ERROR(builders[c].Intern(
+                StripWhitespace(fields[c]), csv_path, names[c]));
+          }
+          return Status::Ok();
+        });
+    TCM_RETURN_IF_ERROR(rescan);
+  }
 
   std::vector<Attribute> attributes(names.size());
   std::vector<ColumnTable::ColumnData> columns(names.size());
@@ -156,15 +183,16 @@ Result<ColumnTable> ConvertCsvToColumnar(const std::string& csv_path) {
     attr.name = names[c];
     attr.role = AttributeRole::kOther;
     ColumnTable::ColumnData& col = columns[c];
-    if (numeric[c]) {
+    ColumnBuilder& built = builders[c];
+    if (built.numeric) {
       attr.type = AttributeType::kNumeric;
-      col.owned_numeric = std::move(numeric_cols[c]);
+      col.owned_numeric = std::move(built.values);
       col.numeric = col.owned_numeric.data();
       copied += col.owned_numeric.size() * sizeof(double);
     } else {
       attr.type = AttributeType::kNominal;
-      attr.categories = std::move(dictionaries[c]);
-      col.owned_codes = std::move(code_cols[c]);
+      attr.categories = std::move(built.dictionary);
+      col.owned_codes = std::move(built.codes);
       col.codes = col.owned_codes.data();
       copied += col.owned_codes.size() * sizeof(int32_t);
     }
@@ -179,6 +207,15 @@ Status ConvertCsvToTcmb(const std::string& csv_path,
   Result<ColumnTable> table = ConvertCsvToColumnar(csv_path);
   if (!table.ok()) return table.status();
   return WriteTcmb(*table, tcmb_path);
+}
+
+bool HasTcmbExtension(std::string_view path) {
+  return path.ends_with(".tcmb");
+}
+
+Result<ColumnTable> ReadTable(const std::string& path) {
+  if (HasTcmbExtension(path)) return ReadTcmb(path);
+  return ConvertCsvToColumnar(path);
 }
 
 }  // namespace tcm

@@ -55,12 +55,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  TCM_CHECK_LE(lo, hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;

@@ -31,9 +31,6 @@ class Rng {
   // bound must be positive.
   uint64_t NextBounded(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   // Standard normal via Box-Muller (cached second variate).
   double NextGaussian();
 

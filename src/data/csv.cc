@@ -39,10 +39,6 @@ Result<Dataset> ReadCsv(const std::string& path, const Schema& schema) {
   return DrainReader(StreamingCsvReader::Open(path, schema));
 }
 
-Result<Dataset> ReadNumericCsv(const std::string& path) {
-  return DrainReader(StreamingCsvReader::OpenNumeric(path));
-}
-
 Status WriteCsv(const Dataset& data, const std::string& path) {
   std::ofstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open '" + path + "' for writing");

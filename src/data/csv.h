@@ -16,10 +16,6 @@ namespace tcm {
 // dataset or an error describing the first offending line.
 Result<Dataset> ReadCsv(const std::string& path, const Schema& schema);
 
-// Reads a CSV treating every column as a numeric attribute with role
-// kOther; header row required.
-Result<Dataset> ReadNumericCsv(const std::string& path);
-
 // Writes the dataset (header + rows). Categorical cells are written as
 // their labels.
 Status WriteCsv(const Dataset& data, const std::string& path);

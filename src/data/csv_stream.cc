@@ -229,8 +229,8 @@ Status ValidateCsvHeader(std::span<const std::string_view> fields,
   return Status::Ok();
 }
 
-// The all-numeric, role-kOther schema ReadNumericCsv infers from a
-// header record.
+// The all-numeric, role-kOther schema OpenNumeric infers from a header
+// record.
 Schema NumericSchemaFromHeader(std::span<const std::string_view> fields) {
   std::vector<Attribute> attrs;
   attrs.reserve(fields.size());
@@ -281,24 +281,6 @@ Status CsvFieldsToCells(std::span<const std::string_view> fields,
                              "' for attribute '" + attr.name + "'");
     }
     cells[i] = Value::Numeric(value);
-  }
-  return Status::Ok();
-}
-
-// The error Dataset::Append would give for every row of a reader with
-// schema `from` appended to a window with schema `to`: rows are filled
-// in place, so the cell kinds are checked once per batch instead.
-Status CheckCellKinds(const Schema& from, const Schema& to) {
-  if (from.size() != to.size()) {
-    return Status::InvalidArgument(
-        "record arity " + std::to_string(from.size()) +
-        " does not match schema arity " + std::to_string(to.size()));
-  }
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (from.at(i).is_categorical() != to.at(i).is_categorical()) {
-      return Status::InvalidArgument("cell kind mismatch for attribute '" +
-                                     to.at(i).name + "'");
-    }
   }
   return Status::Ok();
 }

@@ -150,7 +150,7 @@ struct StreamingCsvOptions {
 };
 
 // Pull-based CSV record stream over a file (or any istream): the
-// streaming counterpart of ReadCsv/ReadNumericCsv. The header is parsed
+// streaming counterpart of ReadCsv. The header is parsed
 // at open; ReadInto() then yields records batch by batch without ever
 // buffering the whole file.
 class StreamingCsvReader : public RecordSource {
@@ -161,8 +161,8 @@ class StreamingCsvReader : public RecordSource {
       const std::string& path, const Schema& schema,
       const StreamingCsvOptions& options = {});
 
-  // Opens `path`, inferring an all-numeric schema from the header (the
-  // streaming counterpart of ReadNumericCsv).
+  // Opens `path`, inferring an all-numeric, role-kOther schema from the
+  // header: the runner's CSV input.
   static Result<std::unique_ptr<StreamingCsvReader>> OpenNumeric(
       const std::string& path, const StreamingCsvOptions& options = {});
 

@@ -15,6 +15,21 @@ bool KindMatchesType(const Value& value, const Attribute& attribute) {
 
 }  // namespace
 
+Status CheckCellKinds(const Schema& from, const Schema& to) {
+  if (from.size() != to.size()) {
+    return Status::InvalidArgument(
+        "record arity " + std::to_string(from.size()) +
+        " does not match schema arity " + std::to_string(to.size()));
+  }
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (from.at(i).is_categorical() != to.at(i).is_categorical()) {
+      return Status::InvalidArgument("cell kind mismatch for attribute '" +
+                                     to.at(i).name + "'");
+    }
+  }
+  return Status::Ok();
+}
+
 Status Dataset::Append(std::span<const Value> record) {
   const size_t width = schema_.size();
   if (record.size() != width) {

@@ -104,6 +104,12 @@ class Dataset {
   size_t num_records_ = 0;
 };
 
+// The error Dataset::Append would give for every row whose cells have the
+// kinds of `from`'s attributes, appended to a dataset with schema `to`.
+// Readers that fill rows in place with AppendInPlace check the kinds once
+// per batch with it.
+Status CheckCellKinds(const Schema& from, const Schema& to);
+
 // Builds a dataset from named numeric columns of equal length.
 // InvalidArgument if lengths differ or `names`/`columns` sizes mismatch.
 Result<Dataset> DatasetFromColumns(

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "data/record_source.h"
 
 namespace tcm {
 namespace {
@@ -23,6 +25,16 @@ Dataset FinishCensus(const std::vector<std::vector<double>>& cols) {
        AttributeRole::kOther, AttributeRole::kOther});
   TCM_CHECK(made.ok()) << made.status().ToString();
   return std::move(made).value();
+}
+
+// Reads every row of a synthetic source: the uniform and clustered
+// generators draw their rows in one place, their record sources.
+Dataset Drain(std::unique_ptr<SyntheticSource> source) {
+  Dataset data(source->schema());
+  data.Reserve(source->num_records());
+  Result<size_t> read = source->ReadInto(&data, source->num_records());
+  TCM_CHECK(read.ok()) << read.status().ToString();
+  return data;
 }
 
 }  // namespace
@@ -127,27 +139,7 @@ Dataset MakePatientDischargeLike(const PatientDischargeOptions& options) {
 
 Dataset MakeUniformDataset(size_t num_records, size_t num_quasi_identifiers,
                            uint64_t seed) {
-  TCM_CHECK_GT(num_records, 0u);
-  TCM_CHECK_GT(num_quasi_identifiers, 0u);
-  Rng rng(seed);
-  std::vector<std::string> names;
-  std::vector<AttributeRole> roles;
-  std::vector<std::vector<double>> cols(num_quasi_identifiers + 1,
-                                        std::vector<double>(num_records));
-  for (size_t j = 0; j < num_quasi_identifiers; ++j) {
-    names.push_back("QI" + std::to_string(j));
-    roles.push_back(AttributeRole::kQuasiIdentifier);
-  }
-  names.push_back("CONF");
-  roles.push_back(AttributeRole::kConfidential);
-  for (size_t i = 0; i < num_records; ++i) {
-    for (size_t j = 0; j <= num_quasi_identifiers; ++j) {
-      cols[j][i] = rng.NextDouble();
-    }
-  }
-  auto made = DatasetFromColumns(names, cols, roles);
-  TCM_CHECK(made.ok()) << made.status().ToString();
-  return std::move(made).value();
+  return Drain(MakeUniformSource(num_records, num_quasi_identifiers, seed));
 }
 
 Dataset MakeAdultLike(const AdultLikeOptions& options) {
@@ -192,41 +184,8 @@ Dataset MakeAdultLike(const AdultLikeOptions& options) {
 
 Dataset MakeClusteredDataset(size_t num_records, size_t num_quasi_identifiers,
                              size_t num_modes, uint64_t seed) {
-  TCM_CHECK_GT(num_records, 0u);
-  TCM_CHECK_GT(num_quasi_identifiers, 0u);
-  TCM_CHECK_GT(num_modes, 0u);
-  Rng rng(seed);
-  std::vector<std::string> names;
-  std::vector<AttributeRole> roles;
-  std::vector<std::vector<double>> cols(num_quasi_identifiers + 1,
-                                        std::vector<double>(num_records));
-  for (size_t j = 0; j < num_quasi_identifiers; ++j) {
-    names.push_back("QI" + std::to_string(j));
-    roles.push_back(AttributeRole::kQuasiIdentifier);
-  }
-  names.push_back("CONF");
-  roles.push_back(AttributeRole::kConfidential);
-
-  // Mode centres spread on a coarse grid so modes are well separated.
-  std::vector<std::vector<double>> centres(num_modes);
-  for (size_t m = 0; m < num_modes; ++m) {
-    centres[m].resize(num_quasi_identifiers);
-    for (size_t j = 0; j < num_quasi_identifiers; ++j) {
-      centres[m][j] = 10.0 * static_cast<double>(rng.NextBounded(10));
-    }
-  }
-  for (size_t i = 0; i < num_records; ++i) {
-    size_t mode = static_cast<size_t>(rng.NextBounded(num_modes));
-    for (size_t j = 0; j < num_quasi_identifiers; ++j) {
-      cols[j][i] = centres[mode][j] + rng.NextGaussian();
-    }
-    // Confidential value tied to the mode with noise: moderate dependence.
-    cols[num_quasi_identifiers][i] =
-        static_cast<double>(mode) + 0.75 * rng.NextGaussian();
-  }
-  auto made = DatasetFromColumns(names, cols, roles);
-  TCM_CHECK(made.ok()) << made.status().ToString();
-  return std::move(made).value();
+  return Drain(MakeClusteredSource(num_records, num_quasi_identifiers,
+                                   num_modes, seed));
 }
 
 }  // namespace tcm

@@ -49,7 +49,8 @@ struct PatientDischargeOptions {
 Dataset MakePatientDischargeLike(const PatientDischargeOptions& options = {});
 
 // Uniform-[0,1] quasi-identifiers plus one uniform confidential attribute;
-// a neutral workload for tests and micro-benchmarks.
+// a neutral workload for tests and micro-benchmarks. Reads every row of
+// MakeUniformSource (record_source.h), which draws them.
 Dataset MakeUniformDataset(size_t num_records, size_t num_quasi_identifiers,
                            uint64_t seed);
 
@@ -69,7 +70,8 @@ Dataset MakeAdultLike(const AdultLikeOptions& options = {});
 
 // Gaussian mixture in QI space (distinct modes make microaggregation
 // clusters meaningful) with a confidential attribute correlated to the
-// mode. Used to exercise outlier/cluster behaviour in tests.
+// mode. Used to exercise outlier/cluster behaviour in tests. Reads every
+// row of MakeClusteredSource (record_source.h), which draws them.
 Dataset MakeClusteredDataset(size_t num_records, size_t num_quasi_identifiers,
                              size_t num_modes, uint64_t seed);
 

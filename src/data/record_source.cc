@@ -32,8 +32,7 @@ Result<size_t> SyntheticSource::ReadInto(Dataset* out, size_t max_rows) {
 
 namespace {
 
-// QI0..QIn-1 + CONF, all numeric — the schema DatasetFromColumns builds
-// for MakeUniformDataset / MakeClusteredDataset.
+// QI0..QIn-1 + CONF, all numeric, with QI and confidential roles.
 Schema UniformLikeSchema(size_t num_quasi_identifiers) {
   std::vector<Attribute> attrs;
   attrs.reserve(num_quasi_identifiers + 1);
@@ -55,8 +54,8 @@ std::unique_ptr<SyntheticSource> MakeUniformSource(
     size_t num_records, size_t num_quasi_identifiers, uint64_t seed) {
   TCM_CHECK_GT(num_records, 0u);
   TCM_CHECK_GT(num_quasi_identifiers, 0u);
-  // MakeUniformDataset draws row-major (all of row i before row i+1), so
-  // one RNG carried across calls reproduces its stream exactly.
+  // Row-major draws (all of row i before row i+1) from one RNG carried
+  // across calls.
   auto row_fn = [rng = Rng(seed), num_quasi_identifiers]() mutable {
     Record record;
     record.reserve(num_quasi_identifiers + 1);
@@ -76,8 +75,9 @@ std::unique_ptr<SyntheticSource> MakeClusteredSource(
   TCM_CHECK_GT(num_records, 0u);
   TCM_CHECK_GT(num_quasi_identifiers, 0u);
   TCM_CHECK_GT(num_modes, 0u);
-  // MakeClusteredDataset draws the mode centres up front, then the rows
-  // row-major; mirror both phases with the same RNG.
+  // The mode centres are drawn up front, then the rows row-major, all
+  // from one RNG. Centres sit on a coarse grid so modes are well
+  // separated.
   Rng rng(seed);
   std::vector<std::vector<double>> centres(num_modes);
   for (size_t m = 0; m < num_modes; ++m) {
@@ -94,6 +94,7 @@ std::unique_ptr<SyntheticSource> MakeClusteredSource(
     for (size_t j = 0; j < num_quasi_identifiers; ++j) {
       record.push_back(Value::Numeric(centres[mode][j] + rng.NextGaussian()));
     }
+    // Confidential value tied to the mode with noise: moderate dependence.
     record.push_back(Value::Numeric(static_cast<double>(mode) +
                                     0.75 * rng.NextGaussian()));
     return record;

@@ -46,8 +46,8 @@ class DatasetSource : public RecordSource {
 // Streams synthetic records from a row callback without materializing
 // the dataset — the generator-backed source for million-row workloads.
 // The callback is invoked exactly once per emitted row, in row order, so
-// a generator that carries its RNG in the closure reproduces the
-// corresponding Make*Dataset call row for row.
+// a generator that carries its RNG in the closure draws the same rows
+// however the stream is split into batches.
 class SyntheticSource : public RecordSource {
  public:
   using RowFn = std::function<Record()>;
@@ -68,9 +68,10 @@ class SyntheticSource : public RecordSource {
   RowFn row_fn_;
 };
 
-// Streaming counterparts of the batch generators in generator.h: the row
-// stream is identical to the Make*Dataset call with the same parameters
-// (verified by tests), so streamed and in-memory runs of a synthetic
+// The uniform and clustered synthetic workloads (QI0..QIn-1 + CONF, all
+// numeric). These are the only place their rows are drawn: the batch
+// generators MakeUniformDataset / MakeClusteredDataset (generator.h) read
+// every row of them, so streamed and in-memory runs of a synthetic
 // workload see the same data.
 std::unique_ptr<SyntheticSource> MakeUniformSource(
     size_t num_records, size_t num_quasi_identifiers, uint64_t seed);

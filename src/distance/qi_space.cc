@@ -1,7 +1,6 @@
 #include "distance/qi_space.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "data/stats.h"
@@ -61,10 +60,6 @@ double QiSpace::SquaredDistanceToPoint(size_t row,
     sum += diff * diff;
   }
   return sum;
-}
-
-double QiSpace::Distance(size_t row_a, size_t row_b) const {
-  return std::sqrt(SquaredDistance(row_a, row_b));
 }
 
 std::vector<double> QiSpace::Centroid(const std::vector<size_t>& rows) const {

@@ -42,8 +42,6 @@ class QiSpace {
   double SquaredDistanceToPoint(size_t row,
                                 const std::vector<double>& point) const;
 
-  double Distance(size_t row_a, size_t row_b) const;
-
   // Mean point of the given rows; requires a non-empty set.
   std::vector<double> Centroid(const std::vector<size_t>& rows) const;
 

@@ -41,11 +41,4 @@ Result<LDiversityReport> EvaluateLDiversity(const Dataset& data,
   return report;
 }
 
-Result<bool> IsLDiverse(const Dataset& data, size_t l,
-                        size_t confidential_offset) {
-  TCM_ASSIGN_OR_RETURN(LDiversityReport report,
-                       EvaluateLDiversity(data, confidential_offset));
-  return report.min_distinct_values >= l;
-}
-
 }  // namespace tcm

@@ -22,10 +22,6 @@ struct LDiversityReport {
 Result<LDiversityReport> EvaluateLDiversity(const Dataset& data,
                                             size_t confidential_offset = 0);
 
-// Distinct l-diversity test.
-Result<bool> IsLDiverse(const Dataset& data, size_t l,
-                        size_t confidential_offset = 0);
-
 }  // namespace tcm
 
 #endif  // TCM_PRIVACY_LDIVERSITY_H_

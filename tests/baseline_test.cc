@@ -1,3 +1,4 @@
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,13 +30,21 @@ double MaxClusterEmd(const EmdCalculator& emd, const Partition& partition) {
 
 // ---------------------------------------------------------------- Mondrian
 
+// An infinite t never binds, so the t-close variant splits as plain
+// k-anonymous Mondrian does.
+Result<Partition> KAnonymousMondrian(const Dataset& data, size_t k) {
+  QiSpace space(data);
+  EmdCalculator emd(data);
+  return MondrianTClosePartition(space, emd, k,
+                                 std::numeric_limits<double>::infinity());
+}
+
 class MondrianTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(MondrianTest, ValidKAnonymousPartition) {
   const size_t k = GetParam();
   Dataset data = MakeUniformDataset(500, 3, 41);
-  QiSpace space(data);
-  auto partition = MondrianPartition(space, k);
+  auto partition = KAnonymousMondrian(data, k);
   ASSERT_TRUE(partition.ok());
   EXPECT_TRUE(ValidatePartition(*partition, 500, k).ok());
   // Median splits leave leaves below 2k + 1 records.
@@ -58,8 +67,7 @@ TEST(MondrianTest, SplitsAlongTheWidestDimension) {
       {AttributeRole::kQuasiIdentifier, AttributeRole::kQuasiIdentifier,
        AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  QiSpace space(*data);
-  auto partition = MondrianPartition(space, 5);
+  auto partition = KAnonymousMondrian(*data, 5);
   ASSERT_TRUE(partition.ok());
   for (const Cluster& cluster : partition->clusters) {
     bool has_low = false, has_high = false;
@@ -75,8 +83,7 @@ TEST(MondrianTest, IdenticalRecordsFormOneLeaf) {
       {"q", "c"}, {{1, 1, 1, 1, 1, 1}, {1, 2, 3, 4, 5, 6}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  QiSpace space(*data);
-  auto partition = MondrianPartition(space, 2);
+  auto partition = KAnonymousMondrian(*data, 2);
   ASSERT_TRUE(partition.ok());
   EXPECT_EQ(partition->NumClusters(), 1u);
 }
@@ -105,9 +112,8 @@ TEST(MondrianTest, TighterTMeansFewerClusters) {
 
 TEST(MondrianTest, RejectsBadK) {
   Dataset data = MakeUniformDataset(10, 2, 1);
-  QiSpace space(data);
-  EXPECT_FALSE(MondrianPartition(space, 0).ok());
-  EXPECT_FALSE(MondrianPartition(space, 11).ok());
+  EXPECT_FALSE(KAnonymousMondrian(data, 0).ok());
+  EXPECT_FALSE(KAnonymousMondrian(data, 11).ok());
 }
 
 // -------------------------------------------------------------- SABRE-like

@@ -118,8 +118,8 @@ TEST(ColumnTableTest, TypedViewsAndLabels) {
   ASSERT_EQ(city.size(), 8u);
   EXPECT_EQ(city[0], 0);
   EXPECT_EQ(city[7], 2);
-  EXPECT_EQ(table.Label(1, 0), "tokyo");
-  EXPECT_EQ(table.Label(2, 2), "high");
+  EXPECT_EQ(table.schema().at(1).categories[0], "tokyo");
+  EXPECT_EQ(table.schema().at(2).categories[2], "high");
 }
 
 TEST(ColumnTableTest, AppendRowsMaterializesTheRequestedSlice) {
@@ -208,13 +208,6 @@ TEST(TcmbTest, ViewsOutliveTheTableWhileOwnerIsHeld) {
   EXPECT_EQ(city[7], 2);
 }
 
-TEST(ColstoreDeathTest, OutOfRangeDictionaryCodeAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ColumnTable table = ColumnTable::FromDataset(MixedDataset());
-  EXPECT_DEATH(table.Label(1, 3), "TCM_CHECK failed");
-  EXPECT_DEATH(table.Label(1, -1), "TCM_CHECK failed");
-}
-
 // -------------------------------------------------------- CSV converter
 
 TEST(ConvertTest, GoldenCsvConvertsAndBridgesIdentically) {
@@ -223,8 +216,8 @@ TEST(ConvertTest, GoldenCsvConvertsAndBridgesIdentically) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->num_rows(), 120u);
 
-  auto rows = ReadNumericCsv(csv);
-  ASSERT_TRUE(rows.ok());
+  auto rows = ReadCsv(csv, table->schema());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   Dataset bridged = table->ToDataset();
   ASSERT_EQ(bridged.NumRecords(), rows->NumRecords());
   for (size_t r = 0; r < bridged.NumRecords(); ++r) {
@@ -253,6 +246,44 @@ TEST(ConvertTest, MixedColumnsBecomeDictionaries) {
   EXPECT_EQ(codes[0], 0);
   EXPECT_EQ(codes[1], 1);
   EXPECT_EQ(codes[3], 0);
+}
+
+TEST(ConvertTest, ColumnTypesSettleOverTheWholeFile) {
+  // "b" stores numbers (one of them inf) before its first label, so it is
+  // interned from its first row on; "c" is nominal from its first row.
+  const std::string csv = TempPath("late_label.csv");
+  {
+    std::ofstream out(csv);
+    out << "a,b,c\n1,2,x\n2,inf,3\n3, abc ,y\n4,2,x\n";
+  }
+  auto table = ConvertCsvToColumnar(csv);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 4u);
+  std::span<const double> a = table->NumericColumn(0);
+  EXPECT_EQ(std::vector<double>(a.begin(), a.end()),
+            (std::vector<double>{1, 2, 3, 4}));
+  EXPECT_EQ(table->schema().at(1).categories,
+            (std::vector<std::string>{"2", "inf", "abc"}));
+  std::span<const int32_t> b = table->CodeColumn(1);
+  EXPECT_EQ(std::vector<int32_t>(b.begin(), b.end()),
+            (std::vector<int32_t>{0, 1, 2, 0}));
+  EXPECT_EQ(table->schema().at(2).categories,
+            (std::vector<std::string>{"x", "3", "y"}));
+
+  // A non-finite number is an error only in a column that ends numeric,
+  // and the error names the first such cell in row order.
+  const std::string non_finite = TempPath("non_finite.csv");
+  {
+    std::ofstream out(non_finite);
+    out << "a,b,c\n1,2,x\n2,nan,-inf\ninf,3,z\n";
+  }
+  auto failed = ConvertCsvToColumnar(non_finite);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_NE(failed.status().message().find("line 3: non-finite value "
+                                           "\"nan\" in column \"b\""),
+            std::string::npos)
+      << failed.status().ToString();
 }
 
 TEST(ConvertTest, FieldCountMismatchIsIoError) {

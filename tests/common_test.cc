@@ -181,18 +181,6 @@ TEST(RngTest, NextBoundedCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  Rng rng(9);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    int64_t value = rng.NextInt(-3, 3);
-    EXPECT_GE(value, -3);
-    EXPECT_LE(value, 3);
-    seen.insert(value);
-  }
-  EXPECT_EQ(seen.size(), 7u);  // all of -3..3 hit
-}
-
 TEST(RngTest, GaussianMomentsAreStandardNormal) {
   Rng rng(13);
   constexpr int kSamples = 200000;

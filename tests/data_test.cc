@@ -578,19 +578,6 @@ TEST(CsvTest, MissingFileFails) {
             StatusCode::kIoError);
 }
 
-TEST(CsvTest, ReadNumericCsvInfersSchema) {
-  const std::string path = ::testing::TempDir() + "/tcm_numeric.csv";
-  auto data = DatasetFromColumns({"a", "b"}, {{1, 2}, {3.5, 4.5}},
-                                 {AttributeRole::kOther,
-                                  AttributeRole::kOther});
-  ASSERT_TRUE(data.ok());
-  ASSERT_TRUE(WriteCsv(*data, path).ok());
-  auto loaded = ReadNumericCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumAttributes(), 2u);
-  EXPECT_DOUBLE_EQ(loaded->cell(1, 1).numeric(), 4.5);
-}
-
 // ------------------------------------------------------------ Generators
 
 TEST(GeneratorTest, CensusLikeShapeAndRoles) {

@@ -30,9 +30,9 @@ Dataset MakeGrid() {
 TEST(QiSpaceTest, RangeNormalizationEqualizesScales) {
   QiSpace space(MakeGrid(), QiNormalization::kRange);
   // Records 0 and 3 are at opposite corners: distance sqrt(1^2 + 1^2).
-  EXPECT_NEAR(space.Distance(0, 3), std::sqrt(2.0), 1e-12);
+  EXPECT_NEAR(std::sqrt(space.SquaredDistance(0, 3)), std::sqrt(2.0), 1e-12);
   // Adjacent records: each dimension moves 1/3.
-  EXPECT_NEAR(space.Distance(0, 1), std::sqrt(2.0) / 3.0, 1e-12);
+  EXPECT_NEAR(std::sqrt(space.SquaredDistance(0, 1)), std::sqrt(2.0) / 3.0, 1e-12);
 }
 
 TEST(QiSpaceTest, StandardizeNormalizationHasUnitVariance) {
@@ -85,7 +85,7 @@ TEST(QiSpaceTest, ConstantColumnDoesNotDivideByZero) {
       {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
   QiSpace space(*data, QiNormalization::kRange);
-  EXPECT_DOUBLE_EQ(space.Distance(0, 2), 0.0);
+  EXPECT_DOUBLE_EQ(space.SquaredDistance(0, 2), 0.0);
 }
 
 // ------------------------------------------------------------ OrderedEmd

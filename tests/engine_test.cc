@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "api/runner.h"
+#include "colstore/convert.h"
 #include "data/csv.h"
 #include "data/generator.h"
 #include "engine/registry.h"
@@ -453,9 +454,9 @@ TEST(PipelineTest, EndToEndFromCsvWithRolesByName) {
   EXPECT_EQ(report->threads, 2u);
   EXPECT_GE(report->anonymize_seconds, 0.0);
 
-  auto released = ReadNumericCsv(output);
+  auto released = ReadTable(output);
   ASSERT_TRUE(released.ok());
-  EXPECT_EQ(released->NumRecords(), 600u);
+  EXPECT_EQ(released->num_rows(), 600u);
   std::remove(input.c_str());
   std::remove(output.c_str());
 }

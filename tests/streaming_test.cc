@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "api/runner.h"
+#include "colstore/convert.h"
 #include "common/json.h"
 #include "data/csv.h"
 #include "data/csv_stream.h"
@@ -67,25 +68,6 @@ TEST(RecordSourceTest, DatasetSourceStreamsEveryRowInOrder) {
   }
   EXPECT_EQ(batches, 3u);  // 100 + 100 + 57
   EXPECT_TRUE(drained == data);
-}
-
-TEST(RecordSourceTest, UniformSourceMatchesBatchGeneratorRowForRow) {
-  Dataset batch = MakeUniformDataset(503, 4, 77);
-  auto source = MakeUniformSource(503, 4, 77);
-  Dataset streamed(source->schema());
-  ASSERT_TRUE(source->ReadInto(&streamed, 1000).ok());
-  EXPECT_TRUE(streamed == batch);
-}
-
-TEST(RecordSourceTest, ClusteredSourceMatchesBatchGeneratorRowForRow) {
-  Dataset batch = MakeClusteredDataset(211, 3, 5, 19);
-  auto source = MakeClusteredSource(211, 3, 5, 19);
-  // Drain in awkward batch sizes: chunking must not change the stream.
-  Dataset streamed(source->schema());
-  for (size_t want : {1u, 7u, 100u, 1000u}) {
-    ASSERT_TRUE(source->ReadInto(&streamed, want).ok());
-  }
-  EXPECT_TRUE(streamed == batch);
 }
 
 // --------------------------------------------------- StreamingCsvReader
@@ -294,11 +276,12 @@ TEST(StreamingJobTest, MultiWindowRespectsResidentBudget) {
   EXPECT_EQ(sum, kRows);
 
   // The concatenation of per-window k-anonymous releases is k-anonymous.
-  auto release = ReadNumericCsv(out_path);
-  ASSERT_TRUE(release.ok());
-  EXPECT_EQ(release->NumRecords(), kRows);
-  ASSERT_TRUE(AssignRoles(&*release, {"QI0", "QI1", "QI2"}, "CONF").ok());
-  auto k_ok = IsKAnonymous(*release, spec.algorithm.k);
+  auto table = ReadTable(out_path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Dataset release = table->ToDataset();
+  EXPECT_EQ(release.NumRecords(), kRows);
+  ASSERT_TRUE(AssignRoles(&release, {"QI0", "QI1", "QI2"}, "CONF").ok());
+  auto k_ok = IsKAnonymous(release, spec.algorithm.k);
   ASSERT_TRUE(k_ok.ok());
   EXPECT_TRUE(*k_ok);
 }
@@ -719,15 +702,16 @@ TEST(StreamingJobTest, OverlappedVerifyFailureStopsBeforeTheWindowIsWritten) {
       << report.status().ToString();
 
   // The release holds exactly window 0: the source's first 100 rows.
-  auto release = ReadNumericCsv(spec.output.release_path);
-  ASSERT_TRUE(release.ok()) << release.status().ToString();
-  ASSERT_EQ(release->NumRecords(), 100u);
-  ASSERT_TRUE(AssignRoles(&*release, {"QI0", "QI1"}, "CONF").ok());
-  EXPECT_TRUE(VerifyRelease(*release, spec.algorithm.k, spec.algorithm.t).ok());
+  auto table = ReadTable(spec.output.release_path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Dataset release = table->ToDataset();
+  ASSERT_EQ(release.NumRecords(), 100u);
+  ASSERT_TRUE(AssignRoles(&release, {"QI0", "QI1"}, "CONF").ok());
+  EXPECT_TRUE(VerifyRelease(release, spec.algorithm.k, spec.algorithm.t).ok());
   const Dataset input = MakeUniformDataset(400, 2, 5);
   const size_t conf = input.schema().ConfidentialIndices()[0];
-  for (size_t row = 0; row < release->NumRecords(); ++row) {
-    EXPECT_EQ(release->cell(row, conf), input.cell(row, conf)) << row;
+  for (size_t row = 0; row < release.NumRecords(); ++row) {
+    EXPECT_EQ(release.cell(row, conf), input.cell(row, conf)) << row;
   }
 }
 

@@ -3,7 +3,8 @@
 # in-memory and --stream, at 1 and 4 threads — and require every release
 # to be byte-identical to the committed golden. This is the format's
 # core guarantee (CSV and .tcmb are interchangeable inputs) pinned end
-# to end through the CLI, plus the convert-mode error contract on
+# to end through the CLI, plus the same audit verdicts for a categorical
+# release as CSV and as .tcmb, and the convert-mode error contract on
 # damaged files.
 #
 # Invoked as:
@@ -13,6 +14,10 @@
 if(NOT TCM_ANONYMIZE OR NOT GOLDEN_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "TCM_ANONYMIZE, GOLDEN_DIR and WORK_DIR must be defined")
 endif()
+# The error-contract runs use WORK_DIR as their working directory, so
+# relative paths (as CI passes them) must not be resolved against it.
+get_filename_component(GOLDEN_DIR "${GOLDEN_DIR}" ABSOLUTE)
+get_filename_component(WORK_DIR "${WORK_DIR}" ABSOLUTE)
 
 set(csv_input "${GOLDEN_DIR}/input_mcd_120.csv")
 set(golden "${GOLDEN_DIR}/release_tclose_first_k5_t30.csv")
@@ -72,7 +77,8 @@ foreach(format csv tcmb)
   endforeach()
 endforeach()
 
-# --- damaged-file error contract -----------------------------------------
+# Runs the tool and asserts the exit code; extra arguments are the
+# command line after the binary.
 function(expect_exit expected label)
   execute_process(
     COMMAND "${TCM_ANONYMIZE}" ${ARGN}
@@ -88,6 +94,23 @@ function(expect_exit expected label)
   message(STATUS "${label}: exit ${rc} as documented")
 endfunction()
 
+# --- a categorical release audits the same as CSV and as .tcmb ------------
+# EDUCATION and OCCUPATION hold labels, so the audit's typed loader reads
+# them as nominal columns from the CSV, exactly as --convert does.
+set(adult_release "${GOLDEN_DIR}/release_adult_merge_k3_t30.csv")
+set(adult_tcmb "${WORK_DIR}/release_adult_merge_k3_t30.tcmb")
+expect_exit(0 "convert the categorical release"
+  --convert "${adult_release}" --output "${adult_tcmb}")
+set(adult_roles --qi AGE,EDUCATION,OCCUPATION,HOURS --confidential INCOME)
+foreach(input IN ITEMS "${adult_release}" "${adult_tcmb}")
+  get_filename_component(name "${input}" NAME)
+  expect_exit(0 "audit ${name} at its own k and t"
+    --audit "${input}" ${adult_roles} --k 3 --t 0.3)
+  expect_exit(6 "audit ${name} at a t it does not meet"
+    --audit "${input}" ${adult_roles} --k 3 --t 0.01)
+endforeach()
+
+# --- damaged-file error contract -----------------------------------------
 expect_exit(5 "IoError (convert missing input)"
   --convert "${WORK_DIR}/no_such.csv" --output "${WORK_DIR}/never.tcmb")
 
@@ -110,4 +133,4 @@ expect_exit(5 "IoError (truncated .tcmb)"
 
 message(STATUS
   "convert equivalence OK: 8/8 releases byte-identical across "
-  "csv/tcmb x mem/stream x 1/4 threads")
+  "csv/tcmb x mem/stream x 1/4 threads, categorical audits agree")

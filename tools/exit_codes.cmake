@@ -150,6 +150,12 @@ expect_exit(3 "InvalidSpec (audit --t nan)"
   --audit "${WORK_DIR}/leaky_release.csv"
   --qi age,zip --confidential salary --k 1 --t nan)
 
+# The roles are the audit's spec: a column the file lacks is a spec
+# error, as a bad --t is.
+expect_exit(3 "InvalidSpec (audit role names a missing column)"
+  --audit "${WORK_DIR}/leaky_release.csv"
+  --qi age,no_such_column --confidential salary --k 1 --t 10)
+
 expect_exit(0 "audit passes on a compliant threshold"
   --audit "${WORK_DIR}/leaky_release.csv"
   --qi age,zip --confidential salary --k 1 --t 10)

@@ -40,8 +40,11 @@
 //   tcm_anonymize --audit release.csv --qi age,zipcode
 //       --confidential salary --k 5 --t 0.1
 //
-// Exit 0 when the file is k-anonymous and t-close under those roles,
-// 6 (PrivacyViolation) naming the violated guarantee otherwise.
+// The file is a CSV or a .tcmb, read by the same typed loader as
+// tcm_profile (tools/table_input.h), so a release and its converted
+// .tcmb get the same verdict. Exit 0 when the file is k-anonymous and
+// t-close under those roles, 6 (PrivacyViolation) naming the violated
+// guarantee otherwise, 3 when a role names a column the file lacks.
 //
 // Convert mode translates a CSV into the zero-copy binary dataset
 // format (.tcmb, layout documented in README.md "Binary dataset
@@ -62,10 +65,9 @@
 #include <vector>
 
 #include "arg_parser.h"
-#include "data/csv.h"
-#include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "exit_codes.h"
+#include "table_input.h"
 #include "tcm/api.h"
 
 namespace {
@@ -83,17 +85,7 @@ constexpr char kUsage[] =
     "                     --k N --t X\n"
     "       tcm_anonymize --convert IN.csv --output OUT.tcmb\n";
 
-// File inputs ending in ".tcmb" are treated as the binary dataset
-// format; everything else stays CSV. Job files say input.format
-// explicitly — the extension sniff is CLI sugar only.
-bool HasTcmbExtension(const std::string& path) {
-  constexpr char kExt[] = ".tcmb";
-  constexpr size_t kExtLen = sizeof(kExt) - 1;
-  return path.size() >= kExtLen &&
-         path.compare(path.size() - kExtLen, kExtLen, kExt) == 0;
-}
-
-// Re-verifies an existing release CSV against k/t: the VerifyRelease
+// Re-verifies an existing release file against k/t: the VerifyRelease
 // facade on the command line. The only CLI path that can legitimately
 // end in exit code 6 — the anonymizers themselves repair violations
 // before writing.
@@ -108,34 +100,18 @@ int RunAudit(const std::string& path, const std::vector<std::string>& qi,
     std::fprintf(stderr, "%s\n", invalid.ToString().c_str());
     return tcm::tools::ExitCodeForStatus(invalid);
   }
-  tcm::Dataset data{tcm::Schema{}};
-  if (HasTcmbExtension(path)) {
-    auto table = tcm::ReadTcmb(path);
-    if (!table.ok()) {
-      std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
-      return tcm::tools::ExitCodeForStatus(table.status());
-    }
-    data = table->ToDataset();
-  } else {
-    auto loaded = tcm::ReadNumericCsv(path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return tcm::tools::ExitCodeForStatus(loaded.status());
-    }
-    data = std::move(loaded).value();
+  auto data = tcm::tools::ReadTableWithRoles(path, qi, confidential);
+  if (!data.ok()) {
+    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
+    return tcm::tools::ExitCodeForStatus(data.status());
   }
-  tcm::Status roles = tcm::AssignRoles(&data, qi, confidential);
-  if (!roles.ok()) {
-    std::fprintf(stderr, "%s\n", roles.ToString().c_str());
-    return tcm::tools::ExitCodeForStatus(roles);
-  }
-  tcm::Status verdict = tcm::VerifyRelease(data, k, t);
+  tcm::Status verdict = tcm::VerifyRelease(*data, k, t);
   if (!verdict.ok()) {
     std::fprintf(stderr, "%s\n", verdict.ToString().c_str());
     return tcm::tools::ExitCodeForStatus(verdict);
   }
   std::printf("audit OK: %s is %zu-anonymous and %.4f-close (%zu records)\n",
-              path.c_str(), k, t, data.NumRecords());
+              path.c_str(), k, t, data->NumRecords());
   return tcm::tools::kExitOk;
 }
 
@@ -346,7 +322,7 @@ int main(int argc, char** argv) {
     spec.input = tcm::JobInput{};
     spec.input.kind = tcm::InputKind::kCsvPath;
     spec.input.path = input;
-    if (HasTcmbExtension(input)) {
+    if (tcm::HasTcmbExtension(input)) {
       spec.input.format = tcm::InputFormat::kTcmb;
     }
   }

@@ -1,23 +1,29 @@
-// tcm_profile: inspect a numeric CSV before anonymizing it.
+// tcm_profile: inspect a data file before anonymizing it.
 //
-//   tcm_profile --input data.csv [--qi A,B] [--confidential C]
+//   tcm_profile --input data.csv|data.tcmb [--qi A,B] [--confidential C]
 //               [--histogram COLUMN] [--bins N]
 //
-// Prints per-attribute summary statistics and, when roles are given, the
+// Reads the file with the same typed loader as `tcm_anonymize --audit`
+// (tools/table_input.h: a .tcmb is mapped, a CSV column is numeric when
+// every field parses as a number and nominal otherwise) and prints
+// per-attribute summary statistics (a nominal column's statistics are
+// over its dictionary codes) and, when roles are given, the
 // QI <-> confidential multiple correlation (the quantity the paper uses
 // to characterize its MCD/HCD/Patient-Discharge data sets) plus the
 // Proposition 2 feasibility table: for each t level, the minimum cluster
-// size Algorithm 3 would use.
+// size Algorithm 3 would use. A role naming a column the file lacks
+// exits 3.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "arg_parser.h"
-#include "data/csv.h"
-#include "exit_codes.h"
 #include "data/summary.h"
 #include "distance/emd_bounds.h"
+#include "exit_codes.h"
+#include "table_input.h"
 
 namespace {
 
@@ -44,36 +50,11 @@ int main(int argc, char** argv) {
     return tcm::tools::kExitUsage;
   }
 
-  auto loaded = tcm::ReadNumericCsv(input);
+  auto loaded = tcm::tools::ReadTableWithRoles(input, qi, confidential);
   if (!loaded.ok()) {
-    std::fprintf(stderr, "cannot read %s: %s\n", input.c_str(),
+    std::fprintf(stderr, "%s: %s\n", input.c_str(),
                  loaded.status().ToString().c_str());
     return tcm::tools::ExitCodeForStatus(loaded.status());
-  }
-
-  tcm::Schema schema = loaded->schema();
-  for (const std::string& name : qi) {
-    auto updated =
-        schema.WithRole(name, tcm::AttributeRole::kQuasiIdentifier);
-    if (!updated.ok()) {
-      std::fprintf(stderr, "--qi: %s\n", updated.status().ToString().c_str());
-      return tcm::tools::ExitCodeForStatus(updated.status());
-    }
-    schema = std::move(updated).value();
-  }
-  if (!confidential.empty()) {
-    auto updated =
-        schema.WithRole(confidential, tcm::AttributeRole::kConfidential);
-    if (!updated.ok()) {
-      std::fprintf(stderr, "--confidential: %s\n",
-                   updated.status().ToString().c_str());
-      return tcm::tools::ExitCodeForStatus(updated.status());
-    }
-    schema = std::move(updated).value();
-  }
-  if (auto status = loaded->ReplaceSchema(schema); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return tcm::tools::ExitCodeForStatus(status);
   }
 
   auto summary = tcm::SummarizeDataset(*loaded);
