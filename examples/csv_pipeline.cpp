@@ -8,9 +8,13 @@
 //     both the release CSV and a machine-readable JSON report.
 //
 //   ./build/examples/example_csv_pipeline [output_dir]
+//
+// output_dir (default /tmp) is created when missing.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "data/csv.h"
 #include "data/generator.h"
@@ -19,6 +23,13 @@
 
 int main(int argc, char** argv) {
   std::string dir = argc > 1 ? argv[1] : "/tmp";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
   const std::string original_path = dir + "/census_original.csv";
   const std::string release_path = dir + "/census_release.csv";
   const std::string report_path = dir + "/census_report.json";

@@ -21,7 +21,7 @@ class RecordSource;
 // public API boundary of this library. RunJob (api/runner.h) runs it
 // directly: every non-sweep job, in-memory or out-of-core, through one
 // window loop over ShardedAnonymize, and parameter sweeps as one
-// RunAlgorithm call per cell. A JobSpec round-trips through JSON
+// ShardedAnonymize call per cell. A JobSpec round-trips through JSON
 // (FromJson/ToJson) with strict unknown-key and type validation, so
 // config-driven deployments, services and the CLI all speak the same
 // schema. See README.md ("API") for the documented job.json layout.
@@ -98,7 +98,7 @@ struct JobExecution {
   // thread. Unused when the caller brings its own pool: a job served by
   // tcm_serve runs on the daemon's --threads workers instead.
   size_t threads = 1;
-  size_t shard_size = 4096;  // rows per shard; 0 disables sharding
+  size_t shard_size = 4096;  // rows per shard; 0 = one shard
   // Streaming only: resident input rows (window + k-row read-ahead);
   // at least k + max(k, 2), or k + 2 * max(k, 2) with overlap_io.
   size_t max_resident_rows = 200000;

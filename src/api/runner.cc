@@ -18,7 +18,6 @@
 #include "data/generator.h"
 #include "data/record_source.h"
 #include "engine/pipeline.h"
-#include "engine/registry.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
 #include "obs/trace.h"
@@ -467,16 +466,22 @@ Status RunSweepJob(const JobSpec& spec, const JobSource& input,
   }
 
   // Wall clock of the fan-out; each cell's own time is in its outcome
-  // (their sum exceeds this when cells run concurrently). A failed cell
-  // records its error without affecting the others.
+  // (their sum exceeds this when cells run concurrently). A cell runs the
+  // in-memory job's path, ShardedAnonymize with the spec's execution
+  // settings, its shards nested on the same pool, so it reports what that
+  // job reports. A failed cell records its error without affecting the
+  // others.
   ScopedStage stage("anonymize", &report->anonymize_seconds);
   ParallelFor(pool, report->sweep.size(), [&](size_t i) {
     SweepOutcome& cell = report->sweep[i];
-    AlgorithmParams params;
-    params.k = cell.k;
-    params.t = cell.t;
-    params.seed = spec.algorithm.seed;
-    auto result = RunAlgorithm(*data, cell.algorithm, params);
+    ShardedAnonymizeOptions options;
+    options.algorithm = cell.algorithm;
+    options.params.k = cell.k;
+    options.params.t = cell.t;
+    options.params.seed = spec.algorithm.seed;
+    options.shard_size = spec.execution.shard_size;
+    options.merge_strategy = spec.execution.merge_strategy;
+    auto result = ShardedAnonymize(*data, options, pool);
     if (!result.ok()) {
       cell.error_code = StatusCodeName(result.status().code());
       cell.error = result.status().message();

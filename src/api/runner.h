@@ -18,7 +18,7 @@ class ThreadPool;
 // spec's roles applied, and runs it window by window over
 // ShardedAnonymize (an in-memory job is one unbounded window over the
 // same record stream) or, for sweeps, reads the stream into one dataset
-// and makes one RunAlgorithm call per cell; when the spec names a
+// and makes one ShardedAnonymize call per cell; when the spec names a
 // report_path, it writes the JSON report before returning. Failures carry
 // the structured taxonomy: kIoError for unreadable inputs/sinks,
 // kPrivacyViolation when a verified release fails re-verification.

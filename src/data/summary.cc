@@ -12,28 +12,39 @@ Result<DatasetSummary> SummarizeDataset(const Dataset& data) {
   if (data.NumRecords() == 0) {
     return Status::InvalidArgument("empty dataset");
   }
+  const Schema& schema = data.schema();
+  auto nominal = [&schema](size_t col) {
+    return schema.at(col).type == AttributeType::kNominal;
+  };
   DatasetSummary summary;
   summary.records = data.NumRecords();
   for (size_t col = 0; col < data.NumAttributes(); ++col) {
-    const Attribute& attr = data.schema().at(col);
+    const Attribute& attr = schema.at(col);
     std::vector<double> values = data.ColumnAsDouble(col);
     AttributeSummary out;
     out.name = attr.name;
     out.type = AttributeTypeName(attr.type);
     out.role = AttributeRoleName(attr.role);
-    out.min = Min(values);
-    out.max = Max(values);
-    out.mean = Mean(values);
-    out.stddev = StdDev(values);
-    out.median = Median(values);
+    if (!nominal(col)) {
+      out.statistics = ValueStatistics{.min = Min(values),
+                                       .max = Max(values),
+                                       .mean = Mean(values),
+                                       .stddev = StdDev(values),
+                                       .median = Median(values)};
+    }
     out.distinct_values =
         std::set<double>(values.begin(), values.end()).size();
     summary.attributes.push_back(std::move(out));
   }
-  size_t confidential_count = data.schema().ConfidentialIndices().size();
-  for (size_t offset = 0; offset < confidential_count; ++offset) {
-    summary.qi_confidential_correlation.push_back(
-        QiConfidentialCorrelation(data, offset));
+  const std::vector<size_t> qis = schema.QuasiIdentifierIndices();
+  const bool nominal_qi = std::any_of(qis.begin(), qis.end(), nominal);
+  const std::vector<size_t> confidential = schema.ConfidentialIndices();
+  for (size_t offset = 0; offset < confidential.size(); ++offset) {
+    std::optional<double>& correlation =
+        summary.qi_confidential_correlation.emplace_back();
+    if (!nominal_qi && !nominal(confidential[offset])) {
+      correlation = QiConfidentialCorrelation(data, offset);
+    }
   }
   return summary;
 }
@@ -73,17 +84,26 @@ std::string FormatSummary(const DatasetSummary& summary) {
                 "distinct");
   out += line;
   for (const AttributeSummary& attr : summary.attributes) {
-    std::snprintf(line, sizeof(line),
-                  "%-16s %-8s %-16s %12.2f %12.2f %12.2f %12.2f %9zu\n",
-                  attr.name.c_str(), attr.type.c_str(), attr.role.c_str(),
-                  attr.min, attr.max, attr.mean, attr.stddev,
-                  attr.distinct_values);
+    if (attr.statistics) {
+      const ValueStatistics& stats = *attr.statistics;
+      std::snprintf(line, sizeof(line),
+                    "%-16s %-8s %-16s %12.2f %12.2f %12.2f %12.2f %9zu\n",
+                    attr.name.c_str(), attr.type.c_str(), attr.role.c_str(),
+                    stats.min, stats.max, stats.mean, stats.stddev,
+                    attr.distinct_values);
+    } else {
+      std::snprintf(line, sizeof(line),
+                    "%-16s %-8s %-16s %12s %12s %12s %12s %9zu\n",
+                    attr.name.c_str(), attr.type.c_str(), attr.role.c_str(),
+                    "-", "-", "-", "-", attr.distinct_values);
+    }
     out += line;
   }
   for (size_t i = 0; i < summary.qi_confidential_correlation.size(); ++i) {
+    if (!summary.qi_confidential_correlation[i]) continue;
     std::snprintf(line, sizeof(line),
                   "QI<->confidential[%zu] multiple correlation R = %.3f\n", i,
-                  summary.qi_confidential_correlation[i]);
+                  *summary.qi_confidential_correlation[i]);
     out += line;
   }
   return out;

@@ -1,6 +1,7 @@
 #ifndef TCM_DATA_SUMMARY_H_
 #define TCM_DATA_SUMMARY_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,24 +14,33 @@ namespace tcm {
 // roles and anonymization parameters. Backs the tcm_profile CLI and the
 // examples' data descriptions.
 
-struct AttributeSummary {
-  std::string name;
-  std::string type;   // AttributeTypeName
-  std::string role;   // AttributeRoleName
+// Moments and order statistics of a column's values.
+struct ValueStatistics {
   double min = 0.0;
   double max = 0.0;
   double mean = 0.0;
   double stddev = 0.0;
   double median = 0.0;
+};
+
+struct AttributeSummary {
+  std::string name;
+  std::string type;   // AttributeTypeName
+  std::string role;   // AttributeRoleName
+  // Empty for a nominal column: its cells are labels, and statistics of
+  // their dictionary codes would depend on the order the labels were
+  // first seen in.
+  std::optional<ValueStatistics> statistics;
   size_t distinct_values = 0;
 };
 
 struct DatasetSummary {
   size_t records = 0;
   std::vector<AttributeSummary> attributes;
-  // QI block <-> confidential multiple correlation per confidential
-  // attribute (empty when roles are not assigned).
-  std::vector<double> qi_confidential_correlation;
+  // QI block <-> confidential multiple correlation, one entry per
+  // confidential attribute (none when roles are not assigned). An entry
+  // is empty when that attribute or any quasi-identifier is nominal.
+  std::vector<std::optional<double>> qi_confidential_correlation;
 };
 
 // InvalidArgument on an empty dataset.

@@ -15,9 +15,12 @@ Result<ReleaseVerification> CheckRelease(const Dataset& release, size_t k,
   // One grouping pass feeds both checks: the k and t evaluators need the
   // same equivalence classes.
   TCM_ASSIGN_OR_RETURN(auto classes, EquivalenceClasses(release, pool));
-  verification.k_anonymous = IsKAnonymous(classes, k);
-  TCM_ASSIGN_OR_RETURN(verification.t_close,
-                       IsTClose(release, t, classes, 0, pool));
+  verification.min_class_size = EvaluateKAnonymity(classes).min_class_size;
+  TCM_ASSIGN_OR_RETURN(TClosenessReport t_report,
+                       EvaluateTCloseness(release, classes, 0, pool));
+  verification.max_class_emd = t_report.max_emd;
+  verification.k_anonymous = verification.min_class_size >= k;
+  verification.t_close = verification.max_class_emd <= t + kTCloseTolerance;
   return verification;
 }
 

@@ -21,6 +21,10 @@ namespace tcm {
 struct ReleaseVerification {
   bool k_anonymous = false;
   bool t_close = false;
+  // The levels measured, whatever the verdict: the smallest equivalence
+  // class (the k achieved) and the largest class EMD (the t achieved).
+  size_t min_class_size = 0;
+  double max_class_emd = 0.0;
 
   bool ok() const { return k_anonymous && t_close; }
 };

@@ -46,7 +46,7 @@ struct AnonymizationResult {
 // A registered algorithm: partitions `data` (whose schema declares the
 // quasi-identifier and confidential roles) into clusters of >= k records.
 // Every algorithm in this library reduces to a Partition; aggregation and
-// measurement are shared downstream (see RunAlgorithm).
+// measurement are shared downstream (see MeasurePartition).
 using PartitionFn =
     std::function<Result<Partition>(const Dataset& data,
                                     const AlgorithmParams& params)>;
@@ -116,9 +116,12 @@ Result<AnonymizationResult> MeasurePartition(
     const Dataset& data, Partition partition, double elapsed_seconds,
     const EmdCalculator* emd = nullptr, ThreadPool* pool = nullptr);
 
-// The one dispatcher over the algorithms: looks `name` up in BuiltIns()
-// (or `registry` when given), validates the inputs with
-// ValidateAlgorithmInputs, runs the algorithm and measures the release.
+// The raw-algorithm dispatcher: looks `name` up in BuiltIns() (or
+// `registry` when given), validates the inputs with
+// ValidateAlgorithmInputs, runs the algorithm and measures its partition
+// as is, with no repair pass. The paper benches use it to measure an
+// algorithm's own construction; every job runs ShardedAnonymize
+// (engine/sharded.h), which ends each partition with the repair pass.
 // `elapsed_seconds` covers the algorithm call (QI space, rank structure
 // and partition), not aggregation or measurement.
 Result<AnonymizationResult> RunAlgorithm(

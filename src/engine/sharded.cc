@@ -58,35 +58,22 @@ ShardPlan MakeShardPlan(size_t num_records, size_t shard_size, size_t k) {
 
 namespace {
 
-// Per-shard unit of work: it copies its own rows out of the window and
-// everything it then reads is owned by the shard, so tasks share nothing
-// mutable and scheduling cannot affect results.
+// Per-shard unit of work: a task reads the const window and writes only
+// its own outcome, so scheduling cannot affect results.
 struct ShardOutcome {
   Status status;
-  Partition partition;  // row ids local to the shard dataset
+  Partition partition;  // row ids local to the shard
   double seconds = 0.0;
 };
 
-void RunShard(const Dataset& data, const std::vector<size_t>& rows,
-              const std::string& algorithm, const AlgorithmParams& params,
-              ShardOutcome* outcome) {
-  ScopedStage stage("shard_anonymize", &outcome->seconds);
-  auto fn = AlgorithmRegistry::BuiltIns().Find(algorithm);
-  if (!fn.ok()) {
-    outcome->status = fn.status();
-    return;
-  }
-  auto shard_data = data.Select(rows);
-  if (!shard_data.ok()) {
-    outcome->status = shard_data.status();
-    return;
-  }
-  auto partition = (*fn)(*shard_data, params);
-  if (!partition.ok()) {
-    outcome->status = partition.status();
-    return;
-  }
-  outcome->partition = std::move(partition).value();
+// Partitions one shard. A one-shard plan's shard holds every row, so it
+// runs on the window in place; any other shard copies its rows out.
+Result<Partition> RunShard(const PartitionFn& fn, const Dataset& data,
+                           const std::vector<size_t>& rows,
+                           const AlgorithmParams& params) {
+  if (rows.size() == data.NumRecords()) return fn(data, params);
+  TCM_ASSIGN_OR_RETURN(Dataset shard, data.Select(rows));
+  return fn(shard, params);
 }
 
 }  // namespace
@@ -95,10 +82,10 @@ Result<AnonymizationResult> ShardedAnonymize(
     const Dataset& data, const ShardedAnonymizeOptions& options,
     ThreadPool* pool, ShardedAnonymizeStats* stats) {
   const AlgorithmParams& params = options.params;
-  if (!AlgorithmRegistry::BuiltIns().Contains(options.algorithm)) {
-    // Surface the name-with-suggestions error before any work.
-    return AlgorithmRegistry::BuiltIns().Find(options.algorithm).status();
-  }
+  // One lookup per call; an unknown name fails with its suggestions
+  // before any work.
+  TCM_ASSIGN_OR_RETURN(PartitionFn fn,
+                       AlgorithmRegistry::BuiltIns().Find(options.algorithm));
   TCM_RETURN_IF_ERROR(ValidateAlgorithmInputs(data, params));
 
   ShardedAnonymizeStats local;
@@ -108,25 +95,24 @@ Result<AnonymizationResult> ShardedAnonymize(
   ShardPlan plan = MakeShardPlan(data.NumRecords(), options.shard_size,
                                  params.k);
   out.num_shards = plan.NumShards();
-
-  if (plan.NumShards() == 1) {
-    ScopedStage stage("anonymize", &out.anonymize_seconds);
-    return RunAlgorithm(data, options.algorithm, params);
-  }
-
   out.shard_seconds = timer.ElapsedSeconds();
 
-  // Fan the shards across the pool, each copying its own rows; collect
-  // in shard order so the merged partition never depends on completion
-  // order.
+  // Fan the shards across the pool; collect in shard order so the merged
+  // partition never depends on completion order.
   std::vector<ShardOutcome> outcomes(plan.NumShards());
   {
     ScopedStage stage("anonymize", &out.anonymize_seconds);
     ParallelFor(pool, plan.NumShards(), [&](size_t s) {
+      ShardOutcome& outcome = outcomes[s];
+      ScopedStage shard_stage("shard_anonymize", &outcome.seconds);
       AlgorithmParams shard_params = params;
       shard_params.seed = params.seed + 0x9E3779B97F4A7C15ULL * (s + 1);
-      RunShard(data, plan.shards[s], options.algorithm, shard_params,
-               &outcomes[s]);
+      auto partition = RunShard(fn, data, plan.shards[s], shard_params);
+      if (partition.ok()) {
+        outcome.partition = std::move(partition).value();
+      } else {
+        outcome.status = partition.status();
+      }
     });
   }
 
@@ -146,13 +132,11 @@ Result<AnonymizationResult> ShardedAnonymize(
       merged.clusters.push_back(std::move(cluster));
     }
   }
-  TCM_RETURN_IF_ERROR(
-      ValidatePartition(merged, data.NumRecords(), params.k));
 
-  // Per-shard runs steer by their shard's confidential distribution; the
-  // round-robin plan keeps those close to the global one, and this pass
-  // deterministically repairs whatever residual violations remain.
-  // Built inside the merge stage, so its seconds count as merge time.
+  // The one repair pass, whatever the plan: shards steer by their own
+  // confidential distribution and no algorithm's own guarantee is taken
+  // on trust, so this pass enforces t against the global one. Built
+  // inside the merge stage, so its seconds count as merge time.
   std::optional<EmdCalculator> global_emd;
   {
     ScopedStage stage("merge", &out.merge_seconds);

@@ -36,12 +36,12 @@ ShardPlan MakeShardPlan(size_t num_records, size_t shard_size, size_t k);
 struct ShardedAnonymizeOptions {
   std::string algorithm = "tclose_first";  // registry name
   AlgorithmParams params;
-  // Target records per shard; 0 disables sharding (one shard).
+  // Target records per shard; 0 gives a one-shard plan.
   size_t shard_size = 4096;
-  // Engine of the repair pass that runs after the per-shard partitions
-  // are concatenated: it merges clusters whose EMD against the GLOBAL
-  // confidential distribution exceeds t (per-shard runs only see their
-  // shard's distribution, so a small residual can remain). The pass is
+  // Engine of the repair pass that ends every plan: it merges clusters
+  // whose EMD against the GLOBAL confidential distribution exceeds t
+  // (shards only see their own distribution, and no algorithm's own
+  // guarantee is taken on trust, so a residual can remain). The pass is
   // deterministic and only ever grows clusters, so k-anonymity is
   // preserved. kSequential is the byte-stable legacy loop; kHierarchical
   // repairs deterministic subtrees in parallel on the caller's pool (with
@@ -55,8 +55,7 @@ struct ShardedAnonymizeStats {
   size_t num_shards = 1;
   size_t final_merges = 0;        // cluster mergers in the global pass
   double max_shard_seconds = 0.0; // slowest shard (parallel critical path)
-  // Per-stage wall clock inside this call (single-shard runs report the
-  // whole algorithm under anonymize_seconds and zero elsewhere).
+  // Per-stage wall clock inside this call.
   double shard_seconds = 0.0;     // shard plan (rows are copied in tasks)
   double anonymize_seconds = 0.0; // per-shard copy + algorithm fan-out
   double merge_seconds = 0.0;     // global MergeUntilTClose repair pass
@@ -78,12 +77,13 @@ struct ShardedAnonymizeStats {
 // Anonymizes `data` shard-by-shard on `pool` (serially when pool is null
 // — the result is identical either way):
 //   1. shard rows via MakeShardPlan,
-//   2. copy out and run the registry algorithm on every shard
-//      concurrently, with a per-shard seed derived from params.seed and
-//      the shard index,
+//   2. run the registry algorithm on every shard concurrently (a
+//      one-shard plan's shard is `data` itself, others copy their rows
+//      out), with a per-shard seed derived from params.seed and the
+//      shard index,
 //   3. concatenate the per-shard clusters in shard order (deterministic),
 //   4. merge until the global t-closeness bound holds (the hierarchical
-//      engine repairs its subtrees on the pool),
+//      engine repairs its subtrees on the pool), whatever the plan,
 //   5. aggregate and measure the release, clusters fanned out on the pool.
 // Results are collected in shard order, every per-shard computation
 // depends only on its shard's rows, and every parallel stage writes

@@ -33,8 +33,4 @@ Result<bool> IsKAnonymous(const Dataset& data, size_t k) {
   return report.min_class_size >= k;
 }
 
-bool IsKAnonymous(const std::vector<std::vector<size_t>>& classes, size_t k) {
-  return EvaluateKAnonymity(classes).min_class_size >= k;
-}
-
 }  // namespace tcm

@@ -27,7 +27,6 @@ KAnonymityReport EvaluateKAnonymity(
 
 // True iff every equivalence class has at least k records.
 Result<bool> IsKAnonymous(const Dataset& data, size_t k);
-bool IsKAnonymous(const std::vector<std::vector<size_t>>& classes, size_t k);
 
 }  // namespace tcm
 

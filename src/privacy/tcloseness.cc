@@ -48,17 +48,7 @@ Result<bool> IsTClose(const Dataset& data, double t,
                       size_t confidential_offset) {
   TCM_ASSIGN_OR_RETURN(TClosenessReport report,
                        EvaluateTCloseness(data, confidential_offset));
-  // Tolerate float round-off in the closed-form EMD.
-  return report.max_emd <= t + 1e-9;
-}
-
-Result<bool> IsTClose(const Dataset& data, double t,
-                      const std::vector<std::vector<size_t>>& classes,
-                      size_t confidential_offset, ThreadPool* pool) {
-  TCM_ASSIGN_OR_RETURN(
-      TClosenessReport report,
-      EvaluateTCloseness(data, classes, confidential_offset, pool));
-  return report.max_emd <= t + 1e-9;
+  return report.max_emd <= t + kTCloseTolerance;
 }
 
 }  // namespace tcm

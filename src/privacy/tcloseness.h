@@ -33,14 +33,14 @@ Result<TClosenessReport> EvaluateTCloseness(
     const Dataset& data, const std::vector<std::vector<size_t>>& classes,
     size_t confidential_offset = 0, ThreadPool* pool = nullptr);
 
+// Float round-off the t-closeness verdict tolerates in the closed-form
+// EMD: a release is t-close iff its max_emd <= t + kTCloseTolerance.
+inline constexpr double kTCloseTolerance = 1e-9;
+
 // True iff every equivalence class is within EMD `t` of the global
-// confidential distribution (with a small epsilon for float round-off).
+// confidential distribution (up to kTCloseTolerance).
 Result<bool> IsTClose(const Dataset& data, double t,
                       size_t confidential_offset = 0);
-Result<bool> IsTClose(const Dataset& data, double t,
-                      const std::vector<std::vector<size_t>>& classes,
-                      size_t confidential_offset = 0,
-                      ThreadPool* pool = nullptr);
 
 }  // namespace tcm
 

@@ -110,9 +110,14 @@ std::vector<ClusterState> InitStates(const QiSpace& space,
 // Pruning (when enabled) answers checks from the closed-form bounds: a
 // fresh merger of two non-lower-bounded clusters whose
 // MixtureEmdUpperBound already meets t is proven safe with no exact
-// evaluation. Only values above t compete in the worst-cluster scan and
-// every such value is exact or a lower bound of a proven violator, so
-// pruning never changes which cluster is selected.
+// evaluation. Only values above t compete in the worst-cluster scan, so
+// a kUpper cluster (bound <= t) never changes the pick. A kLower cluster
+// does compete, with its lower bound in place of its true EMD, so among
+// proven violators the scan can pick a different one first than the
+// unpruned loop would, and the partition can differ from kSequential's.
+// Every pick is still a proven violator, the scan is a pure function of
+// the states, and the loop ends only when every value is <= t: the
+// release stays deterministic and t-close.
 void RunEngine(const EmdCalculator& emd, double t, bool prune,
                std::vector<ClusterState>* states, EngineCounters* counters) {
   std::vector<ClusterState>& live = *states;

@@ -660,6 +660,74 @@ TEST(RunJobTest, SweepOutcomesStayInCellOrderAndIsolateFailures) {
   }
 }
 
+// Algorithm 3's own construction is not always t-close: on this input its
+// raw partition has a cluster over t. A one-shard job ends with the same
+// repair pass as a many-shard one, so it still releases a t-close file,
+// and its ledger counts the repair merges.
+TEST(RunJobTest, OneShardJobRepairsAnAlgorithm3Violation) {
+  constexpr double kT = 0.05;
+  Dataset data = MakeUniformDataset(997, 2, 4);
+  auto raw = RunAlgorithm(data, "tclose_first", {.k = 5, .t = kT});
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  ASSERT_GT(raw->max_cluster_emd, kT) << "the input no longer shows a raw "
+                                         "Algorithm 3 violation";
+
+  JobSpec spec;
+  spec.algorithm.name = "tclose_first";
+  spec.algorithm.k = 5;
+  spec.algorithm.t = kT;
+  spec.execution.threads = 2;
+  spec.execution.shard_size = 0;
+  auto report = RunJob(data, spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->stats.num_shards, 1u);
+  EXPECT_GE(report->stats.final_merges, 1u);
+  EXPECT_GT(report->stats.candidate_checks, 0u);
+  EXPECT_LE(report->max_cluster_emd, kT);
+  EXPECT_TRUE(report->t_verified);
+}
+
+// A sweep cell runs the in-memory job's path: under the spec's shard
+// plan and merge strategy, every cell reports what RunJob reports for
+// that (algorithm, k, t, seed), whether or not the repair pass merges.
+TEST(RunJobTest, SweepCellsMatchTheInMemoryJob) {
+  Dataset data = MakeUniformDataset(997, 2, 4);
+  for (size_t shard_size : {size_t{0}, size_t{250}}) {
+    JobSpec spec;
+    spec.algorithm.seed = 3;
+    spec.execution.threads = 3;
+    spec.execution.shard_size = shard_size;
+    spec.execution.merge_strategy = shard_size == 0
+                                        ? MergeStrategy::kSequential
+                                        : MergeStrategy::kHierarchical;
+    JobSpec sweep_spec = spec;
+    sweep_spec.sweep.emplace();
+    sweep_spec.sweep->algorithms = {"tclose_first", "merge", "kanon_first"};
+    sweep_spec.sweep->ks = {5};
+    sweep_spec.sweep->ts = {0.05, 0.2};
+    auto swept = RunJob(data, sweep_spec);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    ASSERT_EQ(swept->sweep.size(), 6u);
+    for (const SweepOutcome& cell : swept->sweep) {
+      const std::string label =
+          cell.label + "/shard_size=" + std::to_string(shard_size);
+      ASSERT_TRUE(cell.error_code.empty()) << label << ": " << cell.error;
+      JobSpec cell_spec = spec;
+      cell_spec.algorithm.name = cell.algorithm;
+      cell_spec.algorithm.k = cell.k;
+      cell_spec.algorithm.t = cell.t;
+      auto job = RunJob(data, cell_spec);
+      ASSERT_TRUE(job.ok()) << label << ": " << job.status().ToString();
+      EXPECT_EQ(cell.clusters, job->clusters) << label;
+      EXPECT_EQ(cell.min_cluster_size, job->min_cluster_size) << label;
+      EXPECT_EQ(cell.max_cluster_size, job->max_cluster_size) << label;
+      EXPECT_EQ(cell.max_cluster_emd, job->max_cluster_emd) << label;
+      EXPECT_EQ(cell.normalized_sse, job->normalized_sse) << label;
+      EXPECT_LE(cell.max_cluster_emd, cell.t) << label;
+    }
+  }
+}
+
 TEST(RunJobTest, StreamedReportCarriesWindows) {
   JobSpec spec;
   spec.input.kind = InputKind::kSynthetic;

@@ -7,6 +7,7 @@
 // span/label handed out must stay valid while a keep-alive copy of the
 // owner exists, and an out-of-range dictionary code must abort.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,8 @@
 #include "colstore/convert.h"
 #include "colstore/tcmb.h"
 #include "data/csv.h"
+#include "data/summary.h"
+#include "engine/pipeline.h"
 #include "tcm/api.h"
 
 namespace tcm {
@@ -295,6 +298,55 @@ TEST(ConvertTest, FieldCountMismatchIsIoError) {
   auto table = ConvertCsvToColumnar(csv);
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kIoError);
+}
+
+// A nominal column's dictionary codes follow the order its labels were
+// first read in, which says nothing about the data: the profile of the
+// categorical release must not change when every label gets another code.
+// Reversing each dictionary (and remapping the cells) is the relabeling a
+// reader makes when the labels first appear in reverse order.
+TEST(ReadTableTest, RelabeledReleaseProfilesIdentically) {
+  auto table = ReadTable(std::string(TCM_GOLDEN_DIR) +
+                         "/release_adult_merge_k3_t30.csv");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Dataset data = table->ToDataset();
+  auto schema = SchemaWithRoles(data.schema(),
+                                {"AGE", "EDUCATION", "OCCUPATION", "HOURS"},
+                                "INCOME");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  ASSERT_TRUE(data.ReplaceSchema(*schema).ok());
+
+  std::vector<Attribute> attributes = data.schema().attributes();
+  for (Attribute& attribute : attributes) {
+    std::reverse(attribute.categories.begin(), attribute.categories.end());
+  }
+  Dataset relabeled{Schema(attributes)};
+  size_t moved = 0;
+  for (size_t r = 0; r < data.NumRecords(); ++r) {
+    Record row(data.record(r).begin(), data.record(r).end());
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (!row[c].is_categorical()) continue;
+      const int32_t last =
+          static_cast<int32_t>(attributes[c].categories.size()) - 1;
+      row[c] = Value::Categorical(last - row[c].category());
+      moved += row[c].category() != data.cell(r, c).category();
+    }
+    ASSERT_TRUE(relabeled.Append(row).ok());
+  }
+  ASSERT_GT(moved, 0u);
+
+  auto original = SummarizeDataset(data);
+  auto recoded = SummarizeDataset(relabeled);
+  ASSERT_TRUE(original.ok() && recoded.ok());
+  EXPECT_EQ(FormatSummary(*original), FormatSummary(*recoded));
+  const AttributeSummary& occupation = original->attributes[2];
+  ASSERT_EQ(occupation.name, "OCCUPATION");
+  EXPECT_FALSE(occupation.statistics.has_value());
+  EXPECT_EQ(occupation.distinct_values,
+            data.schema().at(2).categories.size());
+  // Every QI <-> confidential correlation involves a nominal QI here.
+  ASSERT_EQ(original->qi_confidential_correlation.size(), 1u);
+  EXPECT_FALSE(original->qi_confidential_correlation[0].has_value());
 }
 
 // ------------------------------------------------------- ColumnarSource

@@ -683,14 +683,16 @@ TEST(SummaryTest, StatisticsMatchKnownData) {
   EXPECT_EQ(summary->records, 4u);
   ASSERT_EQ(summary->attributes.size(), 3u);
   const AttributeSummary& q = summary->attributes[0];
-  EXPECT_DOUBLE_EQ(q.min, 10.0);
-  EXPECT_DOUBLE_EQ(q.max, 40.0);
-  EXPECT_DOUBLE_EQ(q.mean, 25.0);
-  EXPECT_DOUBLE_EQ(q.median, 25.0);
+  ASSERT_TRUE(q.statistics.has_value());
+  EXPECT_DOUBLE_EQ(q.statistics->min, 10.0);
+  EXPECT_DOUBLE_EQ(q.statistics->max, 40.0);
+  EXPECT_DOUBLE_EQ(q.statistics->mean, 25.0);
+  EXPECT_DOUBLE_EQ(q.statistics->median, 25.0);
   EXPECT_EQ(q.distinct_values, 4u);
   EXPECT_EQ(summary->attributes[1].distinct_values, 2u);
   ASSERT_EQ(summary->qi_confidential_correlation.size(), 1u);
-  EXPECT_NEAR(summary->qi_confidential_correlation[0], 1.0, 1e-9);
+  ASSERT_TRUE(summary->qi_confidential_correlation[0].has_value());
+  EXPECT_NEAR(*summary->qi_confidential_correlation[0], 1.0, 1e-9);
 }
 
 TEST(SummaryTest, EmptyDatasetRejected) {

@@ -39,21 +39,25 @@ struct RunOutcome {
   ShardedAnonymizeStats stats;
 };
 
+// `shard_size` 0 is a one-shard plan: the algorithm runs on the whole
+// data set, then the same repair pass as a many-shard plan.
 RunOutcome RunWith(const Dataset& data, const std::string& algorithm,
-                   MergeStrategy strategy, size_t threads) {
+                   MergeStrategy strategy, size_t threads,
+                   size_t shard_size) {
   ShardedAnonymizeOptions options;
   options.algorithm = algorithm;
   options.params.k = kK;
   options.params.t = kT;
   options.params.seed = 77;
-  options.shard_size = 150;
+  options.shard_size = shard_size;
   options.merge_strategy = strategy;
   ThreadPool pool(threads);
   ShardedAnonymizeStats stats;
   auto result = ShardedAnonymize(data, options, &pool, &stats);
   EXPECT_TRUE(result.ok()) << algorithm << "/"
                            << MergeStrategyName(strategy) << "@" << threads
-                           << " threads: " << result.status().ToString();
+                           << " threads, shard_size " << shard_size << ": "
+                           << result.status().ToString();
   RunOutcome outcome;
   outcome.stats = stats;
   if (result.ok()) {
@@ -95,27 +99,34 @@ class MergeStrategyMatrixTest
     : public ::testing::TestWithParam<const char*> {};
 
 // The core property grid: for one algorithm, both strategies at 1/4/8
-// threads produce k-anonymous + t-close releases; each strategy's bytes
-// are identical across thread counts (scheduling never leaks into the
-// release); and the merge ledger balances in every cell.
+// threads, on a one-shard and a many-shard plan, produce k-anonymous +
+// t-close releases; each (strategy, plan)'s bytes are identical across
+// thread counts (scheduling never leaks into the release); and the merge
+// ledger balances in every cell, the one-shard repair pass included.
 TEST_P(MergeStrategyMatrixTest, VerdictsHoldAndThreadsDoNotChangeBytes) {
   const std::string algorithm = GetParam();
   Dataset data = MakeUniformDataset(kRows, 3, 404);
 
-  for (MergeStrategy strategy :
-       {MergeStrategy::kSequential, MergeStrategy::kHierarchical}) {
-    std::string reference;
-    for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-      const std::string label = algorithm + "/" +
-                                MergeStrategyName(strategy) + "@" +
-                                std::to_string(threads);
-      RunOutcome outcome = RunWith(data, algorithm, strategy, threads);
-      CheckStatsLedger(outcome.stats, strategy, label);
-      if (reference.empty()) {
-        reference = outcome.release_csv;
-      } else {
-        EXPECT_EQ(outcome.release_csv, reference)
-            << label << ": release bytes depend on thread count";
+  for (size_t shard_size : {size_t{0}, size_t{150}}) {
+    for (MergeStrategy strategy :
+         {MergeStrategy::kSequential, MergeStrategy::kHierarchical}) {
+      std::string reference;
+      for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+        const std::string label =
+            algorithm + "/" + MergeStrategyName(strategy) + "@" +
+            std::to_string(threads) + "/shard_size=" +
+            std::to_string(shard_size);
+        RunOutcome outcome =
+            RunWith(data, algorithm, strategy, threads, shard_size);
+        CheckStatsLedger(outcome.stats, strategy, label);
+        EXPECT_EQ(outcome.stats.num_shards == 1, shard_size == 0) << label;
+        EXPECT_GT(outcome.stats.candidate_checks, 0u) << label;
+        if (reference.empty()) {
+          reference = outcome.release_csv;
+        } else {
+          EXPECT_EQ(outcome.release_csv, reference)
+              << label << ": release bytes depend on thread count";
+        }
       }
     }
   }
@@ -130,8 +141,8 @@ TEST(MergeStrategyDeterminismTest, RepeatedRunsAreByteIdentical) {
   Dataset data = MakeUniformDataset(kRows, 3, 404);
   for (MergeStrategy strategy :
        {MergeStrategy::kSequential, MergeStrategy::kHierarchical}) {
-    RunOutcome first = RunWith(data, "merge_projection", strategy, 4);
-    RunOutcome second = RunWith(data, "merge_projection", strategy, 4);
+    RunOutcome first = RunWith(data, "merge_projection", strategy, 4, 150);
+    RunOutcome second = RunWith(data, "merge_projection", strategy, 4, 150);
     EXPECT_EQ(first.release_csv, second.release_csv)
         << MergeStrategyName(strategy);
     EXPECT_EQ(first.stats.final_merges, second.stats.final_merges);

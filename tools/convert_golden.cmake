@@ -78,7 +78,7 @@ foreach(format csv tcmb)
 endforeach()
 
 # Runs the tool and asserts the exit code; extra arguments are the
-# command line after the binary.
+# command line after the binary. The run's stdout is left in last_out.
 function(expect_exit expected label)
   execute_process(
     COMMAND "${TCM_ANONYMIZE}" ${ARGN}
@@ -92,11 +92,15 @@ function(expect_exit expected label)
       "stdout:\n${out}\nstderr:\n${err}")
   endif()
   message(STATUS "${label}: exit ${rc} as documented")
+  set(last_out "${out}" PARENT_SCOPE)
 endfunction()
 
 # --- a categorical release audits the same as CSV and as .tcmb ------------
 # EDUCATION and OCCUPATION hold labels, so the audit's typed loader reads
-# them as nominal columns from the CSV, exactly as --convert does.
+# them as nominal columns from the CSV, exactly as --convert does. Pass or
+# fail, the audit prints the levels it measured: the release's smallest
+# class and largest class EMD, the same from either file.
+set(adult_measured "measured: min class size 3, max class EMD 0.293258")
 set(adult_release "${GOLDEN_DIR}/release_adult_merge_k3_t30.csv")
 set(adult_tcmb "${WORK_DIR}/release_adult_merge_k3_t30.tcmb")
 expect_exit(0 "convert the categorical release"
@@ -106,8 +110,18 @@ foreach(input IN ITEMS "${adult_release}" "${adult_tcmb}")
   get_filename_component(name "${input}" NAME)
   expect_exit(0 "audit ${name} at its own k and t"
     --audit "${input}" ${adult_roles} --k 3 --t 0.3)
+  string(FIND "${last_out}" "${adult_measured}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "audit ${name} (pass) printed\n${last_out}\n"
+      "expected the line: ${adult_measured}")
+  endif()
   expect_exit(6 "audit ${name} at a t it does not meet"
     --audit "${input}" ${adult_roles} --k 3 --t 0.01)
+  string(FIND "${last_out}" "${adult_measured}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "audit ${name} (fail) printed\n${last_out}\n"
+      "expected the line: ${adult_measured}")
+  endif()
 endforeach()
 
 # --- damaged-file error contract -----------------------------------------

@@ -42,7 +42,8 @@
 //
 // The file is a CSV or a .tcmb, read by the same typed loader as
 // tcm_profile (tools/table_input.h), so a release and its converted
-// .tcmb get the same verdict. Exit 0 when the file is k-anonymous and
+// .tcmb get the same verdict. It prints the measured minimum class size
+// and maximum class EMD, then exits 0 when the file is k-anonymous and
 // t-close under those roles, 6 (PrivacyViolation) naming the violated
 // guarantee otherwise, 3 when a role names a column the file lacks.
 //
@@ -65,6 +66,7 @@
 #include <vector>
 
 #include "arg_parser.h"
+#include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "exit_codes.h"
 #include "table_input.h"
@@ -85,10 +87,10 @@ constexpr char kUsage[] =
     "                     --k N --t X\n"
     "       tcm_anonymize --convert IN.csv --output OUT.tcmb\n";
 
-// Re-verifies an existing release file against k/t: the VerifyRelease
-// facade on the command line. The only CLI path that can legitimately
-// end in exit code 6 — the anonymizers themselves repair violations
-// before writing.
+// Re-verifies an existing release file against k/t with the job's
+// verifier (CheckRelease) and prints the levels it measured. The only
+// CLI path that can legitimately end in exit code 6 — the anonymizers
+// themselves repair violations before writing.
 int RunAudit(const std::string& path, const std::vector<std::string>& qi,
              const std::string& confidential, size_t k, double t) {
   // The same range the job path enforces (JobSpec::Validate): a nan t
@@ -105,10 +107,18 @@ int RunAudit(const std::string& path, const std::vector<std::string>& qi,
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return tcm::tools::ExitCodeForStatus(data.status());
   }
-  tcm::Status verdict = tcm::VerifyRelease(*data, k, t);
-  if (!verdict.ok()) {
-    std::fprintf(stderr, "%s\n", verdict.ToString().c_str());
-    return tcm::tools::ExitCodeForStatus(verdict);
+  auto verification = tcm::CheckRelease(*data, k, t);
+  if (!verification.ok()) {
+    std::fprintf(stderr, "%s\n", verification.status().ToString().c_str());
+    return tcm::tools::ExitCodeForStatus(verification.status());
+  }
+  // The levels the file achieves, printed whatever the verdict.
+  std::printf("measured: min class size %zu, max class EMD %.6f\n",
+              verification->min_class_size, verification->max_class_emd);
+  if (!verification->ok()) {
+    const tcm::Status violation = tcm::PrivacyViolationError(*verification);
+    std::fprintf(stderr, "%s\n", violation.ToString().c_str());
+    return tcm::tools::ExitCodeForStatus(violation);
   }
   std::printf("audit OK: %s is %zu-anonymous and %.4f-close (%zu records)\n",
               path.c_str(), k, t, data->NumRecords());

@@ -6,10 +6,11 @@
 // Reads the file with the same typed loader as `tcm_anonymize --audit`
 // (tools/table_input.h: a .tcmb is mapped, a CSV column is numeric when
 // every field parses as a number and nominal otherwise) and prints
-// per-attribute summary statistics (a nominal column's statistics are
-// over its dictionary codes) and, when roles are given, the
-// QI <-> confidential multiple correlation (the quantity the paper uses
-// to characterize its MCD/HCD/Patient-Discharge data sets) plus the
+// per-attribute summary statistics (a nominal column prints '-' for
+// them and only counts its distinct labels) and, when roles are given,
+// the QI <-> confidential multiple correlation (the quantity the paper
+// uses to characterize its MCD/HCD/Patient-Discharge data sets; omitted
+// when a column it involves is nominal) plus the
 // Proposition 2 feasibility table: for each t level, the minimum cluster
 // size Algorithm 3 would use. A role naming a column the file lacks
 // exits 3.
