@@ -19,8 +19,7 @@
 #include "data/generator.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 int main() {
   const size_t n =
@@ -61,10 +60,8 @@ int main() {
     } else {
       identical = (release == reference_release);
     }
-    auto k_ok = tcm::IsKAnonymous(result->anonymized, kK);
-    auto t_ok = tcm::IsTClose(result->anonymized, kT);
-    bool verified =
-        k_ok.ok() && t_ok.ok() && *k_ok && *t_ok;
+    auto verification = tcm::CheckRelease(result->anonymized, kK, kT);
+    bool verified = verification.ok() && verification->ok();
 
     std::printf(
         "{\"bench\":\"parallel_scaling\",\"n\":%zu,\"shard_size\":%zu,"

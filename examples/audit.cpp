@@ -12,12 +12,11 @@
 
 #include "data/generator.h"
 #include "privacy/interval_disclosure.h"
-#include "privacy/kanonymity.h"
 #include "privacy/ldiversity.h"
 #include "privacy/linkage.h"
 #include "privacy/ntcloseness.h"
 #include "privacy/psensitive.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "tcm/api.h"
 #include "utility/pmse.h"
 #include "utility/query.h"
@@ -39,16 +38,15 @@ int main() {
   const tcm::Dataset& release = *produced->release;
 
   std::printf("=== privacy models =====================================\n");
-  auto k_anon = tcm::EvaluateKAnonymity(release);
-  if (k_anon.ok()) {
+  auto verification =
+      tcm::CheckRelease(release, spec.algorithm.k, spec.algorithm.t);
+  if (verification.ok()) {
     std::printf("k-anonymity        : k=%zu (%zu classes, avg %.1f)\n",
-                k_anon->min_class_size, k_anon->num_equivalence_classes,
-                k_anon->average_class_size);
-  }
-  auto t_close = tcm::EvaluateTCloseness(release);
-  if (t_close.ok()) {
+                verification->min_class_size, verification->num_classes,
+                static_cast<double>(release.NumRecords()) /
+                    static_cast<double>(verification->num_classes));
     std::printf("t-closeness        : max EMD %.4f, mean %.4f\n",
-                t_close->max_emd, t_close->mean_emd);
+                verification->max_class_emd, verification->mean_class_emd);
   }
   auto nt = tcm::EvaluateNTCloseness(release, /*min_superset_size=*/200);
   if (nt.ok()) {

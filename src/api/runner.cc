@@ -21,6 +21,7 @@
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
 #include "obs/trace.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {

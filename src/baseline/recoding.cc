@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "data/stats.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -43,12 +42,18 @@ Result<Dataset> RecodeToBins(const Dataset& data,
 Result<RecodingResult> GlobalRecodingAnonymize(const Dataset& data, size_t k,
                                                const RecodingOptions& options) {
   const size_t n = data.NumRecords();
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("k must be in [1, n]");
+  if (n < 2) {
+    return Status::InvalidArgument("need at least 2 records");
   }
   std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
   if (qi.empty()) {
     return Status::InvalidArgument("dataset has no quasi-identifiers");
+  }
+  if (data.schema().ConfidentialIndices().empty()) {
+    return Status::InvalidArgument("dataset has no confidential attribute");
+  }
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("k must be in [1, n]");
   }
   if (options.initial_bins == 0) {
     return Status::InvalidArgument("initial_bins must be positive");
@@ -58,13 +63,10 @@ Result<RecodingResult> GlobalRecodingAnonymize(const Dataset& data, size_t k,
   size_t coarsenings = 0;
   while (true) {
     TCM_ASSIGN_OR_RETURN(Dataset candidate, RecodeToBins(data, qi, bins));
-    TCM_ASSIGN_OR_RETURN(bool k_ok, IsKAnonymous(candidate, k));
-    bool t_ok = true;
-    if (k_ok && options.t >= 0.0) {
-      TCM_ASSIGN_OR_RETURN(
-          t_ok, IsTClose(candidate, options.t, options.confidential_offset));
-    }
-    if (k_ok && t_ok) {
+    TCM_ASSIGN_OR_RETURN(ReleaseVerification verification,
+                         CheckRelease(candidate, k, options.t));
+    if (verification.k_anonymous &&
+        (options.t < 0.0 || verification.t_close)) {
       RecodingResult result{std::move(candidate), bins, coarsenings};
       return result;
     }

@@ -25,10 +25,11 @@ struct RecodingOptions {
   size_t initial_bins = 32;
   // t < 0 disables the t-closeness constraint (plain k-anonymity search).
   double t = -1.0;
-  size_t confidential_offset = 0;
 };
 
-// InvalidArgument if k == 0, k > n or there are no quasi-identifiers.
+// InvalidArgument if there are fewer than 2 records, no quasi-identifiers
+// or no confidential attribute, or k == 0 or k > n: every lattice node is
+// checked with CheckRelease, which measures both guarantees at once.
 // Always terminates: with one bin per attribute the release is a single
 // equivalence class (EMD 0).
 Result<RecodingResult> GlobalRecodingAnonymize(

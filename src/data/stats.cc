@@ -151,15 +151,15 @@ bool SolveLinearSystem(std::vector<std::vector<double>> a,
   return true;
 }
 
-double QiConfidentialCorrelation(const Dataset& data,
-                                 size_t confidential_offset) {
-  std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
+double QiConfidentialCorrelation(const Dataset& data) {
   std::vector<size_t> conf = data.schema().ConfidentialIndices();
-  if (qi.empty() || confidential_offset >= conf.size() ||
-      data.NumRecords() < 2) {
-    return 0.0;
-  }
-  std::vector<double> y = data.ColumnAsDouble(conf[confidential_offset]);
+  return conf.empty() ? 0.0 : QiCorrelation(data, conf.front());
+}
+
+double QiCorrelation(const Dataset& data, size_t target) {
+  std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
+  if (qi.empty() || data.NumRecords() < 2) return 0.0;
+  std::vector<double> y = data.ColumnAsDouble(target);
   std::vector<std::vector<double>> x;
   x.reserve(qi.size());
   for (size_t col : qi) x.push_back(data.ColumnAsDouble(col));

@@ -56,10 +56,13 @@ bool SolveLinearSystem(std::vector<std::vector<double>> a,
 // 0.92 HCD, 0.129 patient discharge). We reproduce that scalar as the
 // multiple-correlation coefficient R of the best linear predictor of the
 // confidential attribute from the quasi-identifiers (equals |Pearson| for a
-// single QI). `confidential` selects which confidential attribute when the
-// schema has several; by default the first.
-double QiConfidentialCorrelation(const Dataset& data,
-                                 size_t confidential_offset = 0);
+// single QI), on the schema's first confidential attribute; 0 without one.
+double QiConfidentialCorrelation(const Dataset& data);
+
+// The same R for the attribute in column `target` (SummarizeDataset reports
+// it for every confidential attribute); 0 without a quasi-identifier or
+// with fewer than 2 records.
+double QiCorrelation(const Dataset& data, size_t target);
 
 }  // namespace tcm
 

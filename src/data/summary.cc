@@ -39,12 +39,10 @@ Result<DatasetSummary> SummarizeDataset(const Dataset& data) {
   const std::vector<size_t> qis = schema.QuasiIdentifierIndices();
   const bool nominal_qi = std::any_of(qis.begin(), qis.end(), nominal);
   const std::vector<size_t> confidential = schema.ConfidentialIndices();
-  for (size_t offset = 0; offset < confidential.size(); ++offset) {
+  for (size_t col : confidential) {
     std::optional<double>& correlation =
         summary.qi_confidential_correlation.emplace_back();
-    if (!nominal_qi && !nominal(confidential[offset])) {
-      correlation = QiConfidentialCorrelation(data, offset);
-    }
+    if (!nominal_qi && !nominal(col)) correlation = QiCorrelation(data, col);
   }
   return summary;
 }

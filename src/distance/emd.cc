@@ -71,11 +71,10 @@ double OrderedEmd(const std::vector<double>& p, const std::vector<double>& q) {
   return total / static_cast<double>(m - 1);
 }
 
-EmdCalculator::EmdCalculator(const Dataset& data, size_t confidential_offset) {
+EmdCalculator::EmdCalculator(const Dataset& data) {
   std::vector<size_t> conf = data.schema().ConfidentialIndices();
   TCM_CHECK(!conf.empty()) << "dataset has no confidential attribute";
-  TCM_CHECK_LT(confidential_offset, conf.size());
-  std::vector<double> values = data.ColumnAsDouble(conf[confidential_offset]);
+  std::vector<double> values = data.ColumnAsDouble(conf.front());
   n_ = static_cast<int64_t>(values.size());
   TCM_CHECK_GT(n_, 1);
   ranks_ = RanksFromColumn(values);

@@ -33,9 +33,8 @@ double OrderedEmd(const std::vector<double>& p, const std::vector<double>& q);
 // closed-form piecewise evaluation of the cumulative difference.
 class EmdCalculator {
  public:
-  // `data` must have at least one confidential attribute;
-  // `confidential_offset` picks among several.
-  explicit EmdCalculator(const Dataset& data, size_t confidential_offset = 0);
+  // Ranks `data`'s first confidential attribute, which must exist.
+  explicit EmdCalculator(const Dataset& data);
 
   // Constructs directly from the confidential column (used by tests).
   explicit EmdCalculator(const std::vector<double>& confidential_values);

@@ -3,34 +3,8 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "privacy/equivalence.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
 
 namespace tcm {
-
-Result<ReleaseVerification> CheckRelease(const Dataset& release, size_t k,
-                                         double t, ThreadPool* pool) {
-  ReleaseVerification verification;
-  // One grouping pass feeds both checks: the k and t evaluators need the
-  // same equivalence classes.
-  TCM_ASSIGN_OR_RETURN(auto classes, EquivalenceClasses(release, pool));
-  verification.min_class_size = EvaluateKAnonymity(classes).min_class_size;
-  TCM_ASSIGN_OR_RETURN(TClosenessReport t_report,
-                       EvaluateTCloseness(release, classes, 0, pool));
-  verification.max_class_emd = t_report.max_emd;
-  verification.k_anonymous = verification.min_class_size >= k;
-  verification.t_close = verification.max_class_emd <= t + kTCloseTolerance;
-  return verification;
-}
-
-Status PrivacyViolationError(const ReleaseVerification& verification,
-                             const std::string& context) {
-  return Status::PrivacyViolation(
-      context + "release failed re-verification: " +
-      (verification.k_anonymous ? "" : "k-anonymity ") +
-      (verification.t_close ? "" : "t-closeness"));
-}
 
 Result<Schema> SchemaWithRoles(
     const Schema& schema, const std::vector<std::string>& quasi_identifiers,

@@ -10,6 +10,7 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "distance/emd.h"
+#include "distance/qi_space.h"
 #include "microagg/aggregate.h"
 #include "microagg/chunked.h"
 #include "microagg/microagg.h"
@@ -95,14 +96,13 @@ namespace {
 struct AlgorithmInputs {
   QiSpace space;
   EmdCalculator emd;
-  AlgorithmInputs(const Dataset& data, const AlgorithmParams& params)
-      : space(data, params.normalization), emd(data, 0) {}
+  explicit AlgorithmInputs(const Dataset& data) : space(data), emd(data) {}
 };
 
 PartitionFn MergeVariant(MicroaggMethod method) {
   return [method](const Dataset& data,
                   const AlgorithmParams& params) -> Result<Partition> {
-    AlgorithmInputs in(data, params);
+    AlgorithmInputs in(data);
     MicroaggOptions inner;
     inner.method = method;
     return MergeTCloseness(in.space, in.emd, params.k, params.t, inner);
@@ -130,7 +130,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry* registry) {
        "Algorithm 1 with chunked (scalable) initial microaggregation",
        [](const Dataset& data,
           const AlgorithmParams& params) -> Result<Partition> {
-         AlgorithmInputs in(data, params);
+         AlgorithmInputs in(data);
          TCM_ASSIGN_OR_RETURN(Partition initial,
                               ChunkedMicroaggregation(in.space, params.k));
          return MergeUntilTClose(in.space, in.emd, params.t,
@@ -141,28 +141,28 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry* registry) {
        "fallback)",
        [](const Dataset& data,
           const AlgorithmParams& params) -> Result<Partition> {
-         AlgorithmInputs in(data, params);
+         AlgorithmInputs in(data);
          return KAnonFirstTCloseness(in.space, in.emd, params.k, params.t);
        }},
       {"tclose_first",
        "Algorithm 3: t-closeness by construction via analytic subsets",
        [](const Dataset& data,
           const AlgorithmParams& params) -> Result<Partition> {
-         AlgorithmInputs in(data, params);
+         AlgorithmInputs in(data);
          return TCloseFirstTCloseness(in.space, in.emd, params.k, params.t);
        }},
       {"mondrian",
        "Mondrian baseline with the t-closeness split constraint",
        [](const Dataset& data,
           const AlgorithmParams& params) -> Result<Partition> {
-         AlgorithmInputs in(data, params);
+         AlgorithmInputs in(data);
          return MondrianTClosePartition(in.space, in.emd, params.k, params.t);
        }},
       {"sabre",
        "SABRE-like baseline: greedy bucketization + redistribution",
        [](const Dataset& data,
           const AlgorithmParams& params) -> Result<Partition> {
-         AlgorithmInputs in(data, params);
+         AlgorithmInputs in(data);
          return SabreLikePartition(in.space, in.emd, params.k, params.t);
        }},
   };
@@ -203,7 +203,7 @@ Result<AnonymizationResult> MeasurePartition(
   TCM_ASSIGN_OR_RETURN(Dataset anonymized,
                        AggregatePartition(data, partition, pool));
   std::optional<EmdCalculator> local;
-  if (emd == nullptr) emd = &local.emplace(data, 0);
+  if (emd == nullptr) emd = &local.emplace(data);
   AnonymizationResult result{std::move(anonymized), Partition{}};
   result.elapsed_seconds = elapsed_seconds;
   result.min_cluster_size = partition.MinClusterSize();

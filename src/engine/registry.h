@@ -12,7 +12,6 @@
 #include "common/thread_annotations.h"
 #include "data/dataset.h"
 #include "distance/emd.h"
-#include "distance/qi_space.h"
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
 
@@ -26,7 +25,6 @@ struct AlgorithmParams {
   size_t k = 2;
   double t = 0.25;
   uint64_t seed = 1;
-  QiNormalization normalization = QiNormalization::kRange;
 };
 
 // Everything a caller needs to audit a run: the release itself, the

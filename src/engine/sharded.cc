@@ -140,8 +140,8 @@ Result<AnonymizationResult> ShardedAnonymize(
   std::optional<EmdCalculator> global_emd;
   {
     ScopedStage stage("merge", &out.merge_seconds);
-    QiSpace space(data, params.normalization);
-    global_emd.emplace(data, 0);
+    QiSpace space(data);
+    global_emd.emplace(data);
     MergeOptions merge_options;
     merge_options.strategy = options.merge_strategy;
     merge_options.pool = pool;

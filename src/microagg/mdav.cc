@@ -1,28 +1,8 @@
 #include "microagg/mdav.h"
 
-#include <algorithm>
 #include <numeric>
 
 namespace tcm {
-namespace {
-
-// Removes `cluster` members from `remaining` (order preserved).
-void RemoveRows(const Cluster& cluster, std::vector<size_t>* remaining) {
-  std::vector<bool> in_cluster_lookup;
-  // Clusters are tiny relative to n; a sorted probe is cheap and avoids an
-  // O(n) bitmap rebuild per call only when clusters are large. Simplicity
-  // wins: use a bitmap sized to the max index.
-  size_t max_index = 0;
-  for (size_t row : *remaining) max_index = std::max(max_index, row);
-  in_cluster_lookup.assign(max_index + 1, false);
-  for (size_t row : cluster) {
-    if (row <= max_index) in_cluster_lookup[row] = true;
-  }
-  std::erase_if(*remaining,
-                [&](size_t row) { return in_cluster_lookup[row]; });
-}
-
-}  // namespace
 
 Result<Partition> Mdav(const QiSpace& space, size_t k) {
   std::vector<size_t> all(space.num_records());

@@ -52,6 +52,16 @@ std::vector<size_t> Partition::AssignmentVector() const {
   return assignment;
 }
 
+void RemoveRows(const Cluster& cluster, std::vector<size_t>* remaining) {
+  size_t max_index = 0;
+  for (size_t row : *remaining) max_index = std::max(max_index, row);
+  std::vector<bool> in_cluster(max_index + 1, false);
+  for (size_t row : cluster) {
+    if (row <= max_index) in_cluster[row] = true;
+  }
+  std::erase_if(*remaining, [&](size_t row) { return in_cluster[row]; });
+}
+
 Status ValidatePartition(const Partition& partition, size_t expected_records,
                          size_t min_cluster_size) {
   std::vector<bool> seen(expected_records, false);

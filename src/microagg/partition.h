@@ -37,6 +37,11 @@ struct Partition {
   std::vector<size_t> AssignmentVector() const;
 };
 
+// Removes `cluster`'s members from `remaining`, keeping the order of the
+// rest. The greedy partitioners (MDAV, V-MDAV, k-anonymity-first) call it
+// after fixing each cluster.
+void RemoveRows(const Cluster& cluster, std::vector<size_t>* remaining);
+
 // OK iff the clusters cover every index in [0, expected_records) exactly
 // once and every cluster has at least min_cluster_size records.
 Status ValidatePartition(const Partition& partition, size_t expected_records,

@@ -8,16 +8,6 @@
 namespace tcm {
 namespace {
 
-void RemoveRows(const Cluster& cluster, std::vector<size_t>* remaining) {
-  size_t max_index = 0;
-  for (size_t row : *remaining) max_index = std::max(max_index, row);
-  std::vector<bool> in_cluster(max_index + 1, false);
-  for (size_t row : cluster) {
-    if (row <= max_index) in_cluster[row] = true;
-  }
-  std::erase_if(*remaining, [&](size_t row) { return in_cluster[row]; });
-}
-
 // Minimum squared distance from `row` to any member of `cluster`.
 double MinSquaredDistanceToCluster(const QiSpace& space, size_t row,
                                    const Cluster& cluster) {

@@ -9,13 +9,12 @@
 
 namespace tcm {
 
-Result<LDiversityReport> EvaluateLDiversity(const Dataset& data,
-                                            size_t confidential_offset) {
+Result<LDiversityReport> EvaluateLDiversity(const Dataset& data) {
   const auto confidential = data.schema().ConfidentialIndices();
-  if (confidential.size() <= confidential_offset) {
+  if (confidential.empty()) {
     return Status::InvalidArgument("confidential attribute not available");
   }
-  size_t conf_col = confidential[confidential_offset];
+  size_t conf_col = confidential.front();
   TCM_ASSIGN_OR_RETURN(auto classes, EquivalenceClasses(data));
 
   LDiversityReport report;

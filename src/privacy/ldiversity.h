@@ -18,9 +18,9 @@ struct LDiversityReport {
 
 // Machanavajjhala et al. 2007. Included because the paper positions
 // t-closeness among the k-anonymity refinements; the report lets users
-// compare what each model would certify for the same release.
-Result<LDiversityReport> EvaluateLDiversity(const Dataset& data,
-                                            size_t confidential_offset = 0);
+// compare what each model would certify for the same release. Reads the
+// schema's first confidential attribute.
+Result<LDiversityReport> EvaluateLDiversity(const Dataset& data);
 
 }  // namespace tcm
 

@@ -34,10 +34,9 @@ double SubsetEmd(const std::vector<double>& confidential,
 }  // namespace
 
 Result<NTClosenessReport> EvaluateNTCloseness(const Dataset& data,
-                                              size_t min_superset_size,
-                                              size_t confidential_offset) {
+                                              size_t min_superset_size) {
   const auto confidential_cols = data.schema().ConfidentialIndices();
-  if (confidential_cols.size() <= confidential_offset) {
+  if (confidential_cols.empty()) {
     return Status::InvalidArgument("confidential attribute not available");
   }
   if (data.NumRecords() < 2) {
@@ -49,7 +48,7 @@ Result<NTClosenessReport> EvaluateNTCloseness(const Dataset& data,
 
   QiSpace space(data);
   std::vector<double> confidential =
-      data.ColumnAsDouble(confidential_cols[confidential_offset]);
+      data.ColumnAsDouble(confidential_cols.front());
   std::vector<size_t> all(n_records);
   for (size_t i = 0; i < n_records; ++i) all[i] = i;
 

@@ -28,9 +28,9 @@ struct NTClosenessReport {
 // EMD between a class and its natural superset, maximized over classes.
 // `min_superset_size` is the model's n parameter. InvalidArgument on
 // missing roles; min_superset_size is clamped to the data set size.
+// Reads the schema's first confidential attribute.
 Result<NTClosenessReport> EvaluateNTCloseness(const Dataset& data,
-                                              size_t min_superset_size,
-                                              size_t confidential_offset = 0);
+                                              size_t min_superset_size);
 
 }  // namespace tcm
 

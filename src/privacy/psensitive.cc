@@ -4,10 +4,8 @@
 
 namespace tcm {
 
-Result<size_t> MaxSensitiveP(const Dataset& data,
-                             size_t confidential_offset) {
-  TCM_ASSIGN_OR_RETURN(LDiversityReport report,
-                       EvaluateLDiversity(data, confidential_offset));
+Result<size_t> MaxSensitiveP(const Dataset& data) {
+  TCM_ASSIGN_OR_RETURN(LDiversityReport report, EvaluateLDiversity(data));
   return report.min_distinct_values;
 }
 

@@ -15,9 +15,8 @@ namespace tcm {
 // The largest p for which the release's classes are p-sensitive: the
 // fewest distinct confidential values in any class (0 when some class is
 // empty of confidential values — cannot happen for valid data). Whether
-// it is k-anonymous too is IsKAnonymous's to say.
-Result<size_t> MaxSensitiveP(const Dataset& data,
-                             size_t confidential_offset = 0);
+// it is k-anonymous too is CheckRelease's (privacy/verify.h) to say.
+Result<size_t> MaxSensitiveP(const Dataset& data);
 
 }  // namespace tcm
 

@@ -99,16 +99,6 @@ Cluster GenerateCluster(const QiSpace& space, const EmdCalculator& emd,
   return std::move(cluster.rows);
 }
 
-void RemoveRows(const Cluster& cluster, std::vector<size_t>* remaining) {
-  size_t max_index = 0;
-  for (size_t row : *remaining) max_index = std::max(max_index, row);
-  std::vector<bool> in_cluster(max_index + 1, false);
-  for (size_t row : cluster) {
-    if (row <= max_index) in_cluster[row] = true;
-  }
-  std::erase_if(*remaining, [&](size_t row) { return in_cluster[row]; });
-}
-
 }  // namespace
 
 Result<Partition> KAnonFirstPartition(const QiSpace& space,

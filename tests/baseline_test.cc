@@ -13,8 +13,7 @@
 #include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "utility/sse.h"
 
 namespace tcm {
@@ -191,9 +190,9 @@ TEST(RecodingTest, ProducesKAnonymousRelease) {
   Dataset data = MakeMcdDataset();
   auto result = GlobalRecodingAnonymize(data, 4);
   ASSERT_TRUE(result.ok());
-  auto k_anon = IsKAnonymous(result->anonymized, 4);
-  ASSERT_TRUE(k_anon.ok());
-  EXPECT_TRUE(*k_anon);
+  auto verified = CheckRelease(result->anonymized, 4, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->k_anonymous);
 }
 
 TEST(RecodingTest, TConstraintIsHonored) {
@@ -202,9 +201,9 @@ TEST(RecodingTest, TConstraintIsHonored) {
   options.t = 0.1;
   auto result = GlobalRecodingAnonymize(data, 2, options);
   ASSERT_TRUE(result.ok());
-  auto t_close = IsTClose(result->anonymized, 0.1);
-  ASSERT_TRUE(t_close.ok());
-  EXPECT_TRUE(*t_close);
+  auto verified = CheckRelease(result->anonymized, 2, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->t_close);
 }
 
 TEST(RecodingTest, CoarseningReducesBinCounts) {
@@ -217,6 +216,23 @@ TEST(RecodingTest, CoarseningReducesBinCounts) {
   for (size_t bins : result->bins_per_attribute) {
     EXPECT_LT(bins, 64u);
   }
+}
+
+// The lattice node each search stops at on MCD: a k-only search, and a
+// (k, t) search where t binds (k = 5 alone stops at {2, 4}, 7 halvings).
+TEST(RecodingTest, PinnedLatticeNodes) {
+  Dataset data = MakeMcdDataset();
+  auto k_only = GlobalRecodingAnonymize(data, 4);
+  ASSERT_TRUE(k_only.ok());
+  EXPECT_EQ(k_only->bins_per_attribute, (std::vector<size_t>{2, 4}));
+  EXPECT_EQ(k_only->coarsenings, 7u);
+
+  RecodingOptions options;
+  options.t = 0.2;
+  auto k_and_t = GlobalRecodingAnonymize(data, 5, options);
+  ASSERT_TRUE(k_and_t.ok());
+  EXPECT_EQ(k_and_t->bins_per_attribute, (std::vector<size_t>{2, 2}));
+  EXPECT_EQ(k_and_t->coarsenings, 8u);
 }
 
 TEST(RecodingTest, GranularityLossExceedsMicroaggregation) {
@@ -248,14 +264,25 @@ TEST(RecodingTest, RejectsBadArguments) {
   EXPECT_FALSE(GlobalRecodingAnonymize(data, 2, options).ok());
 }
 
+TEST(RecodingTest, RequiresConfidentialAttribute) {
+  // Every lattice node is checked for k and t at once, so a table without
+  // a confidential attribute is refused up front, even for a k-only search.
+  auto data = DatasetFromColumns(
+      {"qi", "x"}, {{1, 2, 3, 4}, {5, 6, 7, 8}},
+      {AttributeRole::kQuasiIdentifier, AttributeRole::kOther});
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(GlobalRecodingAnonymize(*data, 2).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(RecodingTest, SingleBinIsAlwaysFeasible) {
   // k = n forces full generalization; must terminate with one class.
   Dataset data = MakeUniformDataset(30, 2, 3);
   auto result = GlobalRecodingAnonymize(data, 30);
   ASSERT_TRUE(result.ok());
-  auto report = EvaluateKAnonymity(result->anonymized);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_equivalence_classes, 1u);
+  auto verified = CheckRelease(result->anonymized, 30, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_EQ(verified->num_classes, 1u);
 }
 
 }  // namespace

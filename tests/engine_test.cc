@@ -24,8 +24,7 @@
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -160,11 +159,10 @@ TEST(RegistryTest, EveryBuiltinRoundTripsToAVerifiedRelease) {
         ValidatePartition(result->partition, data.NumRecords(), params.k)
             .ok())
         << name;
-    auto k_ok = IsKAnonymous(result->anonymized, params.k);
-    auto t_ok = IsTClose(result->anonymized, params.t);
-    ASSERT_TRUE(k_ok.ok() && t_ok.ok()) << name;
-    EXPECT_TRUE(*k_ok) << name;
-    EXPECT_TRUE(*t_ok) << name;
+    auto verified = CheckRelease(result->anonymized, params.k, params.t);
+    ASSERT_TRUE(verified.ok()) << name;
+    EXPECT_TRUE(verified->k_anonymous) << name;
+    EXPECT_TRUE(verified->t_close) << name;
     EXPECT_LE(result->max_cluster_emd, params.t + 1e-9) << name;
   }
 }
@@ -334,11 +332,11 @@ TEST(ShardedTest, ReleaseIsByteIdenticalAcrossThreadCounts) {
         reference_shards = stats.num_shards;
         // The sharded release must still satisfy both guarantees
         // globally, not just per shard.
-        auto k_ok = IsKAnonymous(result->anonymized, options.params.k);
-        auto t_ok = IsTClose(result->anonymized, options.params.t);
-        ASSERT_TRUE(k_ok.ok() && t_ok.ok());
-        EXPECT_TRUE(*k_ok) << algorithm;
-        EXPECT_TRUE(*t_ok) << algorithm;
+        auto verified = CheckRelease(result->anonymized, options.params.k,
+                                     options.params.t);
+        ASSERT_TRUE(verified.ok());
+        EXPECT_TRUE(verified->k_anonymous) << algorithm;
+        EXPECT_TRUE(verified->t_close) << algorithm;
       } else {
         EXPECT_EQ(release, reference)
             << algorithm << ": threads=" << threads

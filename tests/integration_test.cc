@@ -13,10 +13,9 @@
 #include "data/stats.h"
 #include "engine/registry.h"
 #include "microagg/aggregate.h"
-#include "privacy/kanonymity.h"
 #include "privacy/ldiversity.h"
 #include "privacy/linkage.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "utility/info_loss.h"
 #include "utility/query.h"
 #include "utility/sse.h"
@@ -30,16 +29,14 @@ TEST(IntegrationTest, AnonymizeVerifyPersistRoundTrip) {
   ASSERT_TRUE(result.ok());
 
   // Verify.
-  EXPECT_TRUE(IsKAnonymous(result->anonymized, 5).value());
-  EXPECT_TRUE(IsTClose(result->anonymized, 0.1).value());
+  EXPECT_TRUE(CheckRelease(result->anonymized, 5, 0.1).value().ok());
 
   // Persist and reload: guarantees must survive the round trip.
   const std::string path = ::testing::TempDir() + "/tcm_release.csv";
   ASSERT_TRUE(WriteCsv(result->anonymized, path).ok());
   auto reloaded = ReadCsv(path, result->anonymized.schema());
   ASSERT_TRUE(reloaded.ok());
-  EXPECT_TRUE(IsKAnonymous(*reloaded, 5).value());
-  EXPECT_TRUE(IsTClose(*reloaded, 0.1).value());
+  EXPECT_TRUE(CheckRelease(*reloaded, 5, 0.1).value().ok());
 }
 
 TEST(IntegrationTest, TClosenessImpliesWeakerModelsHold) {
@@ -85,8 +82,7 @@ TEST(IntegrationTest, PatientDischargePipeline) {
   Dataset data = MakePatientDischargeLike(gen);
   auto result = RunAlgorithm(data, "tclose_first", {.k = 3, .t = 0.1});
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(IsKAnonymous(result->anonymized, 3).value());
-  EXPECT_TRUE(IsTClose(result->anonymized, 0.1).value());
+  EXPECT_TRUE(CheckRelease(result->anonymized, 3, 0.1).value().ok());
 
   // Aggregate utility survives: means preserved, queries still usable.
   auto stats = EvaluateStatisticsPreservation(data, result->anonymized);
@@ -108,8 +104,7 @@ TEST(IntegrationTest, MondrianAndMicroaggregationBothVerify) {
   ASSERT_TRUE(partition.ok());
   auto release = AggregatePartition(data, *partition);
   ASSERT_TRUE(release.ok());
-  EXPECT_TRUE(IsKAnonymous(*release, 4).value());
-  EXPECT_TRUE(IsTClose(*release, 0.15).value());
+  EXPECT_TRUE(CheckRelease(*release, 4, 0.15).value().ok());
 }
 
 TEST(IntegrationTest, DeterministicEndToEnd) {

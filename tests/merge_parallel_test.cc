@@ -16,8 +16,7 @@
 #include "engine/registry.h"
 #include "engine/sharded.h"
 #include "engine/thread_pool.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "tclose/merge.h"
 
 namespace tcm {
@@ -63,17 +62,15 @@ RunOutcome RunWith(const Dataset& data, const std::string& algorithm,
   if (result.ok()) {
     outcome.release_csv = WriteCsvString(result->anonymized);
     // Both guarantees hold for every algorithm x strategy x threads cell.
-    auto k_anonymous = IsKAnonymous(result->anonymized, kK);
-    auto t_close = IsTClose(result->anonymized, kT);
-    EXPECT_TRUE(k_anonymous.ok() && t_close.ok())
-        << k_anonymous.status().ToString() << " / "
-        << t_close.status().ToString();
-    if (!k_anonymous.ok() || !t_close.ok()) return outcome;
-    EXPECT_TRUE(*k_anonymous)
+    auto verified = CheckRelease(result->anonymized, kK, kT);
+    EXPECT_TRUE(verified.ok()) << verified.status().ToString();
+    if (!verified.ok()) return outcome;
+    EXPECT_TRUE(verified->k_anonymous)
         << algorithm << "/" << MergeStrategyName(strategy)
         << " lost k-anonymity";
-    EXPECT_TRUE(*t_close) << algorithm << "/" << MergeStrategyName(strategy)
-                          << " lost t-closeness";
+    EXPECT_TRUE(verified->t_close)
+        << algorithm << "/" << MergeStrategyName(strategy)
+        << " lost t-closeness";
   }
   return outcome;
 }
@@ -173,9 +170,9 @@ TEST(MergeStrategyDeterminismTest, HierarchicalFansOutAndPrunes) {
   EXPECT_EQ(stats.candidate_checks,
             stats.pruned_checks + stats.exact_checks);
   EXPECT_EQ(stats.subtree_merges + stats.tail_merges, stats.final_merges);
-  auto t_close = IsTClose(result->anonymized, 0.1);
-  ASSERT_TRUE(t_close.ok());
-  EXPECT_TRUE(*t_close);
+  auto verified = CheckRelease(result->anonymized, kK, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->t_close);
 }
 
 }  // namespace

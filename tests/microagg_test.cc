@@ -11,7 +11,7 @@
 #include "microagg/microagg.h"
 #include "microagg/partition.h"
 #include "microagg/vmdav.h"
-#include "privacy/kanonymity.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -152,9 +152,9 @@ TEST(AggregateTest, AggregatedDatasetIsKAnonymous) {
   ASSERT_TRUE(partition.ok());
   auto anonymized = AggregatePartition(data, *partition);
   ASSERT_TRUE(anonymized.ok());
-  auto k_anon = IsKAnonymous(*anonymized, 7);
-  ASSERT_TRUE(k_anon.ok());
-  EXPECT_TRUE(*k_anon);
+  auto verified = CheckRelease(*anonymized, 7, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->k_anonymous);
 }
 
 // ------------------------------------------------------------------ MDAV

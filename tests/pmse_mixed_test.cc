@@ -15,8 +15,7 @@
 #include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "utility/pmse.h"
 
 namespace tcm {
@@ -146,8 +145,7 @@ TEST_P(MixedPipelineTest, AnonymizeMixedTypesEndToEnd) {
   Dataset data = MakeAdultLike(options);
   auto result = RunAlgorithm(data, GetParam(), {.k = 4, .t = 0.12});
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(IsKAnonymous(result->anonymized, 4).value());
-  EXPECT_TRUE(IsTClose(result->anonymized, 0.12).value());
+  EXPECT_TRUE(CheckRelease(result->anonymized, 4, 0.12).value().ok());
   // Ordinal QI aggregated to a valid category code.
   for (size_t row = 0; row < result->anonymized.NumRecords(); ++row) {
     int32_t education = result->anonymized.cell(row, 1).category();

@@ -11,11 +11,10 @@
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "privacy/equivalence.h"
-#include "privacy/kanonymity.h"
 #include "privacy/ldiversity.h"
 #include "privacy/linkage.h"
 #include "privacy/psensitive.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -157,26 +156,31 @@ TEST(EquivalenceTest, LargeScatteredReleaseMatchesReference) {
 
 // ------------------------------------------------------------ kAnonymity
 
+// The k side of CheckRelease (Definition 1). The classes themselves, {0,1,2}
+// and {3,4} here, are pinned by EquivalenceTest.
+
 TEST(KAnonymityTest, ReportOnKnownGroups) {
-  auto report = EvaluateKAnonymity(MakeGroupedDataset());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_equivalence_classes, 2u);
-  EXPECT_EQ(report->min_class_size, 2u);
-  EXPECT_EQ(report->max_class_size, 3u);
-  EXPECT_DOUBLE_EQ(report->average_class_size, 2.5);
+  Dataset data = MakeGroupedDataset();
+  auto verified = CheckRelease(data, 2, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_EQ(verified->num_classes, 2u);
+  EXPECT_EQ(verified->min_class_size, 2u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(data.NumRecords()) /
+                       static_cast<double>(verified->num_classes),
+                   2.5);
 }
 
 TEST(KAnonymityTest, ThresholdTest) {
   Dataset data = MakeGroupedDataset();
-  EXPECT_TRUE(IsKAnonymous(data, 2).value());
-  EXPECT_FALSE(IsKAnonymous(data, 3).value());
+  EXPECT_TRUE(CheckRelease(data, 2, 1.0).value().k_anonymous);
+  EXPECT_FALSE(CheckRelease(data, 3, 1.0).value().k_anonymous);
 }
 
 TEST(KAnonymityTest, OriginalMicrodataIsUsuallyOnlyOneAnonymous) {
   Dataset data = MakeUniformDataset(100, 3, 5);
-  auto report = EvaluateKAnonymity(data);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->min_class_size, 1u);
+  auto verified = CheckRelease(data, 1, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_EQ(verified->min_class_size, 1u);
 }
 
 // ------------------------------------------------------------ tCloseness
@@ -186,10 +190,10 @@ TEST(TClosenessTest, SingleClassHasZeroEmd) {
       {"qi", "conf"}, {{7, 7, 7, 7}, {1, 2, 3, 4}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  auto report = EvaluateTCloseness(*data);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_equivalence_classes, 1u);
-  EXPECT_NEAR(report->max_emd, 0.0, 1e-12);
+  auto verified = CheckRelease(*data, 1, 0.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_EQ(verified->num_classes, 1u);
+  EXPECT_NEAR(verified->max_class_emd, 0.0, 1e-12);
 }
 
 TEST(TClosenessTest, SkewedClassesHaveLargeEmd) {
@@ -199,20 +203,20 @@ TEST(TClosenessTest, SkewedClassesHaveLargeEmd) {
       {"qi", "conf"}, {{1, 1, 2, 2}, {1, 2, 3, 4}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  auto report = EvaluateTCloseness(*data);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->max_emd, 0.3);
-  EXPECT_TRUE(IsTClose(*data, 0.5).value());
-  EXPECT_FALSE(IsTClose(*data, 0.1).value());
+  auto verified = CheckRelease(*data, 1, 0.5);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_GT(verified->max_class_emd, 0.3);
+  EXPECT_TRUE(verified->t_close);
+  EXPECT_FALSE(CheckRelease(*data, 1, 0.1).value().t_close);
 }
 
 TEST(TClosenessTest, MatchesAnonymizerReportedEmd) {
   Dataset data = MakeMcdDataset();
   auto result = RunAlgorithm(data, "tclose_first", {.k = 5, .t = 0.1});
   ASSERT_TRUE(result.ok());
-  auto report = EvaluateTCloseness(result->anonymized);
-  ASSERT_TRUE(report.ok());
-  EXPECT_NEAR(report->max_emd, result->max_cluster_emd, 1e-9);
+  auto verified = CheckRelease(result->anonymized, 5, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_NEAR(verified->max_class_emd, result->max_cluster_emd, 1e-9);
 }
 
 TEST(TClosenessTest, RequiresConfidentialAttribute) {
@@ -220,7 +224,8 @@ TEST(TClosenessTest, RequiresConfidentialAttribute) {
       {"qi", "x"}, {{1, 2}, {3, 4}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kOther});
   ASSERT_TRUE(data.ok());
-  EXPECT_FALSE(EvaluateTCloseness(*data).ok());
+  EXPECT_EQ(CheckRelease(*data, 1, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ lDiversity

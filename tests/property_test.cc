@@ -22,8 +22,7 @@
 #include "engine/thread_pool.h"
 #include "microagg/partition.h"
 #include "privacy/equivalence.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -79,14 +78,12 @@ void CheckInvariants(const Dataset& data, const std::string& algorithm,
   }
 
   // The oracle: the independent verifiers must accept the release.
-  auto k_ok = IsKAnonymous(result->anonymized, params.k);
-  ASSERT_TRUE(k_ok.ok()) << label;
-  EXPECT_TRUE(*k_ok) << label << ": release is not " << params.k
-                     << "-anonymous";
-  auto t_ok = IsTClose(result->anonymized, params.t);
-  ASSERT_TRUE(t_ok.ok()) << label;
-  EXPECT_TRUE(*t_ok) << label << ": release is not " << params.t
-                     << "-close";
+  auto verified = CheckRelease(result->anonymized, params.k, params.t);
+  ASSERT_TRUE(verified.ok()) << label;
+  EXPECT_TRUE(verified->k_anonymous)
+      << label << ": release is not " << params.k << "-anonymous";
+  EXPECT_TRUE(verified->t_close)
+      << label << ": release is not " << params.t << "-close";
 }
 
 TEST(PropertyTest, RegistryCoversAllEightAlgorithms) {
@@ -159,7 +156,7 @@ TEST(PropertyTest, RerunsAreDeterministic) {
 }
 
 // Pooled and serial verify on the same release: same classes, same
-// t-closeness report, same verdict.
+// measured levels, same verdict.
 void ExpectPooledVerifyMatchesSerial(const Dataset& release, size_t k,
                                      double t, ThreadPool* pool,
                                      const std::string& label,
@@ -168,14 +165,13 @@ void ExpectPooledVerifyMatchesSerial(const Dataset& release, size_t k,
   auto pooled_classes = EquivalenceClasses(release, pool);
   ASSERT_TRUE(serial_classes.ok() && pooled_classes.ok()) << label;
   EXPECT_EQ(*serial_classes, *pooled_classes) << label;
-  auto serial_t = EvaluateTCloseness(release, *serial_classes);
-  auto pooled_t = EvaluateTCloseness(release, *serial_classes, 0, pool);
-  ASSERT_TRUE(serial_t.ok() && pooled_t.ok()) << label;
-  EXPECT_EQ(serial_t->max_emd, pooled_t->max_emd) << label;
-  EXPECT_EQ(serial_t->mean_emd, pooled_t->mean_emd) << label;
   auto serial = CheckRelease(release, k, t);
   auto pooled = CheckRelease(release, k, t, pool);
   ASSERT_TRUE(serial.ok() && pooled.ok()) << label;
+  EXPECT_EQ(serial->num_classes, pooled->num_classes) << label;
+  EXPECT_EQ(serial->min_class_size, pooled->min_class_size) << label;
+  EXPECT_EQ(serial->max_class_emd, pooled->max_class_emd) << label;
+  EXPECT_EQ(serial->mean_class_emd, pooled->mean_class_emd) << label;
   EXPECT_EQ(serial->k_anonymous, pooled->k_anonymous) << label;
   EXPECT_EQ(serial->t_close, pooled->t_close) << label;
   *verdict = *pooled;
@@ -218,9 +214,9 @@ TEST(PropertyTest, PooledCheckReleaseMatchesSerial) {
       // class past the release's own max EMD.
       auto classes = EquivalenceClasses(release);
       ASSERT_TRUE(classes.ok());
-      auto report = EvaluateTCloseness(release, *classes);
+      auto report = CheckRelease(release, params.k, params.t);
       ASSERT_TRUE(report.ok());
-      EmdCalculator emd(release, 0);
+      EmdCalculator emd(release);
       size_t worst = 0;
       for (size_t c = 0; c < classes->size(); ++c) {
         if (emd.ClusterEmd((*classes)[c]) >
@@ -248,8 +244,8 @@ TEST(PropertyTest, PooledCheckReleaseMatchesSerial) {
       for (const Value& extreme : extremes) {
         Dataset bad = release;
         ASSERT_TRUE(bad.SetCell(row, conf, extreme).ok());
-        ExpectPooledVerifyMatchesSerial(bad, params.k, report->max_emd, &pool,
-                                        label + "/conf", &verdict);
+        ExpectPooledVerifyMatchesSerial(bad, params.k, report->max_class_emd,
+                                        &pool, label + "/conf", &verdict);
         rejected = rejected || !verdict.t_close;
       }
       EXPECT_TRUE(rejected) << label;

@@ -29,8 +29,7 @@
 #include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "engine/sharded.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -281,9 +280,9 @@ TEST(StreamingJobTest, MultiWindowRespectsResidentBudget) {
   Dataset release = table->ToDataset();
   EXPECT_EQ(release.NumRecords(), kRows);
   ASSERT_TRUE(AssignRoles(&release, {"QI0", "QI1", "QI2"}, "CONF").ok());
-  auto k_ok = IsKAnonymous(release, spec.algorithm.k);
-  ASSERT_TRUE(k_ok.ok());
-  EXPECT_TRUE(*k_ok);
+  auto verified = CheckRelease(release, spec.algorithm.k, 1.0);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->k_anonymous);
 }
 
 TEST(StreamingJobTest, MultiWindowReleaseIsThreadInvariant) {

@@ -9,8 +9,7 @@
 
 #include "data/generator.h"
 #include "engine/registry.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 
 namespace tcm {
 namespace {
@@ -33,14 +32,13 @@ TEST_P(SeedSweepTest, PatientDischargeAllAlgorithmsHoldGuarantees) {
   for (const char* algorithm : {"merge", "kanon_first", "tclose_first"}) {
     auto result = RunAlgorithm(data, algorithm, {.k = param.k, .t = param.t});
     ASSERT_TRUE(result.ok()) << algorithm;
-    auto k_anon = IsKAnonymous(result->anonymized, param.k);
-    auto t_close = IsTClose(result->anonymized, param.t);
-    ASSERT_TRUE(k_anon.ok() && t_close.ok());
-    EXPECT_TRUE(*k_anon) << algorithm << " seed "
-                         << param.seed;
-    EXPECT_TRUE(*t_close) << algorithm << " seed "
-                          << param.seed << " maxEMD "
-                          << result->max_cluster_emd;
+    auto verified = CheckRelease(result->anonymized, param.k, param.t);
+    ASSERT_TRUE(verified.ok());
+    EXPECT_TRUE(verified->k_anonymous) << algorithm << " seed "
+                                       << param.seed;
+    EXPECT_TRUE(verified->t_close) << algorithm << " seed "
+                                   << param.seed << " maxEMD "
+                                   << result->max_cluster_emd;
   }
 }
 

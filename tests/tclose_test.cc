@@ -15,8 +15,7 @@
 #include "engine/registry.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
-#include "privacy/kanonymity.h"
-#include "privacy/tcloseness.h"
+#include "privacy/verify.h"
 #include "tclose/kanon_first.h"
 #include "tclose/merge.h"
 #include "tclose/tclose_first.h"
@@ -402,13 +401,11 @@ TEST_P(AlgorithmSweepTest, AllThreeAlgorithmsMeetBothGuarantees) {
         << algorithm;
 
     // The released data set verifies independently.
-    auto k_anon = IsKAnonymous(result->anonymized, param.k);
-    ASSERT_TRUE(k_anon.ok());
-    EXPECT_TRUE(*k_anon) << algorithm;
-    auto t_close = IsTClose(result->anonymized, param.t);
-    ASSERT_TRUE(t_close.ok());
-    EXPECT_TRUE(*t_close) << algorithm << " k=" << param.k
-                          << " t=" << param.t;
+    auto verified = CheckRelease(result->anonymized, param.k, param.t);
+    ASSERT_TRUE(verified.ok());
+    EXPECT_TRUE(verified->k_anonymous) << algorithm;
+    EXPECT_TRUE(verified->t_close) << algorithm << " k=" << param.k
+                                   << " t=" << param.t;
 
     // Report fields are consistent.
     EXPECT_EQ(result->min_cluster_size,
@@ -489,9 +486,9 @@ TEST(AnonymizerTest, SecondConfidentialAttributeSelectable) {
 
   auto result = RunAlgorithm(data, "tclose_first", {.k = 4, .t = 0.1});
   ASSERT_TRUE(result.ok());
-  auto report = EvaluateTCloseness(result->anonymized, 0);
-  ASSERT_TRUE(report.ok());
-  EXPECT_LE(report->max_emd, 0.1 + 1e-9);
+  auto verified = CheckRelease(result->anonymized, 4, 0.1);
+  ASSERT_TRUE(verified.ok());
+  EXPECT_LE(verified->max_class_emd, 0.1 + 1e-9);
   size_t fica = data.schema().ConfidentialIndices()[0];
   EXPECT_EQ(data.schema().at(fica).name, "FICA");
 }
@@ -590,9 +587,9 @@ TEST(OrdinalConfidentialTest, AnonymizeHandlesOrdinalConfidential) {
   auto result = RunAlgorithm(data, "tclose_first", {.k = 4, .t = 0.1});
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->max_cluster_emd, 0.1 + 1e-9);
-  auto verified = IsTClose(result->anonymized, 0.1);
+  auto verified = CheckRelease(result->anonymized, 4, 0.1);
   ASSERT_TRUE(verified.ok());
-  EXPECT_TRUE(*verified);
+  EXPECT_TRUE(verified->t_close);
   // Ordinal column released unchanged.
   EXPECT_EQ(result->anonymized.ColumnAsDouble(2), data.ColumnAsDouble(2));
 }

@@ -66,9 +66,9 @@
 #include <vector>
 
 #include "arg_parser.h"
-#include "engine/pipeline.h"
 #include "engine/registry.h"
 #include "exit_codes.h"
+#include "privacy/verify.h"
 #include "table_input.h"
 #include "tcm/api.h"
 
