@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "data/stats.h"
 #include "distance/emd.h"
 #include "distance/qi_space.h"
+#include "engine/sharded.h"
+#include "engine/thread_pool.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "microagg/univariate.h"
@@ -152,6 +156,52 @@ void BM_CsvReadInto(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_CsvReadInto)->Arg(50000);
+
+// Discards what it is given, so a write benchmark times formatting only.
+class NullBuffer : public std::streambuf {
+ protected:
+  int overflow(int c) override { return c; }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
+
+// The streamed job's write stage: one 49,997-row window of 3 QIs + 1
+// confidential column formatted by CsvRowWriter on a pool of Arg threads.
+void BM_CsvWriteRows(benchmark::State& state) {
+  const tcm::Dataset window = tcm::MakeUniformDataset(49997, 3, 13);
+  tcm::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  tcm::CsvRowWriter writer;
+  NullBuffer sink;
+  std::ostream out(&sink);
+  for (auto _ : state) {
+    writer.Write(window, out, &pool);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CsvWriteRows)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One window of the streamed job (perfbench's stream_csv_1m): 49,997
+// uniform rows, merge_projection on 4,096-row shards and the hierarchical
+// repair pass, on a 4-thread pool.
+void BM_WindowAnonymize(benchmark::State& state) {
+  const tcm::Dataset window = tcm::MakeUniformDataset(49997, 3, 2016);
+  tcm::ShardedAnonymizeOptions options;
+  options.algorithm = "merge_projection";
+  options.params.k = 5;
+  options.params.t = 0.2;
+  options.merge_strategy = tcm::MergeStrategy::kHierarchical;
+  tcm::ThreadPool pool(4);
+  for (auto _ : state) {
+    auto result = tcm::ShardedAnonymize(window, options, &pool);
+    benchmark::DoNotOptimize(result.ok());
+  }
+}
+BENCHMARK(BM_WindowAnonymize)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

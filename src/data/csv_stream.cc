@@ -352,13 +352,15 @@ void CsvRowWriter::Write(const Dataset& data, std::ostream& out,
   for (size_t first = 0; first < num_chunks; first += per_round) {
     const size_t count = std::min(per_round, num_chunks - first);
     ParallelFor(pool, count, [&](size_t i) {
-      std::string& buffer = chunks_[i];
+      // Task-local, so tasks do not share chunks_' cache lines per byte.
+      std::string buffer = std::move(chunks_[i]);
       buffer.clear();
       const size_t begin = (first + i) * kRowsPerChunk;
       const size_t end = std::min(rows, begin + kRowsPerChunk);
       for (size_t row = begin; row < end; ++row) {
         AppendCsvRow(data, row, &buffer);
       }
+      chunks_[i] = std::move(buffer);
     });
     for (size_t i = 0; i < count; ++i) {
       out.write(chunks_[i].data(),

@@ -128,7 +128,10 @@ void AppendCsvRow(const Dataset& data, size_t row, std::string* out);
 // kRowsPerChunk; with a pool, each round formats up to one chunk per
 // thread concurrently and then writes the round's chunks in row order.
 // Rounds bound the formatted bytes held at once, and the chunk buffers
-// are kept for the next call. The bytes never depend on the pool.
+// are kept for the next call. A task moves its chunk's buffer out,
+// formats into it and moves it back: the chunk strings sit two to a
+// cache line, so formatting in place made the tasks fight over that
+// line on every byte. The bytes never depend on the pool.
 class CsvRowWriter {
  public:
   static constexpr size_t kRowsPerChunk = 4096;

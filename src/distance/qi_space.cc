@@ -3,38 +3,31 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "data/stats.h"
 
 namespace tcm {
 
-QiSpace::QiSpace(const Dataset& data, QiNormalization normalization) {
+QiSpace::QiSpace(const Dataset& data) {
   std::vector<size_t> qi = data.schema().QuasiIdentifierIndices();
   TCM_CHECK(!qi.empty()) << "dataset has no quasi-identifier attributes";
   num_records_ = data.NumRecords();
   num_dims_ = qi.size();
   coords_.assign(num_records_ * num_dims_, 0.0);
+  if (num_records_ == 0) return;
 
   for (size_t d = 0; d < num_dims_; ++d) {
-    std::vector<double> col = data.ColumnAsDouble(qi[d]);
-    double shift = 0.0, scale = 1.0;
-    switch (normalization) {
-      case QiNormalization::kRange: {
-        double lo = Min(col), hi = Max(col);
-        shift = lo;
-        scale = (hi > lo) ? (hi - lo) : 1.0;
-        break;
-      }
-      case QiNormalization::kStandardize: {
-        shift = Mean(col);
-        double sd = StdDev(col);
-        scale = (sd > 0.0) ? sd : 1.0;
-        break;
-      }
-      case QiNormalization::kNone:
-        break;
+    // One min/max pass; ties keep the first value, as min_element and
+    // max_element do.
+    double lo = data.cell(0, qi[d]).AsDouble();
+    double hi = lo;
+    for (size_t row = 1; row < num_records_; ++row) {
+      const double x = data.cell(row, qi[d]).AsDouble();
+      if (x < lo) lo = x;
+      if (hi < x) hi = x;
     }
+    const double scale = (hi > lo) ? (hi - lo) : 1.0;
     for (size_t row = 0; row < num_records_; ++row) {
-      coords_[row * num_dims_ + d] = (col[row] - shift) / scale;
+      coords_[row * num_dims_ + d] =
+          (data.cell(row, qi[d]).AsDouble() - lo) / scale;
     }
   }
 }

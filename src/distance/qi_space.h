@@ -8,24 +8,16 @@
 
 namespace tcm {
 
-// How each quasi-identifier dimension is scaled before computing Euclidean
-// distances. Range normalization matches the paper's "normalized Euclidean
-// distance"; standardization (z-scores) is the classic MDAV choice.
-enum class QiNormalization {
-  kRange,        // (x - min) / (max - min)
-  kStandardize,  // (x - mean) / stddev
-  kNone,
-};
-
-// A dense, normalized view of the quasi-identifier block of a dataset.
-// Every algorithm in the library measures record similarity through this
-// class, so the QI projection and scaling are computed once. Records are
-// addressed by their row index in the originating dataset.
+// A dense, range-normalized view of the quasi-identifier block of a
+// dataset: each dimension is scaled to (x - min) / (max - min), the
+// paper's "normalized Euclidean distance" (a constant dimension maps to
+// 0). Every algorithm in the library measures record similarity through
+// this class, so the QI projection and scaling are computed once. Records
+// are addressed by their row index in the originating dataset.
 class QiSpace {
  public:
   // Builds the view; `data` must have at least one quasi-identifier.
-  explicit QiSpace(const Dataset& data,
-                   QiNormalization normalization = QiNormalization::kRange);
+  explicit QiSpace(const Dataset& data);
 
   size_t num_records() const { return num_records_; }
   size_t num_dims() const { return num_dims_; }

@@ -220,7 +220,7 @@ Result<AnonymizationResult> MeasurePartition(
     result.max_cluster_emd = std::max(result.max_cluster_emd, value);
   }
   TCM_ASSIGN_OR_RETURN(result.normalized_sse,
-                       NormalizedSse(data, result.anonymized));
+                       NormalizedSse(data, result.anonymized, pool));
   result.partition = std::move(partition);
   return result;
 }

@@ -98,11 +98,24 @@ Result<AnonymizationResult> ShardedAnonymize(
   out.shard_seconds = timer.ElapsedSeconds();
 
   // Fan the shards across the pool; collect in shard order so the merged
-  // partition never depends on completion order.
+  // partition never depends on completion order. Index 0 builds the
+  // window's QI space and confidential ranks for the repair pass while
+  // the shards run, and shard s runs as index s + 1. ParallelFor's
+  // caller always runs index 0, so those window-sized buffers come from
+  // the caller's malloc arena, as the window's other buffers do.
   std::vector<ShardOutcome> outcomes(plan.NumShards());
+  std::optional<QiSpace> space;
+  std::optional<EmdCalculator> global_emd;
   {
     ScopedStage stage("anonymize", &out.anonymize_seconds);
-    ParallelFor(pool, plan.NumShards(), [&](size_t s) {
+    ParallelFor(pool, plan.NumShards() + 1, [&](size_t i) {
+      if (i == 0) {
+        TraceSpan span("window_setup");
+        space.emplace(data);
+        global_emd.emplace(data);
+        return;
+      }
+      const size_t s = i - 1;
       ShardOutcome& outcome = outcomes[s];
       ScopedStage shard_stage("shard_anonymize", &outcome.seconds);
       AlgorithmParams shard_params = params;
@@ -135,20 +148,16 @@ Result<AnonymizationResult> ShardedAnonymize(
 
   // The one repair pass, whatever the plan: shards steer by their own
   // confidential distribution and no algorithm's own guarantee is taken
-  // on trust, so this pass enforces t against the global one. Built
-  // inside the merge stage, so its seconds count as merge time.
-  std::optional<EmdCalculator> global_emd;
+  // on trust, so this pass enforces t against the global one.
   {
     ScopedStage stage("merge", &out.merge_seconds);
-    QiSpace space(data);
-    global_emd.emplace(data);
     MergeOptions merge_options;
     merge_options.strategy = options.merge_strategy;
     merge_options.pool = pool;
     MergeStats merge_stats;
     TCM_ASSIGN_OR_RETURN(
         merged,
-        MergeUntilTCloseWith(space, *global_emd, params.t, std::move(merged),
+        MergeUntilTCloseWith(*space, *global_emd, params.t, std::move(merged),
                              merge_options, &merge_stats));
     out.final_merges = merge_stats.merges;
     out.merge_subtrees = merge_stats.num_subtrees;

@@ -57,7 +57,9 @@ struct ShardedAnonymizeStats {
   double max_shard_seconds = 0.0; // slowest shard (parallel critical path)
   // Per-stage wall clock inside this call.
   double shard_seconds = 0.0;     // shard plan (rows are copied in tasks)
-  double anonymize_seconds = 0.0; // per-shard copy + algorithm fan-out
+  // Shard fan-out: per-shard copy + algorithm, and the window's QiSpace
+  // and confidential ranks, built as one more task of the fan-out.
+  double anonymize_seconds = 0.0;
   double merge_seconds = 0.0;     // global MergeUntilTClose repair pass
   double measure_seconds = 0.0;   // aggregation + utility measurement
   // Final-merge engine detail (see MergeStats): subtree fan-out and the
@@ -80,7 +82,8 @@ struct ShardedAnonymizeStats {
 //   2. run the registry algorithm on every shard concurrently (a
 //      one-shard plan's shard is `data` itself, others copy their rows
 //      out), with a per-shard seed derived from params.seed and the
-//      shard index,
+//      shard index; one more task of the same fan-out, run by the
+//      caller, builds the window's QiSpace and EmdCalculator,
 //   3. concatenate the per-shard clusters in shard order (deterministic),
 //   4. merge until the global t-closeness bound holds (the hierarchical
 //      engine repairs its subtrees on the pool), whatever the plan,

@@ -291,10 +291,16 @@ Result<Partition> MergeUntilTCloseWith(const QiSpace& space,
     ParallelFor(options.pool, subtrees, [&](size_t s) {
       TraceSpan span("merge_subtree");
       auto [begin, end] = SplitRange(clusters.size(), subtrees, s);
-      slices[s] = InitStates(space, emd, t, prune,
-                             clusters.subspan(begin, end - begin),
-                             &slice_counters[s]);
-      RunEngine(emd, t, prune, &slices[s], &slice_counters[s]);
+      // Work on task-local state and store it once: adjacent slots of
+      // slices and slice_counters share cache lines, so updating them on
+      // every check would make the subtree tasks fight over those lines.
+      EngineCounters counters;
+      std::vector<ClusterState> slice =
+          InitStates(space, emd, t, prune,
+                     clusters.subspan(begin, end - begin), &counters);
+      RunEngine(emd, t, prune, &slice, &counters);
+      slices[s] = std::move(slice);
+      slice_counters[s] = counters;
     });
 
     // Stitch the surviving clusters back together in subtree order and

@@ -25,6 +25,7 @@
 #include "data/summary.h"
 #include "data/value.h"
 #include "distance/emd.h"
+#include "engine/thread_pool.h"
 #include "microagg/aggregate.h"
 
 // Counts every heap allocation of this binary, so tests can pin how many
@@ -570,6 +571,39 @@ TEST(CsvTest, StreamedWindowOfOtherCellKindsIsRejected) {
   Dataset window(data.schema());
   EXPECT_EQ((*reader)->ReadInto(&window, 5).value(), 1u);
   EXPECT_EQ((*reader)->rows_read(), 1u);
+}
+
+// The pool only changes who formats each chunk: the bytes are the
+// serial writer's for any thread count, across several rounds of chunks
+// and a short last chunk, and when a writer reuses its chunk buffers.
+TEST(CsvTest, RowWriterBytesDoNotDependOnThePool) {
+  Schema schema({
+      Attribute{"x", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier,
+                {}},
+      Attribute{"label", AttributeType::kNominal, AttributeRole::kConfidential,
+                {"plain", "with,comma", "say \"hi\""}},
+  });
+  Dataset data(schema);
+  const size_t rows = 3 * CsvRowWriter::kRowsPerChunk + 17;
+  for (size_t row = 0; row < rows; ++row) {
+    ASSERT_TRUE(data.Append({Value::Numeric(static_cast<double>(row) / 7.0),
+                             Value::Categorical(static_cast<int32_t>(row % 3))})
+                    .ok());
+  }
+  std::ostringstream serial;
+  CsvRowWriter().Write(data, serial);
+  EXPECT_NE(serial.str().find("\"with,comma\""), std::string::npos);
+  EXPECT_NE(serial.str().find("\"say \"\"hi\"\"\""), std::string::npos);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    CsvRowWriter writer;
+    for (int call = 0; call < 2; ++call) {
+      std::ostringstream out;
+      writer.Write(data, out, &pool);
+      EXPECT_EQ(out.str(), serial.str())
+          << threads << " threads, call " << call;
+    }
+  }
 }
 
 TEST(CsvTest, MissingFileFails) {

@@ -28,42 +28,25 @@ Dataset MakeGrid() {
 }
 
 TEST(QiSpaceTest, RangeNormalizationEqualizesScales) {
-  QiSpace space(MakeGrid(), QiNormalization::kRange);
+  QiSpace space(MakeGrid());
   // Records 0 and 3 are at opposite corners: distance sqrt(1^2 + 1^2).
   EXPECT_NEAR(std::sqrt(space.SquaredDistance(0, 3)), std::sqrt(2.0), 1e-12);
   // Adjacent records: each dimension moves 1/3.
   EXPECT_NEAR(std::sqrt(space.SquaredDistance(0, 1)), std::sqrt(2.0) / 3.0, 1e-12);
 }
 
-TEST(QiSpaceTest, StandardizeNormalizationHasUnitVariance) {
-  QiSpace space(MakeGrid(), QiNormalization::kStandardize);
-  for (size_t d = 0; d < space.num_dims(); ++d) {
-    double sum = 0, sum_sq = 0;
-    for (size_t row = 0; row < space.num_records(); ++row) {
-      sum += space.point(row)[d];
-      sum_sq += space.point(row)[d] * space.point(row)[d];
-    }
-    double mean = sum / space.num_records();
-    EXPECT_NEAR(mean, 0.0, 1e-12);
-    EXPECT_NEAR(sum_sq / space.num_records() - mean * mean, 1.0, 1e-9);
-  }
-}
-
-TEST(QiSpaceTest, NoneNormalizationKeepsRawValues) {
-  QiSpace space(MakeGrid(), QiNormalization::kNone);
-  EXPECT_DOUBLE_EQ(space.point(1)[0], 10.0);
-  EXPECT_DOUBLE_EQ(space.point(1)[1], 1000.0);
-}
-
 TEST(QiSpaceTest, CentroidIsMean) {
-  QiSpace space(MakeGrid(), QiNormalization::kNone);
+  QiSpace space(MakeGrid());
+  // Range-normalized, records 0 and 3 sit at (0, 0) and (1, 1).
   std::vector<double> centroid = space.Centroid({0, 3});
-  EXPECT_DOUBLE_EQ(centroid[0], 15.0);
-  EXPECT_DOUBLE_EQ(centroid[1], 1500.0);
+  EXPECT_DOUBLE_EQ(centroid[0], 0.5);
+  EXPECT_DOUBLE_EQ(centroid[1], 0.5);
+  EXPECT_DOUBLE_EQ(space.point(1)[0], 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(space.point(1)[1], 1.0 / 3.0);
 }
 
 TEST(QiSpaceTest, FarthestAndClosestQueries) {
-  QiSpace space(MakeGrid(), QiNormalization::kRange);
+  QiSpace space(MakeGrid());
   std::vector<size_t> all = {0, 1, 2, 3};
   EXPECT_EQ(space.FarthestFromPoint(all, space.Centroid({0})), 3u);
   // Closest to record 0 other than itself: the second-nearest.
@@ -72,7 +55,7 @@ TEST(QiSpaceTest, FarthestAndClosestQueries) {
 }
 
 TEST(QiSpaceTest, NearestToRecordOrdersByDistance) {
-  QiSpace space(MakeGrid(), QiNormalization::kRange);
+  QiSpace space(MakeGrid());
   std::vector<size_t> nearest = space.NearestToRecord({0, 1, 2, 3}, 0, 3);
   EXPECT_EQ(nearest, (std::vector<size_t>{0, 1, 2}));
   // count larger than candidates clips.
@@ -84,7 +67,7 @@ TEST(QiSpaceTest, ConstantColumnDoesNotDivideByZero) {
       {"x", "c"}, {{5, 5, 5}, {1, 2, 3}},
       {AttributeRole::kQuasiIdentifier, AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  QiSpace space(*data, QiNormalization::kRange);
+  QiSpace space(*data);
   EXPECT_DOUBLE_EQ(space.SquaredDistance(0, 2), 0.0);
 }
 

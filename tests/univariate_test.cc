@@ -144,7 +144,7 @@ TEST(ProjectionTest, PcaRecoversDominantDirection) {
       {AttributeRole::kQuasiIdentifier, AttributeRole::kQuasiIdentifier,
        AttributeRole::kConfidential});
   ASSERT_TRUE(data.ok());
-  QiSpace space(*data, QiNormalization::kNone);
+  QiSpace space(*data);
   std::vector<double> scores = PrincipalComponentScores(space);
   for (size_t i = 1; i < scores.size(); ++i) {
     EXPECT_GT(scores[i], scores[i - 1]);

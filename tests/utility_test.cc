@@ -6,6 +6,7 @@
 
 #include "data/generator.h"
 #include "data/stats.h"
+#include "engine/thread_pool.h"
 #include "microagg/aggregate.h"
 #include "microagg/mdav.h"
 #include "utility/info_loss.h"
@@ -80,6 +81,30 @@ TEST(SseTest, ShapeMismatchFails) {
   Dataset data = MakeSimple();
   Dataset other = MakeUniformDataset(3, 2, 1);
   EXPECT_FALSE(NormalizedSse(data, other).ok());
+}
+
+// The per-record terms run on the pool but are summed in record order,
+// so the value is the same double for any pool. 1,001 records split into
+// 4 ranges per thread never divide evenly.
+TEST(SseTest, PoolGivesTheSameValueAsNoPool) {
+  Dataset data = MakeUniformDataset(1001, 3, 17);
+  auto partition = Mdav(QiSpace(data), 5);
+  ASSERT_TRUE(partition.ok());
+  auto anonymized = AggregatePartition(data, *partition);
+  ASSERT_TRUE(anonymized.ok());
+  const double serial = NormalizedSse(data, *anonymized).value();
+  const double over_all =
+      NormalizedSseOverAttributes(data, *anonymized, {0, 1, 2, 3}).value();
+  for (size_t threads : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(NormalizedSse(data, *anonymized, &pool).value(), serial)
+        << threads << " threads";
+    EXPECT_EQ(NormalizedSseOverAttributes(data, *anonymized, {0, 1, 2, 3},
+                                          &pool)
+                  .value(),
+              over_all)
+        << threads << " threads";
+  }
 }
 
 TEST(SseTest, MoreAggregationMeansMoreSse) {
