@@ -217,7 +217,7 @@ HttpConnectionReader::ReadResult HttpConnectionReader::Read() {
   // peer that goes silent mid-request wakes the handler in time to
   // answer 408 instead of pinning it forever.
   std::optional<SteadyClock::time_point> deadline;
-  channel_->SetReadTimeout(limits_.idle_timeout_ms);
+  channel_->SetReadTimeout(idle_timeout_ms_);
 
   auto fail = [&result](int status, Status error) -> ReadResult& {
     result.outcome = Outcome::kError;
@@ -487,71 +487,17 @@ bool RespondMethodNotAllowed(LineChannel* channel,
                  {"Allow: " + allow});
 }
 
-// POST /jobs: the submit verb. 202 + accepted event, or with ?wait=1 a
-// blocking 200 + the terminal state event (HTTP carries one response per
-// request, so the NDJSON path's intermediate state stream collapses to
-// its final element).
-bool HandleSubmit(LineChannel* channel, JobQueue* queue,
-                  const HttpRequest& request) {
-  auto parsed = ParseJson(request.body);
-  if (!parsed.ok()) return RespondError(channel, request, parsed.status());
-  auto spec = JobSpec::FromJson(*parsed);
-  if (!spec.ok()) return RespondError(channel, request, spec.status());
-  auto job_id = queue->Submit(std::move(*spec));
-  if (!job_id.ok()) return RespondError(channel, request, job_id.status());
-
-  if (!QueryWantsWait(request.query)) {
-    return Respond(channel, request, 202,
-                   MakeAcceptedEvent(std::nullopt, *job_id,
-                                     queue->pending()));
-  }
-  JobState seen = JobState::kQueued;
-  while (true) {
-    auto snapshot = queue->WaitForChange(*job_id, seen);
-    if (!snapshot.ok()) {
-      return RespondError(channel, request, snapshot.status());
-    }
-    if (IsTerminalJobState(snapshot->state)) {
-      return Respond(channel, request, 200,
-                     MakeStateEvent(std::nullopt, *snapshot));
-    }
-    seen = snapshot->state;
-  }
-}
-
-// GET or DELETE /jobs/N: the status / cancel verbs.
-bool HandleJobById(LineChannel* channel, JobQueue* queue,
-                   const HttpRequest& request, std::string_view id_text) {
-  auto job_id = ParseDecimal(id_text);
-  if (!job_id.has_value()) {
-    return RespondError(channel, request,
-                        Status::InvalidArgument(
-                            "job id must be a decimal integer, got \"" +
-                            std::string(id_text) + "\""));
-  }
-  if (request.method != "GET" && request.method != "DELETE") {
-    return RespondMethodNotAllowed(channel, request, "GET, DELETE");
-  }
-  auto snapshot = request.method == "GET" ? queue->Status(*job_id)
-                                          : queue->Cancel(*job_id);
-  if (!snapshot.ok()) {
-    return RespondError(channel, request, snapshot.status());
-  }
-  return Respond(channel, request, 200,
-                 MakeStateEvent(std::nullopt, *snapshot));
-}
-
 // Routes one parsed request. Returns "keep serving this connection".
 bool HandleHttpRequest(LineChannel* channel, JobQueue* queue,
-                       const HttpFrontOptions& options,
+                       const std::string& auth_token,
                        const HttpRequest& request) {
   MetricsRegistry::Global().IncrementCounter("serve.http_requests");
 
   // Auth first; only the liveness probe is exempt so load balancers can
   // health-check a token-protected daemon.
-  if (!options.auth_token.empty() && request.path != "/healthz") {
+  if (!auth_token.empty() && request.path != "/healthz") {
     const std::string* auth = request.FindHeader("authorization");
-    const std::string expected = "Bearer " + options.auth_token;
+    const std::string expected = "Bearer " + auth_token;
     if (auth == nullptr || !ConstantTimeEquals(*auth, expected)) {
       Status status = Status::FailedPrecondition(
           "missing or invalid bearer token");
@@ -561,43 +507,69 @@ bool HandleHttpRequest(LineChannel* channel, JobQueue* queue,
     }
   }
 
-  if (request.path == "/healthz") {
+  // The route table: each route names one verb of the NDJSON protocol.
+  ServeRequest serve_request;
+  if (request.path == "/healthz" || request.path == "/metricsz") {
     if (request.method != "GET") {
       return RespondMethodNotAllowed(channel, request, "GET");
     }
-    return Respond(channel, request, 200,
-                   MakePongEvent(std::nullopt, queue->pending(),
-                                 queue->total_jobs()));
-  }
-  if (request.path == "/metricsz") {
-    if (request.method != "GET") {
-      return RespondMethodNotAllowed(channel, request, "GET");
-    }
-    JobStateCounts counts = queue->StateCounts();
-    return Respond(channel, request, 200,
-                   MakeStatsEvent(std::nullopt, counts, counts.queued,
-                                  MetricsRegistry::Global().SnapshotJson()));
-  }
-  if (request.path == "/jobs") {
+    serve_request.verb =
+        request.path == "/healthz" ? ServeVerb::kPing : ServeVerb::kStats;
+  } else if (request.path == "/jobs") {
     if (request.method != "POST") {
       return RespondMethodNotAllowed(channel, request, "POST");
     }
-    return HandleSubmit(channel, queue, request);
+    auto parsed = ParseJson(request.body);
+    if (!parsed.ok()) return RespondError(channel, request, parsed.status());
+    auto spec = JobSpec::FromJson(*parsed);
+    if (!spec.ok()) return RespondError(channel, request, spec.status());
+    serve_request.verb = ServeVerb::kSubmit;
+    serve_request.spec = std::move(*spec);
+    serve_request.wait = QueryWantsWait(request.query);
+  } else if (request.path.rfind("/jobs/", 0) == 0) {
+    std::string_view id_text = std::string_view(request.path).substr(6);
+    serve_request.job = ParseDecimal(id_text);
+    if (!serve_request.job.has_value()) {
+      return RespondError(channel, request,
+                          Status::InvalidArgument(
+                              "job id must be a decimal integer, got \"" +
+                              std::string(id_text) + "\""));
+    }
+    if (request.method != "GET" && request.method != "DELETE") {
+      return RespondMethodNotAllowed(channel, request, "GET, DELETE");
+    }
+    serve_request.verb =
+        request.method == "GET" ? ServeVerb::kStatus : ServeVerb::kCancel;
+  } else {
+    return RespondError(channel, request,
+                        Status::NotFound("no such route: " + request.method +
+                                         " " + request.path));
   }
-  if (request.path.rfind("/jobs/", 0) == 0) {
-    return HandleJobById(channel, queue, request,
-                         std::string_view(request.path).substr(6));
-  }
-  return RespondError(channel, request,
-                      Status::NotFound("no such route: " + request.method +
-                                       " " + request.path));
+
+  // HTTP carries one response per request, so a verb's event stream
+  // collapses to its final element: a waited submit answers with the
+  // terminal state (200), an unwaited one with the accepted event (202).
+  int status =
+      serve_request.verb == ServeVerb::kSubmit && !serve_request.wait ? 202
+                                                                        : 200;
+  JsonValue last;
+  DispatchServeRequest(queue, std::move(serve_request),
+                       [&](JsonValue event, StatusCode code) {
+                         last = std::move(event);
+                         if (code != StatusCode::kOk) {
+                           status = HttpStatusForCode(code);
+                         }
+                         return true;
+                       });
+  return Respond(channel, request, status, last);
 }
 
 }  // namespace
 
 void ServeHttpConnection(LineChannel* channel, JobQueue* queue,
-                         const HttpFrontOptions& options) {
-  HttpConnectionReader reader(channel, options.limits);
+                         const std::string& auth_token,
+                         const HttpLimits& limits, int idle_timeout_ms) {
+  HttpConnectionReader reader(channel, limits, idle_timeout_ms);
   while (true) {
     HttpConnectionReader::ReadResult read = reader.Read();
     if (read.outcome == HttpConnectionReader::Outcome::kClosed) return;
@@ -610,7 +582,7 @@ void ServeHttpConnection(LineChannel* channel, JobQueue* queue,
           /*keep_alive=*/false));
       return;
     }
-    if (!HandleHttpRequest(channel, queue, options, read.request)) return;
+    if (!HandleHttpRequest(channel, queue, auth_token, read.request)) return;
   }
 }
 

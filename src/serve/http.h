@@ -33,12 +33,16 @@ namespace tcm {
 //   GET    /metricsz   stats. 200 + stats event (jobs by state, queue
 //                      depth, MetricsRegistry snapshot).
 //
-// Response bodies ARE the NDJSON protocol's event objects (accepted /
-// state / pong / stats / error), so an HTTP client branches on exactly
-// the same documents as a socket client. Request-level failures carry
-// the error event with the taxonomy code in "code" and the HTTP status
-// from HttpStatusForCode(). There is no shutdown route: shutdown stays
-// an NDJSON/signal-only operation.
+// Each route is framing only: it maps onto a ServeRequest and runs
+// DispatchServeRequest (serve/protocol.h), the verbs' one
+// implementation behind both fronts, answering with the last event the
+// verb emits. So response bodies are the NDJSON protocol's event
+// objects (accepted / state / pong / stats / error) by construction,
+// and an HTTP client branches on exactly the same documents as a socket
+// client. Request-level failures carry the error event with the
+// taxonomy code in "code" and the HTTP status from HttpStatusForCode().
+// There is no shutdown route: shutdown stays an NDJSON/signal-only
+// operation.
 //
 // Auth: when the daemon is started with a bearer token, every route but
 // GET /healthz requires "Authorization: Bearer <token>"; a missing or
@@ -70,10 +74,6 @@ struct HttpLimits {
   // fully silent mid-request cannot pin the handler either. 0 disables
   // the deadline.
   int request_deadline_ms = 0;
-  // Receive timeout between requests (the idle keep-alive reap),
-  // restored on the channel once each request completes. 0 = none. The
-  // server fills this in from ServeOptions::idle_timeout_ms.
-  int idle_timeout_ms = 0;
 };
 
 // One parsed request. Header names are lower-cased; values are
@@ -125,8 +125,14 @@ class HttpConnectionReader {
     Status error;  // taxonomy-coded cause, the error event's payload
   };
 
-  HttpConnectionReader(LineChannel* channel, HttpLimits limits)
-      : channel_(channel), limits_(limits) {}
+  // `idle_timeout_ms` is the receive timeout between requests (the idle
+  // keep-alive reap), restored on the channel before each request; 0 =
+  // none.
+  HttpConnectionReader(LineChannel* channel, HttpLimits limits,
+                       int idle_timeout_ms)
+      : channel_(channel),
+        limits_(limits),
+        idle_timeout_ms_(idle_timeout_ms) {}
 
   // Blocks until one whole request arrived (head + declared body) or
   // the connection died / misbehaved.
@@ -139,20 +145,17 @@ class HttpConnectionReader {
 
   LineChannel* channel_;
   HttpLimits limits_;
+  int idle_timeout_ms_;
   std::string buffer_;
-};
-
-// Everything one HTTP connection handler needs besides the channel.
-struct HttpFrontOptions {
-  std::string auth_token;  // empty = unauthenticated front
-  HttpLimits limits;
 };
 
 // Serves HTTP requests on `channel` until the peer closes, a limit
 // trips, or keep-alive ends. `queue` is the same JobQueue the NDJSON
-// protocol submits into, so both fronts observe one job namespace.
+// protocol submits into, so both fronts observe one job namespace; an
+// empty `auth_token` leaves the front unauthenticated.
 void ServeHttpConnection(LineChannel* channel, JobQueue* queue,
-                         const HttpFrontOptions& options);
+                         const std::string& auth_token,
+                         const HttpLimits& limits, int idle_timeout_ms);
 
 }  // namespace tcm
 

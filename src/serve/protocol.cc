@@ -9,6 +9,8 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace tcm {
 namespace {
 
@@ -143,6 +145,8 @@ JsonValue MakeErrorEvent(const std::optional<uint64_t>& id,
   return event;
 }
 
+namespace {
+
 JsonValue MakeAcceptedEvent(const std::optional<uint64_t>& id, uint64_t job,
                             size_t pending) {
   JsonValue event = MakeEvent("accepted", id);
@@ -176,9 +180,10 @@ JsonValue MakePongEvent(const std::optional<uint64_t>& id, size_t pending,
   return event;
 }
 
+// `counts` is the queue's jobs-by-state tally (its queued count is the
+// queue depth); `metrics` the MetricsRegistry snapshot, moved in.
 JsonValue MakeStatsEvent(const std::optional<uint64_t>& id,
-                         const JobStateCounts& counts, size_t queue_depth,
-                         JsonValue metrics) {
+                         const JobStateCounts& counts, JsonValue metrics) {
   JsonValue event = MakeEvent("stats", id);
   event.Set("protocol", kServeProtocolVersion);
   event.Set("stats_schema", kStatsSchemaVersion);
@@ -189,13 +194,71 @@ JsonValue MakeStatsEvent(const std::optional<uint64_t>& id,
   jobs.Set(JobStateName(JobState::kFailed), counts.failed);
   jobs.Set(JobStateName(JobState::kCancelled), counts.cancelled);
   event.Set("jobs", std::move(jobs));
-  event.Set("queue_depth", queue_depth);
+  event.Set("queue_depth", counts.queued);
   event.Set("metrics", std::move(metrics));
   return event;
 }
 
-JsonValue MakeDrainingEvent(const std::optional<uint64_t>& id) {
-  return MakeEvent("draining", id);
+// The state event of `snapshot`, or the error event of its lookup.
+bool EmitSnapshot(const std::optional<uint64_t>& id,
+                  const Result<JobSnapshot>& snapshot,
+                  const ServeEventSink& emit) {
+  if (!snapshot.ok()) {
+    return emit(MakeErrorEvent(id, snapshot.status()),
+                snapshot.status().code());
+  }
+  return emit(MakeStateEvent(id, *snapshot), StatusCode::kOk);
+}
+
+}  // namespace
+
+bool DispatchServeRequest(JobQueue* queue, ServeRequest request,
+                          const ServeEventSink& emit) {
+  const std::optional<uint64_t>& id = request.id;
+  switch (request.verb) {
+    case ServeVerb::kPing:
+      return emit(MakePongEvent(id, queue->pending(), queue->total_jobs()),
+                  StatusCode::kOk);
+
+    case ServeVerb::kStats:
+      return emit(MakeStatsEvent(id, queue->StateCounts(),
+                                 MetricsRegistry::Global().SnapshotJson()),
+                  StatusCode::kOk);
+
+    case ServeVerb::kStatus:
+      return EmitSnapshot(id, queue->Status(*request.job), emit);
+
+    case ServeVerb::kCancel:
+      return EmitSnapshot(id, queue->Cancel(*request.job), emit);
+
+    case ServeVerb::kShutdown:
+      return emit(MakeEvent("draining", id), StatusCode::kOk);
+
+    case ServeVerb::kSubmit: {
+      auto job_id = queue->Submit(std::move(*request.spec));
+      if (!job_id.ok()) {
+        return emit(MakeErrorEvent(id, job_id.status()),
+                    job_id.status().code());
+      }
+      if (!emit(MakeAcceptedEvent(id, *job_id, queue->pending()),
+                StatusCode::kOk)) {
+        return false;
+      }
+      if (!request.wait) return true;
+      // One state event per observed transition, ending with the
+      // terminal one.
+      JobState seen = JobState::kQueued;
+      while (true) {
+        auto snapshot = queue->WaitForChange(*job_id, seen);
+        if (!EmitSnapshot(id, snapshot, emit)) return false;
+        if (!snapshot.ok() || IsTerminalJobState(snapshot->state)) {
+          return true;
+        }
+        seen = snapshot->state;
+      }
+    }
+  }
+  return true;
 }
 
 // --------------------------------------------------------------- LineChannel

@@ -2,6 +2,7 @@
 #define TCM_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -88,22 +89,28 @@ struct ServeRequest {
   std::string ToJsonText() const;  // compact single line
 };
 
-// Event builders (server side; exposed for tests and embedders).
+// Event builders the fronts need outside a verb: the NDJSON greeting
+// and the error event of a request that never reached a verb (a bad
+// line, a refused connection, an HTTP-level failure).
 JsonValue MakeHelloEvent(size_t max_pending);
 JsonValue MakeErrorEvent(const std::optional<uint64_t>& id,
                          const Status& status);
-JsonValue MakeAcceptedEvent(const std::optional<uint64_t>& id, uint64_t job,
-                            size_t pending);
-JsonValue MakeStateEvent(const std::optional<uint64_t>& id,
-                         const JobSnapshot& snapshot);
-JsonValue MakePongEvent(const std::optional<uint64_t>& id, size_t pending,
-                        size_t total_jobs);
-// `counts` is the queue's jobs-by-state tally; `metrics` the
-// MetricsRegistry snapshot (SnapshotJson()), moved into the event.
-JsonValue MakeStatsEvent(const std::optional<uint64_t>& id,
-                         const JobStateCounts& counts, size_t queue_depth,
-                         JsonValue metrics);
-JsonValue MakeDrainingEvent(const std::optional<uint64_t>& id);
+
+// Receives one event of a verb, with the taxonomy code it carries (kOk
+// for every event but "error"). Returns false to stop a waited stream
+// (its reader is gone).
+using ServeEventSink = std::function<bool(JsonValue event, StatusCode code)>;
+
+// The verbs' one implementation, behind both serving fronts: runs
+// `request` against `queue` and hands every event it produces to `emit`
+// in order — the accepted event and (when waited) each observed state
+// through the terminal one for submit, one state event for status and
+// cancel, pong for ping, the stats snapshot for stats, and draining for
+// shutdown (the drain itself is the serving front's, which starts it
+// once this returns true). A refused verb emits its error event. Returns
+// the last emit's result.
+bool DispatchServeRequest(JobQueue* queue, ServeRequest request,
+                          const ServeEventSink& emit);
 
 // ---------------------------------------------------------------------------
 // LineChannel: blocking newline-delimited IO over a connected socket fd,

@@ -258,11 +258,8 @@ void JobServer::HandleConnection(Connection* connection) {
     channel->SetReadTimeout(options_.idle_timeout_ms);
   }
   if (connection->http) {
-    HttpFrontOptions front;
-    front.auth_token = options_.http_auth_token;
-    front.limits = options_.http_limits;
-    front.limits.idle_timeout_ms = options_.idle_timeout_ms;
-    ServeHttpConnection(channel, queue_.get(), front);
+    ServeHttpConnection(channel, queue_.get(), options_.http_auth_token,
+                        options_.http_limits, options_.idle_timeout_ms);
   } else if (channel
                  ->WriteLine(MakeHelloEvent(options_.max_pending).Write(-1))
                  .ok()) {
@@ -288,109 +285,27 @@ void JobServer::HandleConnection(Connection* connection) {
 
 bool JobServer::HandleRequest(LineChannel* channel,
                               const std::string& line) {
+  auto emit = [channel](JsonValue event, StatusCode) {
+    return channel->WriteLine(event.Write(-1)).ok();
+  };
   auto parsed = ServeRequest::FromJsonText(line);
   if (!parsed.ok()) {
     // One bad line does not poison the connection: report and carry on,
     // like the CLI rejecting one malformed invocation.
-    return channel->WriteLine(
-        MakeErrorEvent(std::nullopt, parsed.status()).Write(-1)).ok();
+    return emit(MakeErrorEvent(std::nullopt, parsed.status()),
+                parsed.status().code());
   }
-  ServeRequest& request = *parsed;
-
-  switch (request.verb) {
-    case ServeVerb::kPing:
-      return channel
-          ->WriteLine(MakePongEvent(request.id, queue_->pending(),
-                                    queue_->total_jobs())
-                          .Write(-1))
-          .ok();
-
-    case ServeVerb::kStats: {
-      JobStateCounts counts = queue_->StateCounts();
-      return channel
-          ->WriteLine(MakeStatsEvent(request.id, counts, counts.queued,
-                                     MetricsRegistry::Global().SnapshotJson())
-                          .Write(-1))
-          .ok();
-    }
-
-    case ServeVerb::kStatus: {
-      auto snapshot = queue_->Status(*request.job);
-      if (!snapshot.ok()) {
-        return channel
-            ->WriteLine(MakeErrorEvent(request.id, snapshot.status())
-                            .Write(-1))
-            .ok();
-      }
-      return channel->WriteLine(MakeStateEvent(request.id, *snapshot)
-                                    .Write(-1)).ok();
-    }
-
-    case ServeVerb::kCancel: {
-      auto snapshot = queue_->Cancel(*request.job);
-      if (!snapshot.ok()) {
-        return channel
-            ->WriteLine(MakeErrorEvent(request.id, snapshot.status())
-                            .Write(-1))
-            .ok();
-      }
-      return channel->WriteLine(MakeStateEvent(request.id, *snapshot)
-                                    .Write(-1)).ok();
-    }
-
-    case ServeVerb::kShutdown: {
-      if (!options_.allow_remote_shutdown) {
-        return channel
-            ->WriteLine(MakeErrorEvent(request.id,
-                                       Status::Unimplemented(
-                                           "remote shutdown is disabled"))
-                            .Write(-1))
-            .ok();
-      }
-      if (!channel->WriteLine(MakeDrainingEvent(request.id).Write(-1))
-               .ok()) {
-        return false;
-      }
-      // Only flags are set here; the drain itself runs in Wait(), so a
-      // connection handler can safely request it.
-      RequestShutdown();
-      return true;
-    }
-
-    case ServeVerb::kSubmit: {
-      auto job_id = queue_->Submit(std::move(*request.spec));
-      if (!job_id.ok()) {
-        return channel
-            ->WriteLine(MakeErrorEvent(request.id, job_id.status())
-                            .Write(-1))
-            .ok();
-      }
-      if (!channel
-               ->WriteLine(MakeAcceptedEvent(request.id, *job_id,
-                                             queue_->pending())
-                               .Write(-1))
-               .ok()) {
-        return false;
-      }
-      if (!request.wait) return true;
-      JobState seen = JobState::kQueued;
-      while (true) {
-        auto snapshot = queue_->WaitForChange(*job_id, seen);
-        if (!snapshot.ok()) {
-          return channel
-              ->WriteLine(MakeErrorEvent(request.id, snapshot.status())
-                              .Write(-1))
-              .ok();
-        }
-        if (!channel->WriteLine(MakeStateEvent(request.id, *snapshot)
-                                    .Write(-1)).ok()) {
-          return false;
-        }
-        if (IsTerminalJobState(snapshot->state)) return true;
-        seen = snapshot->state;
-      }
-    }
+  const bool shutdown = parsed->verb == ServeVerb::kShutdown;
+  if (shutdown && !options_.allow_remote_shutdown) {
+    Status refused = Status::Unimplemented("remote shutdown is disabled");
+    return emit(MakeErrorEvent(parsed->id, refused), refused.code());
   }
+  if (!DispatchServeRequest(queue_.get(), std::move(*parsed), emit)) {
+    return false;
+  }
+  // The draining event is out; only flags are set here and the drain
+  // itself runs in Wait(), so a connection handler can safely request it.
+  if (shutdown) RequestShutdown();
   return true;
 }
 

@@ -23,7 +23,10 @@
 // JobServer/JobQueue/ServeClient and the newline-delimited JSON wire
 // protocol they speak (serve/protocol.h, versioned separately by
 // kServeProtocolVersion) — is re-exported too, so an embedder can host
-// or talk to a tcm_serve endpoint with this one include. The columnar
+// or talk to a tcm_serve endpoint with this one include. So is the
+// observability layer (obs/metrics.h, obs/trace.h): the metrics
+// registry the daemon's stats verb snapshots and the trace recorder
+// behind a job's trace_path. The library itself does not log. The columnar
 // store (colstore/*.h) is re-exported as well: ColumnTable, the .tcmb
 // binary dataset format (versioned separately by kTcmbFormatVersion),
 // the CSV converter and the streaming ColumnarSource. Engine internals
@@ -41,7 +44,6 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/record_source.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"

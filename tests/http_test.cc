@@ -362,6 +362,81 @@ TEST(HttpRoutesTest, ErrorsCarryTaxonomyCodeAndMappedStatus) {
   EXPECT_EQ(EventCode(BodyOf(response)), "NotFound");
 }
 
+// The body of a response: exactly the bytes after the head.
+std::string BodyTextOf(const std::string& response) {
+  size_t head_end = response.find("\r\n\r\n");
+  EXPECT_NE(head_end, std::string::npos) << response;
+  return head_end == std::string::npos ? "" : response.substr(head_end + 4);
+}
+
+// A raw NDJSON connection with the server's hello already read.
+LineChannel ConnectNdjson(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                      sizeof(address)),
+            0)
+      << std::strerror(errno);
+  LineChannel channel(fd);
+  EXPECT_TRUE(channel.ReadLine().ok());  // hello
+  return channel;
+}
+
+// One NDJSON request line and the raw event line it answers with,
+// newline included (an HTTP body ends with one too).
+std::string NdjsonEvent(LineChannel* channel, const std::string& request) {
+  EXPECT_TRUE(channel->WriteLine(request).ok());
+  auto line = channel->ReadLine();
+  EXPECT_TRUE(line.ok()) << line.status().ToString();
+  return line.ok() ? *line + "\n" : "";
+}
+
+// Both fronts run one dispatcher, so a route's body is byte for byte the
+// event its verb answers over NDJSON (requests sent without an id).
+TEST(HttpRoutesTest, BodiesAreTheNdjsonEvents) {
+  JobServer server(HttpOptions());
+  ASSERT_TRUE(server.Start().ok());
+  RawClient http(server.http_port());
+  LineChannel ndjson = ConnectNdjson(server.port());
+
+  // An idle daemon: /healthz is ping's pong.
+  http.Send(Request("GET", "/healthz"));
+  EXPECT_EQ(BodyTextOf(http.ReadResponse()),
+            NdjsonEvent(&ndjson, R"({"verb":"ping"})"));
+
+  // One finished job: status and cancel (the no-op on a terminal job).
+  auto submitter = ServeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(submitter.ok()) << submitter.status().ToString();
+  auto done = submitter->SubmitAndWait(
+      UniformSpec(/*seed=*/23, /*rows=*/200).ToJson());
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(EventState(*done), "succeeded") << done->Write(2);
+  const std::string job = std::to_string(EventJob(*done));
+
+  http.Send(Request("GET", "/jobs/" + job));
+  std::string response = http.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  EXPECT_EQ(BodyTextOf(response),
+            NdjsonEvent(&ndjson, R"({"verb":"status","job":)" + job + "}"));
+
+  http.Send(Request("DELETE", "/jobs/" + job));
+  response = http.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  EXPECT_EQ(BodyTextOf(response),
+            NdjsonEvent(&ndjson, R"({"verb":"cancel","job":)" + job + "}"));
+
+  // An unknown id: the same NotFound error event.
+  http.Send(Request("GET", "/jobs/999"));
+  response = http.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 404) << response;
+  EXPECT_EQ(BodyTextOf(response),
+            NdjsonEvent(&ndjson, R"({"verb":"status","job":999})"));
+}
+
 TEST(HttpRoutesTest, MethodNotAllowedNamesTheAllowedSet) {
   JobServer server(HttpOptions());
   ASSERT_TRUE(server.Start().ok());

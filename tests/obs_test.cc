@@ -1,15 +1,13 @@
 // Tests for the observability layer (src/obs/): metrics registry
 // counters/gauges/histograms with exact quantile extraction pinned
 // against a sorted-vector oracle, concurrent publication (this suite
-// runs under the tsan preset), the trace recorder's Chrome trace-event
-// JSON export with span nesting, and the structured key=value logger
-// with an injected pipe sink.
-
-#include <unistd.h>
+// runs under the tsan preset), and the trace recorder's Chrome
+// trace-event JSON export with span nesting.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <set>
 #include <string>
@@ -19,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -302,114 +299,6 @@ TEST_F(TraceTest, TraceSinkWritesFileAndDisables) {
   EXPECT_EQ(trace_events->items()[0].Find("name")->string_value(),
             "sink_span");
   std::remove(path.c_str());
-}
-
-// --------------------------------------------------------------- logging
-
-TEST(LogTest, ParseLogLevelRoundTrips) {
-  for (LogLevel level : {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
-                         LogLevel::kError, LogLevel::kOff}) {
-    LogLevel parsed = LogLevel::kOff;
-    EXPECT_TRUE(ParseLogLevel(LogLevelName(level), &parsed));
-    EXPECT_EQ(parsed, level);
-  }
-  LogLevel untouched = LogLevel::kWarn;
-  EXPECT_FALSE(ParseLogLevel("verbose", &untouched));
-  EXPECT_EQ(untouched, LogLevel::kWarn);
-}
-
-TEST(LogTest, EnabledHonorsThresholdAndOff) {
-  Logger& logger = Logger::Global();
-  const LogLevel saved = logger.level();
-  logger.SetLevel(LogLevel::kWarn);
-  EXPECT_FALSE(logger.Enabled(LogLevel::kDebug));
-  EXPECT_FALSE(logger.Enabled(LogLevel::kInfo));
-  EXPECT_TRUE(logger.Enabled(LogLevel::kWarn));
-  EXPECT_TRUE(logger.Enabled(LogLevel::kError));
-  EXPECT_FALSE(logger.Enabled(LogLevel::kOff));  // kOff is never a line level
-  logger.SetLevel(saved);
-}
-
-// Reads everything currently buffered in the pipe (the writes are
-// smaller than PIPE_BUF, so one read suffices).
-std::string DrainPipe(int fd) {
-  char buffer[4096];
-  ssize_t n = ::read(fd, buffer, sizeof(buffer));
-  return n > 0 ? std::string(buffer, static_cast<size_t>(n)) : std::string();
-}
-
-TEST(LogTest, EmitsKeyValueLinesToInjectedSink) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  Logger& logger = Logger::Global();
-  const LogLevel saved_level = logger.level();
-  const int saved_fd = logger.fd();
-  logger.SetFd(fds[1]);
-  logger.SetLevel(LogLevel::kInfo);
-
-  TCM_LOG(kInfo)
-      .Msg("job finished")
-      .Kv("job", 42)
-      .Kv("ok", true)
-      .Kv("seconds", 0.25);
-
-  logger.SetLevel(saved_level);
-  logger.SetFd(saved_fd);
-  std::string line = DrainPipe(fds[0]);
-  ::close(fds[0]);
-  ::close(fds[1]);
-
-  EXPECT_NE(line.find("ts="), std::string::npos) << line;
-  EXPECT_NE(line.find("level=info"), std::string::npos) << line;
-  // The message contains a space, so it is quoted.
-  EXPECT_NE(line.find("msg=\"job finished\""), std::string::npos) << line;
-  EXPECT_NE(line.find("job=42"), std::string::npos) << line;
-  EXPECT_NE(line.find("ok=true"), std::string::npos) << line;
-  EXPECT_NE(line.find("seconds=0.25"), std::string::npos) << line;
-  EXPECT_EQ(line.back(), '\n');
-}
-
-TEST(LogTest, BelowThresholdLinesEmitNothing) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  Logger& logger = Logger::Global();
-  const LogLevel saved_level = logger.level();
-  const int saved_fd = logger.fd();
-  logger.SetFd(fds[1]);
-  logger.SetLevel(LogLevel::kError);
-
-  TCM_LOG(kInfo).Msg("suppressed");
-  TCM_LOG(kError).Msg("kept");
-
-  logger.SetLevel(saved_level);
-  logger.SetFd(saved_fd);
-  std::string out = DrainPipe(fds[0]);
-  ::close(fds[0]);
-  ::close(fds[1]);
-
-  EXPECT_EQ(out.find("suppressed"), std::string::npos) << out;
-  EXPECT_NE(out.find("kept"), std::string::npos) << out;
-}
-
-TEST(LogTest, QuotesAndEscapesSpecialValues) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  Logger& logger = Logger::Global();
-  const LogLevel saved_level = logger.level();
-  const int saved_fd = logger.fd();
-  logger.SetFd(fds[1]);
-  logger.SetLevel(LogLevel::kDebug);
-
-  TCM_LOG(kDebug).Kv("path", "a \"b\"\nc").Kv("empty", "");
-
-  logger.SetLevel(saved_level);
-  logger.SetFd(saved_fd);
-  std::string line = DrainPipe(fds[0]);
-  ::close(fds[0]);
-  ::close(fds[1]);
-
-  EXPECT_NE(line.find("path=\"a \\\"b\\\"\\nc\""), std::string::npos) << line;
-  EXPECT_NE(line.find("empty=\"\""), std::string::npos) << line;
 }
 
 }  // namespace

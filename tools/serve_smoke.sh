@@ -6,7 +6,10 @@
 #   3. the stats verb: a live observability snapshot counting the golden
 #      job as succeeded with a populated job-latency histogram,
 #   4. wire error codes mapping to the documented tcm_submit exit codes,
-#   5. a graceful drain: the shutdown verb ends the daemon with exit 0.
+#   5. a graceful drain: the shutdown verb ends the daemon with exit 0,
+#   6. the daemon's log lines: "tcm_serve listening" naming the bound
+#      port at the default level, nothing at --log-level off, and exit 2
+#      for an unknown level.
 # Registered as ctest `tools.serve_smoke` and run standalone by the CI
 # serve-smoke job.
 #
@@ -47,6 +50,8 @@ for _ in $(seq 1 200); do
 done
 [ -s "$WORK/port" ] || fail "daemon never wrote its port file"
 PORT=$(cat "$WORK/port")
+grep -q "level=info msg=\"tcm_serve listening\" host=[^ ]* port=$PORT " \
+    "$WORK/serve.log" || fail "daemon log missing the listening line"
 
 "$SUBMIT" --port "$PORT" --ping >"$WORK/ping.json" \
   || fail "ping failed"
@@ -116,6 +121,27 @@ grep -q "drained, exiting" "$WORK/serve.log" \
 "$SUBMIT" --port "$PORT" --ping >/dev/null 2>&1
 [ $? -eq 5 ] || fail "connecting to a dead daemon should exit 5"
 
+# 6: --log-level off silences both lines through a whole drain, and an
+# unknown level is a usage error.
+"$SERVE" --port 0 --port-file "$WORK/quiet_port" --log-level off \
+    2>"$WORK/quiet.log" &
+QUIET_PID=$!
+trap 'kill "$QUIET_PID" 2>/dev/null; wait "$QUIET_PID" 2>/dev/null' EXIT
+for _ in $(seq 1 200); do
+  [ -s "$WORK/quiet_port" ] && break
+  kill -0 "$QUIET_PID" 2>/dev/null || fail "quiet daemon died before binding"
+  sleep 0.05
+done
+[ -s "$WORK/quiet_port" ] || fail "quiet daemon never wrote its port file"
+"$SUBMIT" --port "$(cat "$WORK/quiet_port")" --shutdown >/dev/null \
+  || fail "shutdown of the quiet daemon failed"
+wait "$QUIET_PID" || fail "quiet daemon exited $? after drain"
+trap - EXIT
+[ ! -s "$WORK/quiet.log" ] || fail "--log-level off still wrote to stderr"
+
+"$SERVE" --port 0 --log-level verbose >/dev/null 2>&1
+[ $? -eq 2 ] || fail "--log-level verbose should exit 2"
+
 echo "serve_smoke OK: golden release + report served byte-identically,"
-echo "live stats, wire error codes and graceful drain as documented"
+echo "live stats, wire error codes, graceful drain and log levels as documented"
 exit 0

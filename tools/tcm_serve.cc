@@ -25,12 +25,15 @@
 // 300000) drops connections whose peer goes silent mid-read, so stalled
 // clients cannot pin handler threads.
 //
-// The daemon speaks structured key=value log lines on stderr (obs/log.h)
-// at level info by default — unlike the one-shot tools, which stay
-// silent unless TCM_LOG is set. --log-level debug|info|warn|error|off
-// overrides both the default and the environment. Live metrics (jobs by
-// state, queue depth, job-latency quantiles) are served over the wire by
-// the "stats" verb: `tcm_submit --port N --stats`.
+// The daemon writes two key=value lines to stderr, both at level info:
+// "tcm_serve listening" (address, ports, pid and limits) once it
+// accepts, and "tcm_serve drained, exiting" after the drain. They print
+// when the level is info or debug. The level is --log-level
+// debug|info|warn|error|off (any other value is a usage error), else the
+// TCM_LOG environment variable when set (an unknown value means off),
+// else info. Live metrics (jobs by state, queue depth, job-latency
+// quantiles) are served over the wire by the "stats" verb:
+// `tcm_submit --port N --stats`.
 //
 // Shutdown is always a graceful drain: SIGTERM, SIGINT or a client's
 // "shutdown" verb (disable with --no-remote-shutdown) stop new
@@ -42,9 +45,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "arg_parser.h"
@@ -74,6 +79,29 @@ bool WritePortFile(const std::string& path, unsigned int port) {
   ok = ok && std::rename(temp.c_str(), path.c_str()) == 0;
   if (!ok) std::remove(temp.c_str());
   return ok;
+}
+
+// True for the levels at which the daemon's info lines print.
+bool LogsInfo(std::string_view level) {
+  return level == "debug" || level == "info";
+}
+
+bool IsLogLevel(std::string_view level) {
+  return LogsInfo(level) || level == "warn" || level == "error" ||
+         level == "off";
+}
+
+// Writes "ts=S level=info <fields>" to stderr with one write(2), so the
+// line never interleaves with other output; ts counts seconds from the
+// first line.
+void LogInfo(const std::string& fields) {
+  using Clock = std::chrono::steady_clock;
+  static const Clock::time_point first = Clock::now();
+  char head[48];
+  std::snprintf(head, sizeof(head), "ts=%.3f level=info ",
+                std::chrono::duration<double>(Clock::now() - first).count());
+  const std::string line = head + fields + "\n";
+  [[maybe_unused]] ssize_t n = ::write(2, line.data(), line.size());
 }
 
 // Self-pipe: the handler only writes a byte (async-signal-safe); a
@@ -124,18 +152,18 @@ int main(int argc, char** argv) {
   }
   const bool enable_http =
       parser.Seen("--http-port") || parser.Seen("--http-port-file");
+  // A daemon that says nothing is undebuggable: info unless the flag or
+  // the environment asks for something else.
+  bool log_info = true;
   if (parser.Seen("--log-level")) {
-    tcm::LogLevel level = tcm::LogLevel::kInfo;
-    if (!tcm::ParseLogLevel(log_level, &level)) {
+    if (!IsLogLevel(log_level)) {
       std::fprintf(stderr, "unknown --log-level \"%s\"\n%s",
                    log_level.c_str(), kUsage);
       return tcm::tools::kExitUsage;
     }
-    tcm::Logger::Global().SetLevel(level);
-  } else if (std::getenv("TCM_LOG") == nullptr) {
-    // A daemon that says nothing is undebuggable: default to info unless
-    // the environment asked for something else explicitly.
-    tcm::Logger::Global().SetLevel(tcm::LogLevel::kInfo);
+    log_info = LogsInfo(log_level);
+  } else if (const char* env = std::getenv("TCM_LOG")) {
+    log_info = LogsInfo(env);
   }
 
   tcm::ServeOptions options;
@@ -163,17 +191,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     return tcm::tools::ExitCodeForStatus(started);
   }
-  TCM_LOG(kInfo)
-      .Msg("tcm_serve listening")
-      .Kv("host", host)
-      .Kv("port", static_cast<unsigned int>(server.port()))
-      .Kv("http_port", static_cast<unsigned int>(server.http_port()))
-      .Kv("pid", static_cast<long>(::getpid()))
-      .Kv("threads", threads)
-      .Kv("max_pending", max_pending)
-      .Kv("max_terminal_jobs", max_terminal_jobs)
-      .Kv("max_connections", max_connections)
-      .Kv("idle_timeout_ms", idle_timeout_ms);
+  if (log_info) {
+    // Start() accepted `host` as a numeric IPv4 address, so no field
+    // needs quoting.
+    char fields[512];
+    std::snprintf(fields, sizeof(fields),
+                  "msg=\"tcm_serve listening\" host=%s port=%u "
+                  "http_port=%u pid=%ld threads=%zu max_pending=%zu "
+                  "max_terminal_jobs=%zu max_connections=%zu "
+                  "idle_timeout_ms=%zu",
+                  host.c_str(), static_cast<unsigned int>(server.port()),
+                  static_cast<unsigned int>(server.http_port()),
+                  static_cast<long>(::getpid()), threads, max_pending,
+                  max_terminal_jobs, max_connections, idle_timeout_ms);
+    LogInfo(fields);
+  }
 
   if (!port_file.empty() && !WritePortFile(port_file, server.port())) {
     std::fprintf(stderr, "cannot write port file %s\n", port_file.c_str());
@@ -211,6 +243,6 @@ int main(int argc, char** argv) {
   HandleSignal(0);
   watcher.join();
 
-  TCM_LOG(kInfo).Msg("tcm_serve drained, exiting");
+  if (log_info) LogInfo("msg=\"tcm_serve drained, exiting\"");
   return tcm::tools::kExitOk;
 }
